@@ -1,12 +1,14 @@
 """Benchmark of the `quad` command line, run in-process.
 
-    python3 perfbench/run.py --workload table-asin6 --seed 1 --seconds 55 --trace 0
+    python3 perfbench/run.py --workload table-asin6 --seed 1 --seconds 35 --trace 0
     python3 perfbench/run.py --workload all
 
 One client sends requests through ``quadrules.cli.main(argv)`` in a closed
 loop on one thread, with stdout and stderr captured, and checks every
 output.  Each request builds its integrand from scratch, as a ``quad``
-process does.  With ``--trace 0`` the run reports end-to-end metrics;
+process does.  With ``--trace 0`` the run reports end-to-end metrics,
+operation times scaled to a nominal host speed measured by a fixed
+probe that runs every 50 ms (see ``HostSpeed``);
 with ``--trace 1`` it alternates plain and traced runs of the same
 requests and reports per-layer metrics (see tracing.py) together with
 the tracing overhead.  The last line of stdout is one JSON object:
@@ -17,32 +19,134 @@ and the reasons for them are described in perfbench/README.md.
 from __future__ import annotations
 
 import argparse
+import bisect
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
 import resource
+import signal
 import statistics
 import subprocess
 import sys
 import time
 import traceback
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
+
+from mpmath.libmp import (from_int, mpf_add, mpf_div, mpf_mul, mpf_sin,
+                          mpf_sqrt, round_nearest)
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-SETUP_CHILDREN = 6    # import timings taken before the loop, and again after
+SETUP_FIRST = 5       # import timings taken before the loop
+SETUP_EVERY_S = 2.0   # then one after the first operation ending this late
 SETUP_CODE = ("import time; t = time.perf_counter(); import quadrules.cli; "
               "print(time.perf_counter() - t)")
 MAX_REPORTED_FAILURES = 5
 
 
+# The host's speed drifts by up to 1.8x within seconds (see README.md), so
+# operation times are scaled by a probe: a fixed piece of mpmath arithmetic
+# that does not touch quadrules, run every PROBE_EVERY_S of wall time from
+# a SIGALRM handler, so that probes also fall inside long operations.
+# PROBE_NOMINAL_S is the probe kernel's time in a fast phase of a 2-CPU
+# host (Python 3.11.7, mpmath 1.3.0, pure-Python backend); a scaled time
+# reads as the wall time on a host where the kernel takes that long.
+PROBE_NOMINAL_S = 1.25e-3
+PROBE_REPS = 3        # a probe is the median of this many kernel runs
+PROBE_EVERY_S = 0.05
+
+
+def probe_kernel():
+    """Seconds one run of the probe kernel takes: sin, sqrt, products and
+    sums at 53 and 256 bits through mpmath's low-level functions, bound
+    when this module loads."""
+    start = time.perf_counter()
+    one, n = from_int(1), from_int(40)
+    for prec in (53, 256):
+        s = from_int(0)
+        for k in range(1, 40):
+            x = mpf_div(from_int(k), n, prec, round_nearest)
+            s = mpf_add(s, mpf_mul(mpf_sin(x, prec, round_nearest), x, prec,
+                                   round_nearest), prec, round_nearest)
+            s = mpf_add(s, mpf_sqrt(mpf_add(x, one, prec, round_nearest),
+                                    prec, round_nearest), prec, round_nearest)
+    return time.perf_counter() - start
+
+
+class HostSpeed:
+    """Probes the host every ``PROBE_EVERY_S`` while entered, and scales
+    wall-time intervals taken meanwhile to the nominal host speed.
+
+    A probe runs whole between two bytecodes of the main thread, so an
+    interval read there with ``time.perf_counter`` either contains a probe
+    or does not overlap it.  ``scale`` drops the probes inside an interval
+    and weights each stretch between two probes by the nominal kernel
+    time over the mean of those two probes.
+    """
+
+    def __init__(self):
+        self.probes = []      # (start, end, kernel seconds), in time order
+        self.active = False
+
+    def probe(self, *_):
+        if not self.active:
+            return
+        self.active = False   # a late signal must not nest a probe
+        start = time.perf_counter()
+        value = statistics.median(probe_kernel() for _ in range(PROBE_REPS))
+        self.probes.append((start, time.perf_counter(), value))
+        self.active = True
+
+    def __enter__(self):
+        self.active = True
+        self.probe()
+        signal.signal(signal.SIGALRM, self.probe)
+        signal.setitimer(signal.ITIMER_REAL, PROBE_EVERY_S, PROBE_EVERY_S)
+        return self
+
+    def __exit__(self, *exc):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        self.probe()
+        self.active = False
+
+    @contextmanager
+    def paused(self):
+        """No probes inside the block; one right after it."""
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        self.active = False
+        try:
+            yield
+        finally:
+            self.active = True
+            self.probe()
+            signal.setitimer(signal.ITIMER_REAL, PROBE_EVERY_S,
+                             PROBE_EVERY_S)
+
+    def scale(self, start, end):
+        """(seconds, scaled seconds) of [start, end] less its probes."""
+        i = bisect.bisect_right(self.probes, (start,)) - 1
+        prev, cursor = self.probes[i][2], start
+        seconds = scaled = 0.0
+        for p_start, p_end, value in itertools.islice(self.probes, i + 1,
+                                                      None):
+            piece = min(p_start, end) - cursor
+            seconds += piece
+            scaled += piece * PROBE_NOMINAL_S / ((prev + value) / 2)
+            if p_start >= end:
+                break
+            prev, cursor = value, p_end
+        return seconds, scaled
+
+
 def measure_setup(n):
     """Seconds for fresh interpreters, started one at a time, to import
-    ``quadrules.cli``."""
+    ``quadrules.cli``.  These are wall times: unlike operation times they
+    did not track the probe (see README.md)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
@@ -65,14 +169,15 @@ def run_op(argv):
 
 
 def timed_op(op):
-    """(seconds, result, exception) of one request; a request that raises
-    has no result."""
-    t0 = time.perf_counter()
+    """(start, end, result, exception) of one request, with ``start`` and
+    ``end`` from ``time.perf_counter``; a request that raises has no
+    result."""
+    start = time.perf_counter()
     try:
         result, exc = run_op(op.argv), None
     except Exception as err:  # a traceback is a failed operation
         result, exc = None, err
-    return time.perf_counter() - t0, result, exc
+    return start, time.perf_counter(), result, exc
 
 
 class Outcomes:
@@ -128,46 +233,65 @@ def warm_up(workloads):
 
 
 def end_to_end(workload, args):
-    """Closed loop for ``args.seconds``; returns (outcomes, metrics)."""
-    setup = measure_setup(SETUP_CHILDREN)
+    """Closed loop for ``args.seconds``; returns (outcomes, metrics).
+
+    Import timings for ``setup_s`` are spread over the run, with probing
+    paused, so that they sample the host's phases as the operations do.
+    """
+    setup = measure_setup(SETUP_FIRST)
     outcomes = Outcomes()
     digest, digested, digest_bytes = hashlib.sha256(), 0, 0
-    latencies = []
+    intervals = []
     ops = workload.ops(args.seed)
     clock = time.perf_counter
-    start = clock()
-    deadline = start + args.seconds
-    while clock() < deadline:
-        op = next(ops)
-        seconds, result, exc = timed_op(op)
-        latencies.append(seconds)
-        outcomes.record(op, result, exc)
-        if result is not None and digested < workload.digest_ops:
-            data = result[1].encode()
-            digest.update(data)
-            digested += 1
-            digest_bytes += len(data)
-    elapsed = clock() - start
-    setup += measure_setup(SETUP_CHILDREN)
+    with HostSpeed() as speed:
+        start = clock()
+        deadline = start + args.seconds
+        next_setup = start + SETUP_EVERY_S
+        while clock() < deadline:
+            op = next(ops)
+            op_start, op_end, result, exc = timed_op(op)
+            intervals.append((op_start, op_end))
+            outcomes.record(op, result, exc)
+            if result is not None and digested < workload.digest_ops:
+                data = result[1].encode()
+                digest.update(data)
+                digested += 1
+                digest_bytes += len(data)
+            if clock() >= next_setup:
+                with speed.paused():
+                    setup += measure_setup(1)
+                next_setup = clock() + SETUP_EVERY_S
+        elapsed = clock() - start
 
-    ms = [t * 1e3 for t in latencies]
+    wall, scaled = zip(*(speed.scale(*iv) for iv in intervals))
+    ms = [t * 1e3 for t in wall]
+    scaled_ms = [t * 1e3 for t in scaled]
     metrics = {
         "setup_s": (statistics.median(setup), "s"),
-        "ops_per_s": (len(latencies) / elapsed, "1/s"),
-        "latency_p50_ms": (statistics.median(ms), "ms"),
+        "norm_ops_per_s": (len(scaled_ms) * 1e3 / sum(scaled_ms), "1/s"),
+        "norm_latency_p50_ms": (statistics.median(scaled_ms), "ms"),
         "peak_rss_mb": (
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
     for name, (value, unit) in metrics.items():
-        print(f"{name:<16} {value:12.4f} {unit}")
-    print(f"{'samples':<16} {len(ms):12d} ops in {elapsed:.1f} s; setup "
+        print(f"{name:<20} {value:12.4f} {unit}")
+    probes_ms = [p[2] * 1e3 for p in speed.probes]
+    print(f"{'samples':<20} {len(ms):12d} ops in {elapsed:.1f} s; setup "
           f"from {len(setup)} child interpreters")
+    print(f"{'probe':<20} {statistics.median(probes_ms):12.4f} ms median, "
+          f"{min(probes_ms):.4f}..{max(probes_ms):.4f} over "
+          f"{len(probes_ms)} probes; nominal {PROBE_NOMINAL_S * 1e3:g} ms")
+    print("unscaled wall times:")
+    print(f"{'  ops_per_s':<20} {len(ms) * 1e3 / sum(ms):12.4f} 1/s "
+          f"(probe time excluded)")
+    print(f"{'  latency_p50_ms':<20} {statistics.median(ms):12.4f} ms")
     q = tail_percentile(ms)
     if q is None:
-        print(f"{'latency tail':<16} {'n/a':>12} (needs >= 100 samples)")
+        print(f"{'  latency tail':<20} {'n/a':>12} (needs >= 100 samples)")
     else:
-        print(f"{f'latency_p{q:g}_ms':<16} {percentile(ms, q):12.4f} ms")
-    print(f"{'fail_ratio':<16} {outcomes.failed / outcomes.attempted:12.4f} "
+        print(f"{f'  latency_p{q:g}_ms':<20} {percentile(ms, q):12.4f} ms")
+    print(f"{'fail_ratio':<20} {outcomes.failed / outcomes.attempted:12.4f} "
           f"({outcomes.failed}/{outcomes.attempted})")
     print(f"stdout_sha256 {digest.hexdigest()} over the first {digested} "
           f"ops ({digest_bytes} bytes)")
@@ -193,7 +317,8 @@ def traced(workload, args):
         for with_trace in ((False, True) if i % 2 == 0 else (True, False)):
             if with_trace:
                 tracer.install()
-            elapsed, result, exc = timed_op(op)
+            start, end, result, exc = timed_op(op)
+            elapsed = end - start
             if with_trace:
                 tracer.uninstall()
                 tracer.end_op()
@@ -255,7 +380,7 @@ def main(argv=None):
     parser.add_argument("--workload", required=True,
                         help="workload name, or 'all'")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=55)
+    parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 

@@ -148,3 +148,30 @@ def test_checks_reject_wrong_outputs():
     assert rejected(2, "", "quad: domain error: sqrt\n") is None
     assert rejected(1, "", "quad: error: x\n")
     assert rejected(2, "", "Traceback (most recent call last):\n  x\n")
+
+
+def test_host_speed_scales_each_stretch_by_its_probes():
+    speed = run.HostSpeed()
+    nominal = run.PROBE_NOMINAL_S
+    speed.probes = [(0.0, 1.0, 2 * nominal), (5.0, 6.0, nominal),
+                    (10.0, 11.0, 3 * nominal)]
+    # 2..5 lies between probes of 2 and 1 nominal, 6..8 between 1 and 3;
+    # the probe from 5 to 6 is cut out
+    seconds, scaled = speed.scale(2.0, 8.0)
+    assert seconds == pytest.approx(5.0)
+    assert scaled == pytest.approx(3.0 / 1.5 + 2.0 / 2.0)
+    assert speed.scale(6.5, 7.0) == pytest.approx((0.5, 0.25))
+
+
+def test_host_speed_probes_inside_a_long_operation():
+    argv = ("pi", "--example", "3", "--panels", "4096", "--prec", "256")
+    with run.HostSpeed() as speed:
+        start, end, result, exc = run.timed_op(
+            workloads.Op(argv, workloads.check_pi_256))
+    assert exc is None and workloads.check_pi_256(*result) is None
+    inside = [p for p in speed.probes if start < p[0] < end]
+    assert inside
+    seconds, scaled = speed.scale(start, end)
+    assert seconds == pytest.approx(
+        end - start - sum(p[1] - p[0] for p in inside))
+    assert scaled > 0

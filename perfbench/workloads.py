@@ -148,15 +148,16 @@ FORMATS = ("text", "csv", "json")
 BUILTINS = ("sin2", "asin6", "atan2")
 UNKNOWN_RULES = ("Z", "W", "X9", "LL", "S3")
 
-# (share, kind); the shares add up to 1
+# (requests per block of 100, kind).  Each block holds exactly these
+# counts in a seeded order, so the mix does not vary from run to run.
 MIX = (
-    (0.64, "integrate"),
-    (0.12, "bracket"),
-    (0.12, "degree"),
-    (0.04, "pi"),
-    (0.03, "table"),
-    (0.03, "domain_error"),
-    (0.02, "unknown_rule"),
+    (64, "integrate"),
+    (12, "bracket"),
+    (12, "degree"),
+    (4, "pi"),
+    (3, "table"),
+    (3, "domain_error"),
+    (2, "unknown_rule"),
 )
 
 
@@ -313,12 +314,7 @@ def _check_rejected(expected_rc):
     return check
 
 
-def _request(rng):
-    r = rng.random()
-    for share, kind in MIX:
-        if r < share:
-            break
-        r -= share
+def _request(rng, kind):
     prec = str(rng.choice(PRECISIONS))
     fmt = rng.choice(FORMATS)
     common = ("--prec", prec, "--format", fmt)
@@ -362,8 +358,11 @@ def _request(rng):
 
 def mixed_requests_ops(seed):
     rng = random.Random(seed)
+    block = [kind for count, kind in MIX for _ in range(count)]
     while True:
-        yield _request(rng)
+        rng.shuffle(block)
+        for kind in block:
+            yield _request(rng, kind)
 
 
 # Small requests run before timing starts, so module imports, mpmath's
