@@ -15,13 +15,11 @@ from .associate import (AssociateWeights, AssumptionVerdict, Bracket,
                         COMPANION_PAIRS, CompanionPair, associate_value,
                         bracket, check_assumption_A, companion_pair,
                         derive_weights)
-from .composite import (CompositeRequest, composite_eval,
-                        composite_table_values, composite_values)
+from .composite import composite_eval, composite_values
 from .expr import (DifferentiationError, DomainError, Expression, ParseError,
                    differentiate, eval_expr, parse, to_text)
 from .integrand import BUILTIN_NAMES, Integrand, builtin_integrand
-from .precision import (DEFAULT_PRECISION, EXTENDED_PRECISION, format_real,
-                        pi_at, ulp, workprec)
+from .precision import DEFAULT_PRECISION, format_real, pi_at, ulp, workprec
 from .rules import (Interval, QUOTED_DEGREES, RULES, RULE_ORDER, RuleSpec,
                     UnknownRuleError, eval_simple, rule_meta,
                     simple_rule_values)
@@ -30,16 +28,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociateWeights", "AssumptionVerdict", "Bracket", "BUILTIN_NAMES",
-    "COMPANION_PAIRS", "CompanionPair", "CompositeRequest", "DEFAULT_PRECISION",
-    "DegreeProbe", "DifferentiationError", "DomainError", "EXTENDED_PRECISION",
-    "Expression", "Integrand", "Interval", "ParseError", "QUOTED_DEGREES",
-    "Reference", "RuleSpec", "RULES", "RULE_ORDER", "TableRow",
-    "UndefinedOrderError", "UnknownRuleError", "associate_value", "bracket",
-    "builtin_integrand", "check_assumption_A", "companion_pair",
-    "composite_eval", "composite_table_values", "composite_values",
-    "convergence_table", "degree_probe", "derive_weights", "differentiate",
-    "digits_correct", "eval_expr", "eval_simple", "format_real",
-    "observed_order", "order_string", "parse", "pi_at", "rule_meta",
-    "signed_error", "simple_rule_values", "table_from_csv", "table_to_csv",
-    "table_to_json", "to_text", "ulp", "workprec",
+    "COMPANION_PAIRS", "CompanionPair", "DEFAULT_PRECISION", "DegreeProbe",
+    "DifferentiationError", "DomainError", "Expression", "Integrand",
+    "Interval", "ParseError", "QUOTED_DEGREES", "Reference", "RuleSpec",
+    "RULES", "RULE_ORDER", "TableRow", "UndefinedOrderError",
+    "UnknownRuleError", "associate_value", "bracket", "builtin_integrand",
+    "check_assumption_A", "companion_pair", "composite_eval",
+    "composite_values", "convergence_table", "degree_probe",
+    "derive_weights", "differentiate", "digits_correct", "eval_expr",
+    "eval_simple", "format_real", "observed_order", "order_string", "parse",
+    "pi_at", "rule_meta", "signed_error", "simple_rule_values",
+    "table_from_csv", "table_to_csv", "table_to_json", "to_text", "ulp",
+    "workprec",
 ]

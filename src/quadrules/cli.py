@@ -16,9 +16,11 @@ and the doubling shorthand 2^k..2^m.  Defaults for ``--prec`` (bits) and
 environment variables when set.
 
 Exit status: 0 on success, 1 on usage errors (unknown flag, rule or
-integrand, malformed input), 2 on numeric domain errors (the message names
-the offending node and panel).  Data goes to stdout, diagnostics to
-stderr; output bytes are deterministic for fixed inputs and precision.
+integrand, malformed input or environment default, an integrand whose
+derivative the rule needs but cannot be taken), 2 on numeric domain errors
+(the message names the offending node and panel).  Data goes to stdout,
+diagnostics to stderr; output bytes are deterministic for fixed inputs and
+precision.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .analysis import (Reference, convergence_table, degree_probe,
 from .associate import associate_value, bracket, check_assumption_A, \
     companion_pair
 from .composite import composite_values
-from .expr import DomainError, ParseError, parse
+from .expr import DifferentiationError, DomainError, ParseError, parse
 from .integrand import BUILTIN_NAMES, Integrand, builtin_integrand
 from .precision import format_real, pi_at
 from .rules import (QUOTED_DEGREES, Interval, UnknownRuleError,
@@ -56,13 +58,34 @@ def _env_default(name, fallback):
     return os.environ.get(name, fallback)
 
 
+def _precision(text):
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = None
+    if bits is None or bits < 4:
+        raise argparse.ArgumentTypeError(
+            f"precision must be an integer of at least 4 bits, got {text!r}")
+    return bits
+
+
+def _output_format(text):
+    if text not in _FORMATS:
+        choices = ", ".join(map(repr, _FORMATS))
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
 def _add_common(sub):
-    sub.add_argument("--prec", type=int,
-                     default=int(_env_default("QUAD_PREC", "53")),
+    # string defaults pass through ``type`` too, so the environment values
+    # are checked like command-line ones, inside main's error handling
+    sub.add_argument("--prec", type=_precision,
+                     default=_env_default("QUAD_PREC", "53"),
                      help="working precision in bits (default 53)")
-    sub.add_argument("--format", choices=_FORMATS,
+    sub.add_argument("--format", type=_output_format,
                      default=_env_default("QUAD_FORMAT", "text"),
-                     help="output format (default text)")
+                     help="output format: text, csv or json (default text)")
 
 
 def build_parser():
@@ -321,6 +344,8 @@ def _sci(x):
 
 def cmd_degree(args):
     rule = _one_rule(args.rule)
+    if args.max_k < 1:
+        raise UsageError(f"--max must be at least 1, got {args.max_k}")
     probe = degree_probe(rule, args.max_k)
     quoted = QUOTED_DEGREES[rule]
     note = None
@@ -373,10 +398,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, DifferentiationError) as err:
         print(f"quad: error: {err}", file=sys.stderr)
         return 1
-    except (DomainError,) as err:
+    except DomainError as err:
         print(f"quad: domain error: {err}", file=sys.stderr)
         return 2
 

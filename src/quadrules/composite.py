@@ -6,7 +6,9 @@ are addressed by the half-step index k (node k sits at a + k*h/2: even k
 are panel boundaries, odd k are midpoints) and cached by that integer, so
 a boundary shared by two panels is evaluated once and h-rounding cannot
 alias two distinct nodes.  Each node position is produced by a single
-multiplication a + k*(h/2), never by repeated addition.
+multiplication a + k*(h/2), never by repeated addition.  The panel values
+come from ``quadrules.rules.rule_values``, the one place the rule formulas
+are written, with the panel width h.
 
 Panel sums use Neumaier-compensated sequential summation at precisions up
 to 53 bits and plain sequential summation above, so results are
@@ -16,13 +18,10 @@ the total regardless of the panel count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from mpmath import mpf
 
-from .expr import DomainError
 from .precision import workprec
-from .rules import Interval, rule_meta, rule_names
+from .rules import needed_rules, node_value, rule_meta, rule_names, rule_values
 
 
 class _Sum:
@@ -50,26 +49,6 @@ class _Sum:
         return self.s if not self.compensated else self.s + self.c
 
 
-@dataclass(frozen=True)
-class CompositeRequest:
-    """One composite evaluation: rule, integrand, interval, panel count."""
-
-    rule: object
-    f: object
-    interval: Interval
-    panels: int
-    precision: int = 53
-
-    def __post_init__(self):
-        rule_meta(self.rule)
-        if self.panels < 1:
-            raise ValueError(f"panel count must be >= 1, got {self.panels}")
-
-    def evaluate(self):
-        return composite_eval(self.rule, self.f, self.interval, self.panels,
-                              self.precision)
-
-
 def composite_values(f, interval, rules, panels, precision=53):
     """Composite values for several rules in one pass over shared nodes.
 
@@ -81,66 +60,31 @@ def composite_values(f, interval, rules, panels, precision=53):
     if panels < 1:
         raise ValueError(f"panel count must be >= 1, got {panels}")
     n = panels
-    active = set(names)
-    if "Q" in active:
-        active |= {"T2", "S"}
-    if "T2" in active:
-        active.add("M")
-    if "S" in active:
-        active |= {"M", "T"}
-
-    need_ends = bool(active & {"L", "R", "T"})
-    need_mids = "M" in active
-    need_fpp = "T2" in active
+    need = needed_rules(names)
+    need_ends = bool(need & {"L", "R", "T"})
+    need_mids = "M" in need
+    need_fpp = "T2" in need
 
     with workprec(precision):
         a, b = interval.bounds()
         h = (b - a) / n
         half = h / 2
-        t2_coeff = h ** 3 / 24 if need_fpp else None
 
         fcache = {}
 
         def node(k, panel):
-            try:
-                return fcache[k]
-            except KeyError:
-                pass
-            x = a + k * half
-            try:
-                v = f.eval_at(x)
-            except DomainError as err:
-                raise err.located(x=x, panel=panel, panels=n) from None
-            fcache[k] = v
-            return v
+            if k not in fcache:
+                fcache[k] = node_value(f, a + k * half, 0, panel, n)
+            return fcache[k]
 
         sums = {name: _Sum(precision <= 53) for name in names}
         for i in range(n):
-            if need_ends:
-                fa = node(2 * i, i)
-                fb = node(2 * i + 2, i)
-            if need_mids:
-                fm = node(2 * i + 1, i)
-            vals = {}
-            if "L" in active:
-                vals["L"] = h * fa
-            if "R" in active:
-                vals["R"] = h * fb
-            if "M" in active:
-                vals["M"] = h * fm
-            if "T" in active:
-                vals["T"] = half * (fa + fb)
-            if "S" in active:
-                vals["S"] = (2 * vals["M"] + vals["T"]) / 3
-            if "T2" in active:
-                x_mid = a + (2 * i + 1) * half
-                try:
-                    fpp = f.derivative_at(x_mid, 2)
-                except DomainError as err:
-                    raise err.located(x=x_mid, panel=i, panels=n) from None
-                vals["T2"] = vals["M"] + t2_coeff * fpp
-            if "Q" in active:
-                vals["Q"] = (2 * vals["T2"] + 3 * vals["S"]) / 5
+            fa = node(2 * i, i) if need_ends else None
+            fb = node(2 * i + 2, i) if need_ends else None
+            fm = node(2 * i + 1, i) if need_mids else None
+            fpp = node_value(f, a + (2 * i + 1) * half, 2, i, n) \
+                if need_fpp else None
+            vals = rule_values(need, h, fa, fb, fm, fpp)
             for name in names:
                 sums[name].add(vals[name])
         return {name: +sums[name].total() for name in names}
@@ -150,8 +94,3 @@ def composite_eval(rule, f, interval, panels, precision=53):
     """Composite value of one rule over ``panels`` uniform panels."""
     name = rule_meta(rule).name
     return composite_values(f, interval, (name,), panels, precision)[name]
-
-
-def composite_table_values(f, interval, rules, panels, precision=53):
-    """Alias of ``composite_values`` under its table-facing name."""
-    return composite_values(f, interval, rules, panels, precision)

@@ -2,10 +2,10 @@
 
 Numeric values are mpmath floats: sign, binary significand and exponent,
 rounded at the active working precision.  The default precision is 53 bits
-(the usual double width); "extended" mode is anything from 128 bits up.
-For a fixed precision every operation here is deterministic, and mpmath
-guarantees correct rounding for field operations and sqrt and faithful,
-near-correct rounding for the trigonometric functions.
+(the usual double width).  For a fixed precision every operation here is
+deterministic, and mpmath guarantees correct rounding for field operations
+and sqrt and faithful, near-correct rounding for the trigonometric
+functions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 DEFAULT_PRECISION = 53
-EXTENDED_PRECISION = 128
 
 
 def workprec(bits):

@@ -22,6 +22,11 @@ rather than through expanded node formulas; the direct endpoint Simpson
 form (b-a)/6 (f(a) + 4 f(mid) + f(b)) is algebraically identical and is
 kept to the test suite as a cross-check.
 
+Each formula is written once, in ``rule_values``, which maps a width and
+node values to rule values in any number type.  ``simple_rule_values``
+calls it on one interval, ``quadrules.composite`` once per panel with
+cached node values, and the degree probe with exact rationals.
+
 The stored degrees are guaranteed lower bounds.  R is commonly quoted with
 degree 1 and Q with degree 3; the exact-rational probe in
 ``quadrules.analysis.degree_probe`` shows R has degree 0 (it is not exact
@@ -34,7 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Expression, Num, constant_value, has_free_var, parse
+from .expr import (DomainError, Expression, Num, constant_value, has_free_var,
+                   parse)
 from .precision import workprec
 
 RULE_ORDER = ("L", "R", "M", "T", "S", "T2", "Q")
@@ -132,32 +138,31 @@ def _as_constant(value):
     return e
 
 
-# dependency closure of the weighted-mean evaluation chain
+# the rules each weighted mean is built from
 _CHAIN = {"S": ("M", "T"), "Q": ("T2", "S"), "T2": ("M",)}
 
 
-def simple_rule_values(f, a, b, rules=RULE_ORDER):
-    """Values of the requested rules on one interval, at ambient precision.
-
-    f(a), f(b), f((a+b)/2) and f''((a+b)/2) are each evaluated at most once
-    and shared by every rule that needs them.
-    """
-    names = rule_names(rules)
+def needed_rules(names):
+    """The rules ``names`` plus every rule their weighted means reuse."""
     need = set(names)
-    for name in tuple(need):
-        stack = list(_CHAIN.get(name, ()))
-        while stack:
-            dep = stack.pop()
+    stack = list(need)
+    while stack:
+        for dep in _CHAIN.get(stack.pop(), ()):
             if dep not in need:
                 need.add(dep)
-                stack.extend(_CHAIN.get(dep, ()))
+                stack.append(dep)
+    return need
 
-    w = b - a
-    mid = (a + b) / 2
-    fa = f.eval_at(a) if need & {"L", "T"} else None
-    fb = f.eval_at(b) if need & {"R", "T"} else None
-    fm = f.eval_at(mid) if "M" in need else None
 
+def rule_values(need, w, fa, fb, fm, fpp):
+    """Values of the rules in ``need`` (closed under ``needed_rules``) on
+    one interval of width ``w``: the single home of every rule formula.
+
+    fa, fb and fm are f at the left end, right end and midpoint, fpp is
+    f'' at the midpoint; an input no rule in ``need`` uses may be None.
+    The arithmetic is generic: mpmath floats give the rounded values at
+    the ambient precision, Fractions (with a Fraction width) exact ones.
+    """
     vals = {}
     if "L" in need:
         vals["L"] = w * fa
@@ -170,9 +175,39 @@ def simple_rule_values(f, a, b, rules=RULE_ORDER):
     if "S" in need:
         vals["S"] = (2 * vals["M"] + vals["T"]) / 3
     if "T2" in need:
-        vals["T2"] = vals["M"] + w ** 3 / 24 * f.derivative_at(mid, 2)
+        vals["T2"] = vals["M"] + w ** 3 / 24 * fpp
     if "Q" in need:
         vals["Q"] = (2 * vals["T2"] + 3 * vals["S"]) / 5
+    return vals
+
+
+def node_value(f, x, order=0, panel=None, panels=None):
+    """f (order 0) or its order-th derivative at x.
+
+    A domain error is re-raised annotated with x and, for composite
+    evaluation, the panel x belongs to.
+    """
+    try:
+        return f.derivative_at(x, order) if order else f.eval_at(x)
+    except DomainError as err:
+        raise err.located(x=x, panel=panel, panels=panels) from None
+
+
+def simple_rule_values(f, a, b, rules=RULE_ORDER):
+    """Values of the requested rules on one interval, at ambient precision.
+
+    f(a), f(b), f((a+b)/2) and f''((a+b)/2) are each evaluated at most once
+    and shared by every rule that needs them.  Domain errors name the
+    offending node and point.
+    """
+    names = rule_names(rules)
+    need = needed_rules(names)
+    mid = (a + b) / 2
+    fa = node_value(f, a) if need & {"L", "T"} else None
+    fb = node_value(f, b) if need & {"R", "T"} else None
+    fm = node_value(f, mid) if "M" in need else None
+    fpp = node_value(f, mid, 2) if "T2" in need else None
+    vals = rule_values(need, b - a, fa, fb, fm, fpp)
     return {name: vals[name] for name in names}
 
 

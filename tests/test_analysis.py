@@ -153,6 +153,22 @@ class TestConvergenceTable:
         assert row.note is not None and "sqrt" in row.note
         assert row.errors == {}
 
+    @pytest.mark.parametrize("method", ["eval_at", "derivative_expr"])
+    def test_programming_errors_propagate(self, method):
+        # eval_at feeds the rows, derivative_expr the sign check; neither
+        # may turn a bug into a row note or an "A?" flag
+        class Broken(Integrand):
+            pass
+
+        def broken(self, *args):
+            raise TypeError("bug in the integrand")
+
+        setattr(Broken, method, broken)
+        f = builtin_integrand("asin6")
+        f = Broken(f.expression, f.interval, f.reference)
+        with pytest.raises(TypeError, match="bug in the integrand"):
+            convergence_table(f, rules=("L", "R"), n_list=(1,))
+
     def test_requires_reference(self):
         f = Integrand.from_text("x", 0, 1)  # no closed form attached
         with pytest.raises(ValueError):

@@ -266,6 +266,23 @@ class TestEnvironmentDefaults:
         assert out.startswith("rule L")
 
 
+@pytest.mark.parametrize("env, argv", [
+    ({}, ("integrate", "--integrand", "sin2", "--prec", "2")),
+    ({"QUAD_PREC": "2"}, ("integrate", "--integrand", "sin2")),
+    ({"QUAD_PREC": "abc"}, ("degree", "--rule", "Q")),
+    ({"QUAD_FORMAT": "xml"}, ("degree", "--rule", "Q")),
+    ({}, ("degree", "--rule", "Q", "--max", "0")),
+    ({}, ("integrate", "--integrand", "x^x", "--a", "1", "--b", "2",
+          "--rule", "T2")),
+])
+def test_bad_input_is_one_line_usage_error(capsys, monkeypatch, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("quad: error: ") and err.count("\n") == 1
+
+
 def test_output_bytes_are_deterministic(capsys):
     argv = ("table", "--integrand", "atan2", "--rules", "L,R,M,T",
             "--panels", "1,2,4", "--format", "csv")

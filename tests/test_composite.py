@@ -4,12 +4,11 @@ from dataclasses import dataclass
 import pytest
 from mpmath import mp, mpf
 
-from quadrules.composite import (CompositeRequest, composite_eval,
-                                 composite_table_values, composite_values)
+from quadrules.composite import composite_eval, composite_values
 from quadrules.expr import DomainError
 from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.precision import pi_at, ulp, workprec
-from quadrules.rules import Interval
+from quadrules.rules import Interval, UnknownRuleError
 
 from oracles import brute_composite, random_poly_tree
 
@@ -100,37 +99,29 @@ def test_matches_brute_force_oracle():
             assert abs(got[name] - expected[name]) <= 64 * ulp(scale, 53)
 
 
-class TestCompositeRequest:
-    def test_evaluate_delegates(self):
-        f = builtin_integrand("sin2")
-        req = CompositeRequest("M", f, f.interval, 2)
-        assert req.evaluate() == composite_eval("M", f, f.interval, 2)
-
-    def test_rejects_zero_panels(self):
-        f = builtin_integrand("sin2")
-        with pytest.raises(ValueError):
-            CompositeRequest("M", f, f.interval, 0)
-
-    def test_rejects_unknown_rule(self):
-        f = builtin_integrand("sin2")
-        with pytest.raises(ValueError):
-            CompositeRequest("XYZ", f, f.interval, 1)
+@pytest.mark.parametrize("rules, panels, error", [
+    (("M",), 0, ValueError),
+    (("XYZ",), 1, UnknownRuleError),
+], ids=["zero_panels", "unknown_rule"])
+def test_rejects_bad_requests(rules, panels, error):
+    f = builtin_integrand("sin2")
+    with pytest.raises(error):
+        composite_values(f, f.interval, rules, panels)
 
 
 class TestNodeSharing:
     def test_each_node_evaluated_once_across_rules(self):
         counting = CountingIntegrand(builtin_integrand("asin6"))
         n = 16
-        composite_table_values(counting, counting.interval,
-                               ("L", "R", "M", "T", "S", "T2", "Q"), n)
+        composite_values(counting, counting.interval,
+                         ("L", "R", "M", "T", "S", "T2", "Q"), n)
         assert counting.f_calls == 2 * n + 1  # n+1 boundaries, n midpoints
         assert counting.fpp_calls == n
 
     def test_endpoint_rules_share_boundaries(self):
         counting = CountingIntegrand(builtin_integrand("asin6"))
         n = 8
-        composite_table_values(counting, counting.interval,
-                               ("L", "R", "T"), n)
+        composite_values(counting, counting.interval, ("L", "R", "T"), n)
         assert counting.f_calls == n + 1
         assert counting.fpp_calls == 0
 

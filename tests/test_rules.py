@@ -181,3 +181,5 @@ def test_domain_error_propagates_with_node():
     with pytest.raises(DomainError) as exc:
         eval_simple("R", bad, bad.interval)
     assert "sqrt" in str(exc.value)
+    assert exc.value.x == 2
+    assert "at x = 2" in str(exc.value)
