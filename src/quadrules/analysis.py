@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .associate import check_assumption_A, companion_pair
+from .associate import COMPANION_PAIRS, check_assumption_A
 from .composite import composite_values
 from .expr import (DifferentiationError, DomainError, Expression,
                    constant_value)
@@ -118,10 +118,6 @@ def observed_order(err_n, err_2n):
         return mp.log(abs(as_mpf(err_n)) / abs(as_mpf(err_2n)), 2)
 
 
-# companion pairs looked for among a table's active rules, keyed for output
-_PAIR_KEYS = (("L", "R"), ("M", "T"), ("T2", "S"))
-
-
 @dataclass
 class TableRow:
     panels: int
@@ -152,9 +148,9 @@ def convergence_table(f, interval=None, rules=("L", "R", "M", "T", "S", "T2"),
         raise ValueError("panel counts must be positive")
 
     flags = {}
-    for x_name, y_name in _PAIR_KEYS:
+    for pair in COMPANION_PAIRS:
+        x_name, y_name = pair.positive.name, pair.negative.name
         if x_name in names and y_name in names:
-            pair = companion_pair(x_name, y_name)
             try:
                 tag = check_assumption_A(
                     f, pair.derivative_order, interval,
@@ -181,11 +177,13 @@ def convergence_table(f, interval=None, rules=("L", "R", "M", "T", "S", "T2"),
 
 def _monomial_rule_value(name, k):
     """Exact value of a rule on x^k over [0, 1] (all nodes are rational)."""
-    half = Fraction(1, 2)
-    fpp_mid = k * (k - 1) * half ** (k - 2)
-    vals = rule_values(needed_rules((name,)), Fraction(1), Fraction(0) ** k,
-                       Fraction(1), half ** k, fpp_mid)
-    return vals[name]
+    xs = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+    def node(j, order):  # f = x^k, f'' = k (k-1) x^(k-2)
+        x = xs[j]
+        return k * (k - 1) * x ** (k - 2) if order else x ** k
+
+    return rule_values(needed_rules((name,)), Fraction(1), node)[name]
 
 
 @dataclass(frozen=True)

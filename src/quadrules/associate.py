@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .expr import DomainError, _eval
+from .expr import _eval
 from .precision import as_mpf, workprec
 from .rules import NEGATIVE, POSITIVE, RULES, RuleSpec, rule_meta
 
@@ -204,10 +204,7 @@ def check_assumption_A(f, order, interval, samples=257, precision=53):
         xs = [a + i * step for i in range(samples - 1)] + [b]
         values = []
         for x in xs:
-            try:
-                v = _eval(deriv, x)
-            except DomainError as err:
-                raise err.located(x=x) from None
+            v = _eval(deriv, x)
             if not mp.isfinite(v):
                 return AssumptionVerdict(UNKNOWN)
             values.append(v)

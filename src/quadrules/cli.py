@@ -192,9 +192,12 @@ def _interval(args):
 
 def _rule_list(text):
     try:
-        return rule_names([r.strip() for r in text.split(",") if r.strip()])
+        names = rule_names([r.strip() for r in text.split(",") if r.strip()])
     except UnknownRuleError as err:
         raise UsageError(str(err)) from None
+    if len(set(names)) != len(names):
+        raise UsageError(f"repeated rule name in {text!r}")
+    return names
 
 
 def _one_rule(text):

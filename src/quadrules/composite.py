@@ -3,12 +3,13 @@
 The interval [a, b] is split into n panels [a_i, a_i + h], h = (b-a)/n,
 a_i = a + i*h, and the simple rule value of every panel is added.  Nodes
 are addressed by the half-step index k (node k sits at a + k*h/2: even k
-are panel boundaries, odd k are midpoints) and cached by that integer, so
+are panel boundaries, odd k are midpoints) and cached by (k, order), so
 a boundary shared by two panels is evaluated once and h-rounding cannot
 alias two distinct nodes.  Each node position is produced by a single
 multiplication a + k*(h/2), never by repeated addition.  The panel values
 come from ``quadrules.rules.rule_values``, the one place the rule formulas
-are written, with the panel width h.
+are written, with the panel width h; it reads only the nodes its rules
+use, so an L-only sum never evaluates f(b) and an R-only one never f(a).
 
 Panel sums use Neumaier-compensated sequential summation at precisions up
 to 53 bits and plain sequential summation above, so results are
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from mpmath import mpf
 
+from .expr import DomainError
 from .precision import workprec
 from .rules import needed_rules, node_value, rule_meta, rule_names, rule_values
 
@@ -61,30 +63,26 @@ def composite_values(f, interval, rules, panels, precision=53):
         raise ValueError(f"panel count must be >= 1, got {panels}")
     n = panels
     need = needed_rules(names)
-    need_ends = bool(need & {"L", "R", "T"})
-    need_mids = "M" in need
-    need_fpp = "T2" in need
 
     with workprec(precision):
         a, b = interval.bounds()
         h = (b - a) / n
         half = h / 2
 
-        fcache = {}
+        cache = {}
 
-        def node(k, panel):
-            if k not in fcache:
-                fcache[k] = node_value(f, a + k * half, 0, panel, n)
-            return fcache[k]
+        def node(j, order):  # node j of the panel i being summed
+            key = (2 * i + j, order)
+            if key not in cache:
+                try:
+                    cache[key] = node_value(f, a + key[0] * half, order)
+                except DomainError as err:
+                    raise err.located(i, n) from None
+            return cache[key]
 
         sums = {name: _Sum(precision <= 53) for name in names}
         for i in range(n):
-            fa = node(2 * i, i) if need_ends else None
-            fb = node(2 * i + 2, i) if need_ends else None
-            fm = node(2 * i + 1, i) if need_mids else None
-            fpp = node_value(f, a + (2 * i + 1) * half, 2, i, n) \
-                if need_fpp else None
-            vals = rule_values(need, h, fa, fb, fm, fpp)
+            vals = rule_values(need, h, node)
             for name in names:
                 sums[name].add(vals[name])
         return {name: +sums[name].total() for name in names}

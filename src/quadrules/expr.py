@@ -43,8 +43,8 @@ class ParseError(ValueError):
 class DomainError(ArithmeticError):
     """Evaluation left the real domain (sqrt of a negative, zero division).
 
-    Carries the offending node and, when known, the evaluation point and
-    the composite panel the point belongs to.
+    Carries the offending node, the evaluation point it is raised at and,
+    via ``located``, the composite panel the point belongs to.
     """
 
     def __init__(self, reason, node=None, x=None, panel=None, panels=None):
@@ -63,10 +63,9 @@ class DomainError(ArithmeticError):
             parts.append(f"(panel {panel}{of})")
         super().__init__(" ".join(parts))
 
-    def located(self, x=None, panel=None, panels=None):
-        """Copy of the error annotated with an evaluation point and panel."""
-        return DomainError(self.reason, self.node,
-                           x if x is not None else self.x, panel, panels)
+    def located(self, panel, panels=None):
+        """Copy of the error annotated with a composite panel."""
+        return DomainError(self.reason, self.node, self.x, panel, panels)
 
 
 class DifferentiationError(ValueError):
@@ -355,7 +354,7 @@ def _eval(e, x):
         return +mp.pi
     if isinstance(e, Var):
         if x is None:
-            raise DomainError("free variable x in a constant context", e)
+            raise DomainError("free variable x in a constant context", e, x)
         return x
     if isinstance(e, Add):
         return _eval(e.left, x) + _eval(e.right, x)
@@ -366,15 +365,15 @@ def _eval(e, x):
     if isinstance(e, Div):
         den = _eval(e.right, x)
         if den == 0:
-            raise DomainError("division by zero", e)
+            raise DomainError("division by zero", e, x)
         return _eval(e.left, x) / den
     if isinstance(e, Pow):
         base = _eval(e.base, x)
         expo = _eval(e.exponent, x)
         if base == 0 and expo < 0:
-            raise DomainError("zero raised to a negative power", e)
+            raise DomainError("zero raised to a negative power", e, x)
         if base < 0 and not mp.isint(expo):
-            raise DomainError("fractional power of a negative base", e)
+            raise DomainError("fractional power of a negative base", e, x)
         return base ** expo
     if isinstance(e, Neg):
         return -_eval(e.arg, x)
@@ -385,7 +384,7 @@ def _eval(e, x):
     if isinstance(e, Sqrt):
         v = _eval(e.arg, x)
         if v < 0:
-            raise DomainError("square root of a negative value", e)
+            raise DomainError("square root of a negative value", e, x)
         return mp.sqrt(v)
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -395,16 +394,13 @@ def eval_expr(e, x, precision=53):
 
     ``x`` may be an mpmath float (used as given), an int, or a decimal
     string; the latter two are converted at the requested precision.
-    Raises DomainError, annotated with the evaluation point, when the
-    value leaves the real domain.
+    Raises DomainError, naming the evaluation point, when the value
+    leaves the real domain.
     """
     with workprec(precision):
         if isinstance(x, (int, str)):
             x = mpf(x)
-        try:
-            return +_eval(e, x)
-        except DomainError as err:
-            raise err.located(x=x) from None
+        return +_eval(e, x)
 
 
 def constant_value(e):

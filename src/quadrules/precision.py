@@ -17,6 +17,9 @@ from mpmath import mp, mpf
 
 DEFAULT_PRECISION = 53
 
+# the normal range of a double: 2^-1022 <= |x| < 2^1024
+_DOUBLE_MIN, _DOUBLE_OVER = mpf(2) ** -1022, mpf(2) ** 1024
+
 
 def workprec(bits):
     """Context manager that sets the working precision to ``bits``."""
@@ -78,15 +81,18 @@ def decimal_digits(bits):
 def format_real(x, bits=DEFAULT_PRECISION):
     """Decimal text for ``x``.
 
-    At 53 bits the shortest round-tripping representation is used, so
-    reparsing the text recovers the value exactly.  Above 53 bits a fixed
-    significant-digit count of ``decimal_digits(bits) - 2`` is printed,
-    which is deliberately two digits short of exact round-trip.
+    At 53 bits ``parse_real`` recovers the value from the text: it is the
+    shortest round-tripping double text in the double's normal range, and
+    17 significant digits outside it.  Above 53 bits a fixed significant-
+    digit count of ``decimal_digits(bits) - 2`` is printed, which is
+    deliberately two digits short of exact round-trip.
     """
     x = as_mpf(x)
-    if bits <= 53:
+    if bits > 53:
+        return mp.nstr(x, max(decimal_digits(bits) - 2, 3))
+    if not x or not mp.isfinite(x) or _DOUBLE_MIN <= abs(x) < _DOUBLE_OVER:
         return repr(float(x))
-    return mp.nstr(x, max(decimal_digits(bits) - 2, 3))
+    return mp.nstr(x, 17)
 
 
 def parse_real(text, bits=DEFAULT_PRECISION):

@@ -22,10 +22,10 @@ rather than through expanded node formulas; the direct endpoint Simpson
 form (b-a)/6 (f(a) + 4 f(mid) + f(b)) is algebraically identical and is
 kept to the test suite as a cross-check.
 
-Each formula is written once, in ``rule_values``, which maps a width and
-node values to rule values in any number type.  ``simple_rule_values``
-calls it on one interval, ``quadrules.composite`` once per panel with
-cached node values, and the degree probe with exact rationals.
+Each formula is written once, in ``rule_values``, which fetches exactly
+the nodes its formulas read through a node reader and works in any number
+type.  ``simple_rule_values`` calls it on one interval, the composite once
+per panel over cached nodes, and the degree probe with exact rationals.
 
 The stored degrees are guaranteed lower bounds.  R is commonly quoted with
 degree 1 and Q with degree 3; the exact-rational probe in
@@ -39,8 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import (DomainError, Expression, Num, constant_value, has_free_var,
-                   parse)
+from .expr import Expression, Num, constant_value, has_free_var, parse
 from .precision import workprec
 
 RULE_ORDER = ("L", "R", "M", "T", "S", "T2", "Q")
@@ -56,17 +55,16 @@ class RuleSpec:
     degree: int                    # guaranteed exactness degree (lower bound)
     error_sign: str                # positive | negative | conditional
     error_denominator: int | None  # d in the leading error term, if single-term
-    derivative_order: int          # highest f derivative the rule evaluates
 
 
 RULES = {
-    "L": RuleSpec("L", 0, POSITIVE, 2, 0),
-    "R": RuleSpec("R", 0, NEGATIVE, 2, 0),
-    "M": RuleSpec("M", 1, POSITIVE, 24, 0),
-    "T": RuleSpec("T", 1, NEGATIVE, 12, 0),
-    "S": RuleSpec("S", 3, NEGATIVE, 2880, 0),
-    "T2": RuleSpec("T2", 3, POSITIVE, 1920, 2),
-    "Q": RuleSpec("Q", 3, CONDITIONAL, None, 2),
+    "L": RuleSpec("L", 0, POSITIVE, 2),
+    "R": RuleSpec("R", 0, NEGATIVE, 2),
+    "M": RuleSpec("M", 1, POSITIVE, 24),
+    "T": RuleSpec("T", 1, NEGATIVE, 12),
+    "S": RuleSpec("S", 3, NEGATIVE, 2880),
+    "T2": RuleSpec("T2", 3, POSITIVE, 1920),
+    "Q": RuleSpec("Q", 3, CONDITIONAL, None),
 }
 
 # Degrees as commonly quoted in rule summaries.  R and Q disagree with the
@@ -154,15 +152,20 @@ def needed_rules(names):
     return need
 
 
-def rule_values(need, w, fa, fb, fm, fpp):
+def rule_values(need, w, node):
     """Values of the rules in ``need`` (closed under ``needed_rules``) on
     one interval of width ``w``: the single home of every rule formula.
 
-    fa, fb and fm are f at the left end, right end and midpoint, fpp is
-    f'' at the midpoint; an input no rule in ``need`` uses may be None.
-    The arithmetic is generic: mpmath floats give the rounded values at
-    the ambient precision, Fractions (with a Fraction width) exact ones.
+    ``node(j, order)`` is f (order 0) or f'' (order 2) at node j: 0 is
+    the left end, 1 the midpoint, 2 the right end.  Only nodes the rules
+    read are fetched, in the order f(a), f(b), f(m), f''(m).  The
+    arithmetic is generic: mpmath floats give the rounded values at the
+    ambient precision, Fractions (with a Fraction width) exact ones.
     """
+    fa = node(0, 0) if "L" in need or "T" in need else None
+    fb = node(2, 0) if "R" in need or "T" in need else None
+    fm = node(1, 0) if "M" in need else None
+    fpp = node(1, 2) if "T2" in need else None
     vals = {}
     if "L" in need:
         vals["L"] = w * fa
@@ -181,33 +184,22 @@ def rule_values(need, w, fa, fb, fm, fpp):
     return vals
 
 
-def node_value(f, x, order=0, panel=None, panels=None):
-    """f (order 0) or its order-th derivative at x.
-
-    A domain error is re-raised annotated with x and, for composite
-    evaluation, the panel x belongs to.
-    """
-    try:
-        return f.derivative_at(x, order) if order else f.eval_at(x)
-    except DomainError as err:
-        raise err.located(x=x, panel=panel, panels=panels) from None
+def node_value(f, x, order=0):
+    """f (order 0) or its order-th derivative at x."""
+    return f.derivative_at(x, order) if order else f.eval_at(x)
 
 
 def simple_rule_values(f, a, b, rules=RULE_ORDER):
     """Values of the requested rules on one interval, at ambient precision.
 
-    f(a), f(b), f((a+b)/2) and f''((a+b)/2) are each evaluated at most once
-    and shared by every rule that needs them.  Domain errors name the
+    f(a), f(b), f((a+b)/2) and f''((a+b)/2) are each evaluated at most once,
+    and only when a requested rule reads them.  Domain errors name the
     offending node and point.
     """
     names = rule_names(rules)
-    need = needed_rules(names)
-    mid = (a + b) / 2
-    fa = node_value(f, a) if need & {"L", "T"} else None
-    fb = node_value(f, b) if need & {"R", "T"} else None
-    fm = node_value(f, mid) if "M" in need else None
-    fpp = node_value(f, mid, 2) if "T2" in need else None
-    vals = rule_values(need, b - a, fa, fb, fm, fpp)
+    xs = (a, (a + b) / 2, b)
+    vals = rule_values(needed_rules(names), b - a,
+                       lambda j, order: node_value(f, xs[j], order))
     return {name: vals[name] for name in names}
 
 

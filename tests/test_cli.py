@@ -93,6 +93,20 @@ class TestIntegrate:
         assert code == 2
         assert "domain error" in err and "panel" in err
 
+    def test_left_rule_never_reads_the_right_end(self, capsys):
+        # f(0) is undefined, but L over [-1, 0] reads only left ends
+        code, out, err = run(capsys, "integrate", "--integrand", "1/x",
+                             "--a", "-1", "--b", "0", "--rule", "L",
+                             "--panels", "4")
+        assert code == 0 and err == ""
+        assert "value = -2.0833333333333335\n" in out
+
+    def test_huge_interval_prints_a_finite_value(self, capsys):
+        code, out, _ = run(capsys, "integrate", "--integrand", "sin(x)",
+                           "--a", "0", "--b", "1e400")
+        assert code == 0
+        assert "inf" not in out
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "integrate", "--integrand", "sin2",
                            "--wat", "1")
@@ -274,6 +288,9 @@ class TestEnvironmentDefaults:
     ({}, ("degree", "--rule", "Q", "--max", "0")),
     ({}, ("integrate", "--integrand", "x^x", "--a", "1", "--b", "2",
           "--rule", "T2")),
+    ({}, ("table", "--integrand", "asin6", "--rules", "L,L")),
+    ({}, ("table", "--integrand", "asin6", "--rules", "L,R,L")),
+    ({}, ("bracket", "--integrand", "asin6", "--pair", "L,L")),
 ])
 def test_bad_input_is_one_line_usage_error(capsys, monkeypatch, env, argv):
     for name, value in env.items():

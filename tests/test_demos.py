@@ -1,5 +1,10 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script runs to completion and prints its pinned output.
 
+The expected stdout of each demo is stored under ``"demos"`` in
+``golden.json``; ``tests/test_golden.py`` rewrites it with the rest.
+"""
+
+import json
 import os
 import subprocess
 import sys
@@ -9,12 +14,28 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).with_name("golden.json")
+
+
+def run_demo(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def demo_outputs():
+    """Stdout of every demo, by file name; a failing demo raises."""
+    out = {}
+    for script in DEMOS:
+        proc = run_demo(script)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{script.name} failed:\n{proc.stderr}")
+        out[script.name] = proc.stdout
+    return out
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_demo(script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert proc.stdout == json.loads(GOLDEN.read_text())["demos"][script.name]

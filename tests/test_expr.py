@@ -8,6 +8,7 @@ from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
                             Mul, Neg, Num, ParseError, PiConst, Pow, Sin,
                             Sqrt, Sub, Var, _negate, differentiate, eval_expr,
                             parse, to_text)
+from quadrules.integrand import builtin_integrand
 from quadrules.precision import ulp, workprec
 
 from oracles import central_diff, central_second_diff, random_poly_tree
@@ -176,6 +177,15 @@ class TestEval:
             eval_expr(parse("6/sqrt(1-x^2)"), "1.5")
         assert "sqrt" in str(exc.value)
         assert "1.5" in str(exc.value)
+
+    def test_integrand_errors_carry_the_point(self):
+        f = builtin_integrand("asin6")
+        with pytest.raises(DomainError) as exc:
+            f.eval_at(mpf(2))
+        assert exc.value.x == 2 and "at x = 2" in str(exc.value)
+        with pytest.raises(DomainError) as exc:
+            f.derivative_at(mpf(3), 2)
+        assert exc.value.x == 3
 
     def test_division_by_zero(self):
         with pytest.raises(DomainError):

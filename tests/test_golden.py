@@ -2,8 +2,9 @@
 
 ``golden.json`` holds, for fixed inputs, the exit code, stdout and stderr
 of ``quad`` invocations across every subcommand and output format, the
-exact ``_mpf_`` tuples of simple and composite rule values, and the exact
-rational values behind the degree probe.  A refactor must reproduce every
+exact ``_mpf_`` tuples of simple and composite rule values, the exact
+rational values behind the degree probe, and the stdout of every demo
+(checked by ``tests/test_demos.py``).  A refactor must reproduce every
 entry.  After an intended change of output, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,6 +23,7 @@ from quadrules.composite import composite_values
 from quadrules.integrand import BUILTIN_NAMES, Integrand, builtin_integrand
 from quadrules.precision import workprec
 from quadrules.rules import RULE_ORDER, simple_rule_values
+from test_demos import demo_outputs
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -106,6 +108,7 @@ def monomial_values():
 
 def record():
     return {"cli": {" ".join(argv): run_cli(argv) for argv in CLI_CASES},
+            "demos": demo_outputs(),
             "values": rule_values(),
             "monomials": monomial_values()}
 

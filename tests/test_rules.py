@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from quadrules.composite import composite_values
 from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.precision import pi_at, ulp, workprec
 from quadrules.rules import (CONDITIONAL, Interval, NEGATIVE, POSITIVE,
@@ -27,12 +28,6 @@ class TestMetadata:
             "Q": (3, CONDITIONAL, None),
         }
 
-    def test_derivative_orders(self):
-        assert all(RULES[r].derivative_order == 0
-                   for r in ("L", "R", "M", "T", "S"))
-        assert RULES["T2"].derivative_order == 2
-        assert RULES["Q"].derivative_order == 2
-
     def test_rule_meta_examples(self):
         assert rule_meta("M").degree == 1
         assert rule_meta("M").error_sign == POSITIVE
@@ -43,6 +38,47 @@ class TestMetadata:
     def test_unknown_rule(self):
         with pytest.raises(UnknownRuleError):
             rule_meta("G")
+
+
+class Recording(Integrand):
+    """An integrand that logs every node it is read at as (x, order)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.reads = []
+
+    def eval_at(self, x):
+        self.reads.append((x, 0))
+        return super().eval_at(x)
+
+    def derivative_at(self, x, order):
+        self.reads.append((x, order))
+        return super().derivative_at(x, order)
+
+
+class TestNodeReads:
+    # (node, order) read by each rule, in fetch order; node 0 is a, 1 the
+    # midpoint, 2 is b
+    READS = {"L": [(0, 0)], "R": [(2, 0)], "M": [(1, 0)],
+             "T": [(0, 0), (2, 0)], "S": [(0, 0), (2, 0), (1, 0)],
+             "T2": [(1, 0), (1, 2)], "Q": [(0, 0), (2, 0), (1, 0), (1, 2)]}
+
+    @pytest.mark.parametrize("rule", RULE_ORDER)
+    def test_simple_rule_reads_exactly_its_nodes(self, rule):
+        f = Recording.from_text("x^3 + 1", 1, 2)
+        xs = (1, mpf("1.5"), 2)
+        with workprec(53):
+            simple_rule_values(f, mpf(1), mpf(2), (rule,))
+        assert f.reads == [(xs[j], order) for j, order in self.READS[rule]]
+
+    @pytest.mark.parametrize("rule, offset", [("L", 0), ("R", 1)])
+    def test_endpoint_composite_never_reads_the_far_end(self, rule, offset):
+        # L reads the n left ends a + i*h, R the n right ends; neither
+        # reads the end of [a, b] it does not use
+        f = Recording.from_text("x^3 + 1", 0, 1)
+        n = 4
+        composite_values(f, f.interval, (rule,), n)
+        assert f.reads == [(mpf(i + offset) / n, 0) for i in range(n)]
 
 
 class TestInterval:
