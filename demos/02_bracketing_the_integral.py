@@ -15,7 +15,7 @@ f = builtin_integrand("asin6")
 print(f"integrand: {f.label()}")
 
 pair = companion_pair("L", "R")
-verdict = check_assumption_A(f, pair.derivative_order, f.interval)
+verdict = check_assumption_A(f, pair.derivative_order)
 print(f"sign of f' on the interval: {verdict}")
 print("f' never goes negative, so the (L, R) brackets are guaranteed.\n")
 

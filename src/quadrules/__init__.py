@@ -15,14 +15,13 @@ from .associate import (AssociateWeights, AssumptionVerdict, Bracket,
                         COMPANION_PAIRS, CompanionPair, associate_value,
                         bracket, check_assumption_A, companion_pair,
                         derive_weights)
-from .composite import composite_eval, composite_values
+from .composite import composite_values
 from .expr import (DifferentiationError, DomainError, Expression, ParseError,
                    differentiate, eval_expr, parse, to_text)
 from .integrand import BUILTIN_NAMES, Integrand, builtin_integrand
 from .precision import DEFAULT_PRECISION, format_real, pi_at, ulp, workprec
 from .rules import (Interval, QUOTED_DEGREES, RULES, RULE_ORDER, RuleSpec,
-                    UnknownRuleError, eval_simple, rule_meta,
-                    simple_rule_values)
+                    UnknownRuleError, rule_meta, simple_rule_values)
 
 __version__ = "0.1.0"
 
@@ -33,11 +32,10 @@ __all__ = [
     "Interval", "ParseError", "QUOTED_DEGREES", "Reference", "RuleSpec",
     "RULES", "RULE_ORDER", "TableRow", "UndefinedOrderError",
     "UnknownRuleError", "associate_value", "bracket", "builtin_integrand",
-    "check_assumption_A", "companion_pair", "composite_eval",
-    "composite_values", "convergence_table", "degree_probe",
-    "derive_weights", "differentiate", "digits_correct", "eval_expr",
-    "eval_simple", "format_real", "observed_order", "order_string", "parse",
-    "pi_at", "rule_meta", "signed_error", "simple_rule_values",
-    "table_from_csv", "table_to_csv", "table_to_json", "to_text", "ulp",
-    "workprec",
+    "check_assumption_A", "companion_pair", "composite_values",
+    "convergence_table", "degree_probe", "derive_weights", "differentiate",
+    "digits_correct", "eval_expr", "format_real", "observed_order",
+    "order_string", "parse", "pi_at", "rule_meta", "signed_error",
+    "simple_rule_values", "table_from_csv", "table_to_csv",
+    "table_to_json", "to_text", "ulp", "workprec",
 ]

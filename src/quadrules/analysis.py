@@ -34,45 +34,22 @@ from .rules import (RULE_ORDER, needed_rules, rule_meta, rule_names,
 #: extra bits used when materializing references and taking differences
 GUARD_BITS = 32
 
-CLOSED_FORM = "closed_form"
-ORACLE = "oracle"
-
 
 @dataclass(frozen=True)
 class Reference:
-    """An authoritative value for the integral.
+    """The exact value of an integral as a constant expression, which can
+    be materialized at any precision.  Where a reference is accepted, a
+    plain number is too."""
 
-    Closed-form references hold a constant expression and can be
-    materialized at any precision; oracle references hold one number and
-    record the precision (and panel count, if any) it was computed with.
-    """
-
-    provenance: str
-    expression: Expression | None = None
-    value: object = None
-    precision: int | None = None
-    panels: int | None = None
-
-    @classmethod
-    def closed_form(cls, expression):
-        return cls(CLOSED_FORM, expression=expression)
-
-    @classmethod
-    def oracle(cls, value, precision, panels=None):
-        return cls(ORACLE, value=as_mpf(value), precision=precision,
-                   panels=panels)
+    expression: Expression
 
     def value_at(self, precision):
-        if self.provenance == CLOSED_FORM:
-            with workprec(precision):
-                return +constant_value(self.expression)
-        return self.value
+        with workprec(precision):
+            return +constant_value(self.expression)
 
     @classmethod
     def for_integrand(cls, f):
-        if getattr(f, "reference", None) is None:
-            return None
-        return cls.closed_form(f.reference)
+        return None if f.reference is None else cls(f.reference)
 
 
 def _reference_value(reference, precision):
@@ -127,42 +104,32 @@ class TableRow:
     note: str | None = None                       # diagnostic for aborted rows
 
 
-def convergence_table(f, interval=None, rules=("L", "R", "M", "T", "S", "T2"),
-                      n_list=(1, 2, 4, 8, 16, 32), reference=None,
-                      precision=53, samples=257):
-    """One TableRow per panel count, ascending.
+def convergence_table(f, rules=("L", "R", "M", "T", "S", "T2"),
+                      n_list=(1, 2, 4, 8, 16, 32), precision=53):
+    """One TableRow per panel count, ascending, on f's interval against
+    f's reference.
 
-    ``interval`` and ``reference`` default to the integrand's own.  The
-    sign-check verdicts are computed once per pair (they do not depend on
-    n) and repeated on every row.  A row whose evaluation raises a domain
-    error is kept, empty, with the diagnostic in ``note``.
+    The sign-check verdicts are computed once per pair (they do not depend
+    on n) and repeated on every row.  A row whose evaluation raises a
+    domain error is kept, empty, with the diagnostic in ``note``.
     """
     names = rule_names(rules)
-    interval = interval or f.interval
+    reference = Reference.for_integrand(f)
     if reference is None:
-        reference = Reference.for_integrand(f)
-    if reference is None:
-        raise ValueError("no reference value: pass reference= explicitly")
+        raise ValueError("no reference value: the integrand has none")
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
         raise ValueError("panel counts must be positive")
 
-    flags = {}
-    for pair in COMPANION_PAIRS:
-        x_name, y_name = pair.positive.name, pair.negative.name
-        if x_name in names and y_name in names:
-            try:
-                tag = check_assumption_A(
-                    f, pair.derivative_order, interval,
-                    samples=samples, precision=precision).tag
-            except (DomainError, DifferentiationError):
-                tag = "A?"
-            flags[f"{x_name},{y_name}"] = tag
+    flags = {f"{pair.positive.name},{pair.negative.name}":
+             check_assumption_A(f, pair.derivative_order, precision).tag
+             for pair in COMPANION_PAIRS
+             if pair.positive.name in names and pair.negative.name in names}
 
     rows = []
     for n in n_list:
         try:
-            values = composite_values(f, interval, names, n, precision)
+            values = composite_values(f, f.interval, names, n, precision)
         except (DomainError, DifferentiationError) as err:
             rows.append(TableRow(n, "", {}, dict(flags), note=str(err)))
             continue
@@ -192,9 +159,6 @@ class DegreeProbe:
     degree: int
     at_least: bool  # True when no failing monomial was found up to the cap
 
-    def __int__(self):
-        return self.degree
-
 
 def degree_probe(rule, max_k=8):
     """Empirical degree of a rule: exact on x^k for all k <= degree over
@@ -216,20 +180,17 @@ def degree_probe(rule, max_k=8):
 # ---------------------------------------------------------------------------
 # digit counting
 
-def digits_correct(value, reference, precision=None):
+def digits_correct(value, reference, precision=53):
     """How many printed digits of ``value`` are correct.
 
     The count is the largest d such that ``value`` rounded to d
     significant decimal digits reproduces the first d digits of the
     reference (the reference's digit sequence is never rounded): printing
     ``value`` with that many digits shows only correct ones.  All digit
-    arithmetic is exact.  ``precision`` (bits, default the ambient
-    precision) caps the answer when the two values agree beyond what the
-    significand can support; the reference is materialized with 64 extra
-    bits.
+    arithmetic is exact.  ``precision`` (bits) caps the answer when the
+    two values agree beyond what the significand can support; the
+    reference is materialized with 64 extra bits.
     """
-    if precision is None:
-        precision = mp.prec
     cap = int(math.floor(precision * math.log10(2))) + 1
     value = as_mpf(value)
     ref = _reference_value(reference, precision + 64)

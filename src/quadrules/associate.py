@@ -11,7 +11,8 @@ cancels the leading error terms.  Because it is a mean, the associate lies
 between X and Y; when the relevant derivative of f keeps one sign on the
 interval, the exact integral does too, so [min(X, Y), max(X, Y)] is a
 guaranteed enclosure.  ``check_assumption_A`` decides that sign condition
-numerically by sampling the symbolic derivative.
+numerically by sampling the symbolic derivative over the integrand's
+interval.
 
 The three companion pairs here, with their weights and associates:
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .expr import _eval
+from .expr import DifferentiationError, DomainError, _eval
 from .precision import as_mpf, workprec
 from .rules import NEGATIVE, POSITIVE, RULES, RuleSpec, rule_meta
 
@@ -95,20 +96,18 @@ def derive_weights(d1, d2):
     return AssociateWeights(d1 // g, d2 // g)
 
 
-def associate_value(x_val, y_val, weights, precision=None):
+def associate_value(x_val, y_val, weights):
     """(c1*x + c2*y)/(c1 + c2), clamped into [min(x, y), max(x, y)].
 
-    The mean is computed at ``precision`` bits; the default is wide enough
-    for the operands' significands, so no input digits are dropped.  The
-    clamp only absorbs final-rounding overshoot of at most one ulp; it
-    keeps the mean's containment property exact in floating point.
+    The mean is computed at a precision wide enough for the operands'
+    significands, so no input digits are dropped.  The clamp only absorbs
+    final-rounding overshoot of at most one ulp; it keeps the mean's
+    containment property exact in floating point.
     """
     x_val, y_val = as_mpf(x_val), as_mpf(y_val)
     if x_val == y_val:
         return x_val
-    if precision is None:
-        precision = max(53, x_val._mpf_[3], y_val._mpf_[3])
-    with workprec(precision):
+    with workprec(max(53, x_val._mpf_[3], y_val._mpf_[3])):
         v = (weights.c1 * x_val + weights.c2 * y_val) \
             / (weights.c1 + weights.c2)
     lo, hi = min(x_val, y_val), max(x_val, y_val)
@@ -157,6 +156,8 @@ IDENTICALLY_ZERO = "identically_zero"
 SIGN_CHANGE = "sign_change"
 UNKNOWN = "unknown"
 
+SAMPLES = 257  # equispaced sign-check points, both endpoints included
+
 _TAGS = {ALL_POSITIVE: "A+", ALL_NEGATIVE: "A-", IDENTICALLY_ZERO: "A0",
          SIGN_CHANGE: "A!", UNKNOWN: "A?"}
 
@@ -182,56 +183,45 @@ class AssumptionVerdict:
         return f"{self.tag} ({self.kind})"
 
 
-def check_assumption_A(f, order, interval, samples=257, precision=53):
+def check_assumption_A(f, order, precision=53):
     """Sample the order-th derivative of f and classify its sign.
 
-    The derivative is taken symbolically and evaluated at ``samples``
-    equispaced points including both endpoints.  Samples whose magnitude
-    is at most 2^-(precision-8) times the largest sampled magnitude count
-    as zero.  Verdicts: all samples zero -> identically_zero; strict
-    positives only -> all_positive (zeros allowed); strict negatives only
-    -> all_negative; both strict signs -> sign_change, carrying the first
-    subinterval between strictly signed samples where the flip happens;
-    non-finite samples -> unknown.  Domain errors from evaluating the
-    derivative propagate.
+    The derivative is taken symbolically and evaluated at ``SAMPLES``
+    equispaced points of ``f.interval``, both endpoints included.  Samples
+    whose magnitude is at most 2^-(precision-8) times the largest sampled
+    magnitude count as zero.  Verdicts: all samples zero ->
+    identically_zero; strict positives only -> all_positive (zeros
+    allowed); strict negatives only -> all_negative; both strict signs ->
+    sign_change, carrying the first subinterval between strictly signed
+    samples where the flip happens; a derivative that cannot be taken, or
+    a sample that is non-finite or outside its domain -> unknown.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    deriv = f.derivative_expr(order)
     with workprec(precision):
-        a, b = interval.bounds()
-        step = (b - a) / (samples - 1)
-        xs = [a + i * step for i in range(samples - 1)] + [b]
-        values = []
-        for x in xs:
-            v = _eval(deriv, x)
-            if not mp.isfinite(v):
-                return AssumptionVerdict(UNKNOWN)
-            values.append(v)
+        a, b = f.interval.bounds()
+        step = (b - a) / (SAMPLES - 1)
+        xs = [a + i * step for i in range(SAMPLES - 1)] + [b]
+        try:
+            deriv = f.derivative_expr(order)
+            values = [_eval(deriv, x) for x in xs]
+        except (DomainError, DifferentiationError):
+            return AssumptionVerdict(UNKNOWN)
+        if not all(mp.isfinite(v) for v in values):
+            return AssumptionVerdict(UNKNOWN)
 
         scale = max(abs(v) for v in values)
         if scale == 0:
             return AssumptionVerdict(IDENTICALLY_ZERO)
         tol = scale * mpf(2) ** (8 - precision)
 
-        seen_pos = seen_neg = False
-        last_strict = None  # index of the last strictly signed sample
+        positive = None  # sign of the strictly signed samples so far
         for i, v in enumerate(values):
             if abs(v) <= tol:
                 continue
-            if v > 0:
-                if seen_neg:
-                    return AssumptionVerdict(
-                        SIGN_CHANGE, (xs[last_strict], xs[i]))
-                seen_pos = True
-            else:
-                if seen_pos:
-                    return AssumptionVerdict(
-                        SIGN_CHANGE, (xs[last_strict], xs[i]))
-                seen_neg = True
-            last_strict = i
-        if seen_pos:
-            return AssumptionVerdict(ALL_POSITIVE)
-        if seen_neg:
-            return AssumptionVerdict(ALL_NEGATIVE)
-        return AssumptionVerdict(IDENTICALLY_ZERO)
+            if positive is None:
+                positive = v > 0
+            elif positive != (v > 0):
+                return AssumptionVerdict(SIGN_CHANGE, (xs[last], xs[i]))
+            last = i  # index of the last strictly signed sample
+        if positive is None:
+            return AssumptionVerdict(IDENTICALLY_ZERO)
+        return AssumptionVerdict(ALL_POSITIVE if positive else ALL_NEGATIVE)

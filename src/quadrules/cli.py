@@ -17,8 +17,9 @@ environment variables when set.
 
 Exit status: 0 on success, 1 on usage errors (unknown flag, rule or
 integrand, malformed input or environment default, an integrand whose
-derivative the rule needs but cannot be taken), 2 on numeric domain errors
-(the message names the offending node and panel).  Data goes to stdout,
+derivative the rule needs but cannot be taken) and on a closed stdout,
+2 on numeric domain errors (the message names the offending node and
+panel).  Data goes to stdout,
 diagnostics to stderr; output bytes are deterministic for fixed inputs and
 precision.
 """
@@ -26,9 +27,12 @@ precision.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
+
+from mpmath import mp
 
 from .analysis import (Reference, convergence_table, degree_probe,
                        digits_correct, signed_error, table_to_csv,
@@ -38,7 +42,7 @@ from .associate import associate_value, bracket, check_assumption_A, \
 from .composite import composite_values
 from .expr import DifferentiationError, DomainError, ParseError, parse
 from .integrand import BUILTIN_NAMES, Integrand, builtin_integrand
-from .precision import format_real, pi_at
+from .precision import fits_double, format_real, pi_at
 from .rules import (QUOTED_DEGREES, Interval, UnknownRuleError,
                     rule_names)
 
@@ -52,10 +56,6 @@ class UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _env_default(name, fallback):
-    return os.environ.get(name, fallback)
 
 
 def _precision(text):
@@ -81,10 +81,10 @@ def _add_common(sub):
     # string defaults pass through ``type`` too, so the environment values
     # are checked like command-line ones, inside main's error handling
     sub.add_argument("--prec", type=_precision,
-                     default=_env_default("QUAD_PREC", "53"),
+                     default=os.environ.get("QUAD_PREC", "53"),
                      help="working precision in bits (default 53)")
     sub.add_argument("--format", type=_output_format,
-                     default=_env_default("QUAD_FORMAT", "text"),
+                     default=os.environ.get("QUAD_FORMAT", "text"),
                      help="output format: text, csv or json (default text)")
 
 
@@ -214,11 +214,6 @@ def _single_panels(args):
     return panels[0]
 
 
-def _json(payload):
-    import json
-    return json.dumps(payload, indent=2)
-
-
 def cmd_integrate(args):
     f = _resolve_integrand(args)
     rule = _one_rule(args.rule)
@@ -234,7 +229,7 @@ def cmd_integrate(args):
                    "value": format_real(value, args.prec)}
         if err_text is not None:
             payload["error"] = err_text
-        print(_json(payload))
+        print(json.dumps(payload, indent=2))
     else:
         print(f"integrand {f.label()}")
         print(f"rule {rule} with {n} panel(s) at {args.prec}-bit precision")
@@ -257,8 +252,7 @@ def cmd_bracket(args):
     pair = companion_pair(x_name, y_name)
     verdict = assoc = weights = None
     if pair is not None:
-        verdict = check_assumption_A(f, pair.derivative_order, f.interval,
-                                     precision=args.prec)
+        verdict = check_assumption_A(f, pair.derivative_order, args.prec)
         weights = pair.weights()
         assoc = associate_value(values[pair.positive.name],
                                 values[pair.negative.name], weights)
@@ -280,7 +274,7 @@ def cmd_bracket(args):
             payload["assumption"] = verdict.tag
         if contains is not None:
             payload["contains_reference"] = contains
-        print(_json(payload))
+        print(json.dumps(payload, indent=2))
         return 0
 
     print(f"integrand {f.label()}")
@@ -309,12 +303,10 @@ def cmd_table(args):
     if len(names) < 2:
         raise UsageError("--rules needs at least two rule names")
     n_list = parse_panels(args.panels)
-    ref = Reference.for_integrand(f)
-    if ref is None:
+    if f.reference is None:
         raise UsageError("table needs a reference value; use a built-in "
                          "integrand with its own interval")
-    rows = convergence_table(f, f.interval, names, n_list, ref,
-                             precision=args.prec)
+    rows = convergence_table(f, names, n_list, args.prec)
     if args.format == "csv":
         sys.stdout.write(table_to_csv(rows, names, args.prec))
     elif args.format == "json":
@@ -342,7 +334,11 @@ def cmd_table(args):
 
 
 def _sci(x):
-    return "0" if x == 0 else f"{float(x):.4e}"
+    if x == 0:
+        return "0"
+    if fits_double(x):
+        return f"{float(x):.4e}"
+    return mp.nstr(x, 5, strip_zeros=False, min_fixed=1, max_fixed=0)
 
 
 def cmd_degree(args):
@@ -360,7 +356,7 @@ def cmd_degree(args):
                    "at_least": probe.at_least, "quoted_degree": quoted}
         if note:
             payload["note"] = note
-        print(_json(payload))
+        print(json.dumps(payload, indent=2))
     else:
         suffix = " (at least; no failing monomial found)" if probe.at_least \
             else ""
@@ -381,11 +377,11 @@ def cmd_pi(args):
     digits = digits_correct(value, ref, precision=args.prec)
     err = signed_error(value, ref, args.prec)
     if args.format == "json":
-        print(_json({"example": args.example, "integrand": f.label(),
-                     "rule": rule, "panels": n, "precision": args.prec,
-                     "value": format_real(value, args.prec),
-                     "error": format_real(err, args.prec),
-                     "digits_correct": digits}))
+        print(json.dumps({"example": args.example, "integrand": f.label(),
+                          "rule": rule, "panels": n, "precision": args.prec,
+                          "value": format_real(value, args.prec),
+                          "error": format_real(err, args.prec),
+                          "digits_correct": digits}, indent=2))
     else:
         print(f"example {args.example}: {f.label()}")
         print(f"rule {rule} with {n} panel(s) at {args.prec}-bit precision")
@@ -400,13 +396,21 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
     except (UsageError, DifferentiationError) as err:
         print(f"quad: error: {err}", file=sys.stderr)
         return 1
     except DomainError as err:
         print(f"quad: domain error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send the exit-time flush to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

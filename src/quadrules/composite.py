@@ -23,7 +23,7 @@ from mpmath import mpf
 
 from .expr import DomainError
 from .precision import workprec
-from .rules import needed_rules, node_value, rule_meta, rule_names, rule_values
+from .rules import needed_rules, node_value, rule_names, rule_values
 
 
 class _Sum:
@@ -86,9 +86,3 @@ def composite_values(f, interval, rules, panels, precision=53):
             for name in names:
                 sums[name].add(vals[name])
         return {name: +sums[name].total() for name in names}
-
-
-def composite_eval(rule, f, interval, panels, precision=53):
-    """Composite value of one rule over ``panels`` uniform panels."""
-    name = rule_meta(rule).name
-    return composite_values(f, interval, (name,), panels, precision)[name]

@@ -60,12 +60,7 @@ def ulp(x, bits):
 
 
 def to_fraction(x):
-    """Exact rational value of a finite number (no re-rounding)."""
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (float, Fraction)):
-        return Fraction(x)
-    x = as_mpf(x)
+    """Exact rational value of a finite mpmath float (no re-rounding)."""
     if not mp.isfinite(x):
         raise ValueError("cannot convert a non-finite value to a fraction")
     sign, man, exp, _ = x._mpf_
@@ -90,9 +85,15 @@ def format_real(x, bits=DEFAULT_PRECISION):
     x = as_mpf(x)
     if bits > 53:
         return mp.nstr(x, max(decimal_digits(bits) - 2, 3))
-    if not x or not mp.isfinite(x) or _DOUBLE_MIN <= abs(x) < _DOUBLE_OVER:
+    if fits_double(x):
         return repr(float(x))
     return mp.nstr(x, 17)
+
+
+def fits_double(x):
+    """True when ``float(x)`` keeps x's magnitude: x is zero, non-finite,
+    or in the double's normal range."""
+    return not x or not mp.isfinite(x) or _DOUBLE_MIN <= abs(x) < _DOUBLE_OVER
 
 
 def parse_real(text, bits=DEFAULT_PRECISION):

@@ -79,9 +79,7 @@ class UnknownRuleError(ValueError):
 
 
 def rule_meta(name):
-    """The fixed RuleSpec for a rule name (or a RuleSpec, passed through)."""
-    if isinstance(name, RuleSpec):
-        return name
+    """The fixed RuleSpec for a rule name."""
     try:
         return RULES[name]
     except KeyError:
@@ -89,8 +87,8 @@ def rule_meta(name):
 
 
 def rule_names(rules):
-    """Normalize a rule / name / iterable of either to a tuple of names."""
-    if isinstance(rules, (str, RuleSpec)):
+    """Normalize a rule name or an iterable of names to a tuple of names."""
+    if isinstance(rules, str):
         rules = [rules]
     return tuple(rule_meta(r).name for r in rules)
 
@@ -201,15 +199,3 @@ def simple_rule_values(f, a, b, rules=RULE_ORDER):
     vals = rule_values(needed_rules(names), b - a,
                        lambda j, order: node_value(f, xs[j], order))
     return {name: vals[name] for name in names}
-
-
-def eval_simple(rule, f, interval, precision=53):
-    """Apply one simple rule to f over the whole interval.
-
-    Domain errors from evaluating f (or f'' for T2 and Q) propagate,
-    annotated with the offending node and point.
-    """
-    name = rule_meta(rule).name
-    with workprec(precision):
-        a, b = interval.bounds()
-        return simple_rule_values(f, a, b, (name,))[name]

@@ -5,6 +5,8 @@ values come from the direct textbook formulas (Simpson through its
 endpoint form, not the weighted mean), sums are plain sequential loops,
 polynomial integrals are exact rational antiderivatives obtained by
 interpolation, and derivatives are checked by central differences.
+The last section holds two one-rule shorthands over the package's own
+entry points; they are conveniences, not oracles.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from fractions import Fraction
 
 from mpmath import mpf
 
+from quadrules.composite import composite_values
 from quadrules.expr import Add, Div, Mul, Neg, Num, Pow, Sub, Var
 from quadrules.precision import workprec
+from quadrules.rules import simple_rule_values
 
 
 def brute_composite(fcall, a, b, n, names, fpp=None):
@@ -164,3 +168,19 @@ def mpf_from_fraction(fr, bits):
         v = mpf(fr.numerator) / mpf(fr.denominator)
     with workprec(bits):
         return +v
+
+
+# ---------------------------------------------------------------------------
+# one-rule shorthands over the package's own entry points (not oracles)
+
+def simple_value(name, f, precision=53):
+    """The package's simple rule ``name`` on f's whole interval."""
+    with workprec(precision):
+        a, b = f.interval.bounds()
+        return simple_rule_values(f, a, b, (name,))[name]
+
+
+def composite_value(name, f, panels, precision=53):
+    """The package's composite rule ``name`` over ``panels`` panels of f's
+    interval."""
+    return composite_values(f, f.interval, (name,), panels, precision)[name]

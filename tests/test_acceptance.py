@@ -19,15 +19,14 @@ from mpmath import mp, mpf
 
 from quadrules.analysis import degree_probe
 from quadrules.associate import associate_value, bracket, derive_weights
-from quadrules.composite import composite_eval, composite_values
+from quadrules.composite import composite_values
 from quadrules.expr import differentiate, eval_expr
 from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.precision import pi_at, ulp, workprec
-from quadrules.rules import (Interval, QUOTED_DEGREES, RULES, eval_simple,
-                             simple_rule_values)
+from quadrules.rules import Interval, QUOTED_DEGREES, RULES, simple_rule_values
 
-from oracles import (central_diff, legacy_t2_composite, mpf_from_fraction,
-                     random_poly_tree)
+from oracles import (central_diff, composite_value, legacy_t2_composite,
+                     mpf_from_fraction, random_poly_tree, simple_value)
 
 SIX = ("L", "R", "M", "T", "S", "T2")
 SWEEP = tuple(2 ** k for k in range(0, 11))  # 1 .. 1024
@@ -55,7 +54,7 @@ def test_criterion_1_example_1_exactness():
             failures.append(f"composite {name} at n=2 missed pi: "
                             f"{values[name]}")
 
-    simple_s = eval_simple("S", f, f.interval, 53)
+    simple_s = simple_value("S", f, 53)
     with workprec(53):
         a, b = f.interval.bounds()
         chain = simple_rule_values(f, a, b, ("M", "T"))
@@ -210,7 +209,7 @@ def test_criterion_6_example_3_digit_claim(capsys=None):
     failures = []
     from quadrules.analysis import Reference, digits_correct
     f = builtin_integrand("atan2")
-    value = composite_eval("S", f, f.interval, 1024, 256)
+    value = composite_value("S", f, 1024, 256)
     digits = digits_correct(value, Reference.for_integrand(f), precision=256)
     if digits < 19:
         failures.append(f"only {digits} digits correct, wanted >= 19")
@@ -251,7 +250,7 @@ def test_criterion_8_property_suites():
     for name, spec in RULES.items():
         for k in range(spec.degree + 1):
             f = Integrand.from_text(f"x^{k}" if k != 1 else "x", 0, 1)
-            v = eval_simple(name, f, f.interval, precision=prec)
+            v = simple_value(name, f, precision=prec)
             exact = mpf_from_fraction(Fraction(1, k + 1), prec + 32)
             if not abs(v - exact) <= abs(exact) * mpf(2) ** (8 - prec):
                 failures.append(f"{name} inexact on x^{k}")

@@ -22,12 +22,12 @@ SIX = ("L", "R", "M", "T", "S", "T2")
 
 class TestSignedError:
     def test_orientation_reference_minus_value(self):
-        pi_ref = Reference.closed_form(PiConst())
+        pi_ref = Reference(PiConst())
         err = signed_error(2 * pi_at(53), pi_ref)
         assert abs(err + pi_at(85)) <= 4 * ulp(pi_at(53), 53)
 
     def test_zero_for_matching_value(self):
-        pi_ref = Reference.closed_form(PiConst())
+        pi_ref = Reference(PiConst())
         err = signed_error(pi_at(85), pi_ref)
         assert abs(err) <= ulp(pi_at(53), 53)
 
@@ -268,14 +268,19 @@ class TestSerialization:
 
 
 def test_reference_closed_form_scales_with_precision():
-    ref = Reference.closed_form(PiConst())
+    ref = Reference(PiConst())
     assert ref.value_at(53) == pi_at(53)
     assert ref.value_at(256) == pi_at(256)
     assert ref.value_at(256) != ref.value_at(53)
 
 
-def test_reference_oracle_keeps_provenance():
-    ref = Reference.oracle(pi_at(200), precision=200, panels=4096)
-    assert ref.provenance == "oracle"
-    assert ref.precision == 200 and ref.panels == 4096
-    assert ref.value_at(53) == pi_at(200)
+def test_plain_number_is_a_reference():
+    # a plain mpf is used as given: pi at the bits a closed form is
+    # materialized with gives the same error and digit count
+    f = builtin_integrand("atan2")
+    value = composite_values(f, f.interval, ("S",), 64, 128)["S"]
+    closed = Reference(PiConst())
+    assert signed_error(value, pi_at(128 + 32), 128) == \
+        signed_error(value, closed, 128) != 0
+    assert digits_correct(value, pi_at(128 + 64), 128) == \
+        digits_correct(value, closed, 128) > 5

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from quadrules import associate
 from quadrules.associate import (ALL_NEGATIVE, ALL_POSITIVE, AssociateWeights,
                                  COMPANION_PAIRS, CompanionPair,
-                                 IDENTICALLY_ZERO, SIGN_CHANGE,
-                                 associate_value, bracket, check_assumption_A,
-                                 companion_pair, derive_weights)
+                                 IDENTICALLY_ZERO, SAMPLES, SIGN_CHANGE,
+                                 UNKNOWN, associate_value, bracket,
+                                 check_assumption_A, companion_pair,
+                                 derive_weights)
 from quadrules.composite import composite_values
 from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.precision import pi_at, ulp, workprec
@@ -133,7 +135,7 @@ class TestBracket:
 class TestCheckAssumptionA:
     def test_sign_change_for_example_1_second_derivative(self):
         f = builtin_integrand("sin2")  # f'' = 4 cos 2x flips at pi/4
-        verdict = check_assumption_A(f, 2, f.interval)
+        verdict = check_assumption_A(f, 2)
         assert verdict.kind == SIGN_CHANGE
         assert verdict.tag == "A!"
         lo, hi = verdict.subinterval
@@ -142,32 +144,44 @@ class TestCheckAssumptionA:
 
     def test_all_positive_despite_a_zero_sample(self):
         f = builtin_integrand("asin6")  # f'(0) = 0, f' > 0 beyond
-        verdict = check_assumption_A(f, 1, f.interval)
+        verdict = check_assumption_A(f, 1)
         assert verdict.kind == ALL_POSITIVE
         assert verdict.tag == "A+"
         assert verdict.uniform
 
     def test_all_negative(self):
         f = Integrand.from_text("1-x", 0, 1)
-        verdict = check_assumption_A(f, 1, f.interval)
+        verdict = check_assumption_A(f, 1)
         assert verdict.kind == ALL_NEGATIVE
 
     def test_identically_zero_for_constants(self):
         f = Integrand.from_text("5", 0, 1)
-        verdict = check_assumption_A(f, 1, f.interval)
+        verdict = check_assumption_A(f, 1)
         assert verdict.kind == IDENTICALLY_ZERO
         assert verdict.tag == "A0"
 
-    def test_requires_two_samples(self):
-        f = builtin_integrand("sin2")
-        with pytest.raises(ValueError):
-            check_assumption_A(f, 1, f.interval, samples=1)
+    def test_endpoints_are_sampled(self, monkeypatch):
+        seen, evaluate = [], associate._eval
 
-    def test_endpoints_are_sampled(self):
-        # f' of x^2 on [-1, 1] is negative only at the left endpoint region
+        def recording_eval(e, x):
+            seen.append(x)
+            return evaluate(e, x)
+
+        monkeypatch.setattr(associate, "_eval", recording_eval)
         f = Integrand.from_text("x^2", -1, 1)
-        verdict = check_assumption_A(f, 1, f.interval, samples=3)
-        assert verdict.kind == SIGN_CHANGE
+        assert check_assumption_A(f, 1).kind == SIGN_CHANGE
+        assert len(seen) == SAMPLES == 257
+        assert seen[0] == -1 and seen[-1] == 1
+        assert seen == sorted(seen)
+
+    @pytest.mark.parametrize("text, a, b", [
+        ("sqrt(x)", 0, 1),  # f'(0) divides by zero
+        ("x^x", 1, 2),      # f' cannot be taken symbolically
+    ])
+    def test_unusable_derivative_is_unknown(self, text, a, b):
+        f = Integrand.from_text(text, a, b)
+        verdict = check_assumption_A(f, 1)
+        assert verdict.kind == UNKNOWN and not verdict.uniform
 
 
 class TestCompanionContainment:
@@ -198,8 +212,7 @@ class TestCompanionContainment:
                     assoc = associate_value(x, y, pair.weights())
                     assert enclosure.contains(assoc)
                     verdict = check_assumption_A(
-                        f, pair.derivative_order, f.interval,
-                        precision=self.PREC)
+                        f, pair.derivative_order, self.PREC)
                     if verdict.kind in (ALL_POSITIVE, ALL_NEGATIVE):
                         pad = slack * max(1, abs(exact))
                         assert enclosure.lo - pad <= exact <= enclosure.hi + pad
@@ -215,8 +228,8 @@ class TestCompanionContainment:
         f = builtin_integrand("asin6")
         reference = pi_at(160)
         for pair in COMPANION_PAIRS:
-            verdict = check_assumption_A(f, pair.derivative_order, f.interval,
-                                         precision=self.PREC)
+            verdict = check_assumption_A(f, pair.derivative_order,
+                                         self.PREC)
             assert verdict.kind == ALL_POSITIVE
             previous = None
             for n in (1, 2, 4, 8, 16):

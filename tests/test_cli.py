@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mpf
 
 from quadrules.analysis import convergence_table, table_from_csv
-from quadrules.cli import UsageError, main, parse_panels
+from quadrules.cli import UsageError, _sci, main, parse_panels
 from quadrules.integrand import builtin_integrand
 from quadrules.precision import pi_at, ulp
 
@@ -140,6 +144,18 @@ class TestBracket:
         assert code == 0
         assert "not a companion pair" in out
 
+    @pytest.mark.parametrize("integrand, a, b", [
+        ("sqrt(x)", "0", "1"),  # f'(0) divides by zero
+        ("x^x", "1", "2"),      # f' cannot be taken symbolically
+    ])
+    def test_unusable_sign_check_is_unknown(self, capsys, integrand, a, b):
+        code, out, err = run(capsys, "bracket", "--integrand", integrand,
+                             "--a", a, "--b", b, "--pair", "L,R")
+        assert code == 0 and err == ""
+        assert "bracket = [" in out
+        assert "assumption check (order 1): A? (unknown)\n" in out
+        assert "note: sign check failed, the bracket is unverified" in out
+
     def test_pair_needs_two_rules(self, capsys):
         code, _, err = run(capsys, "bracket", "--integrand", "asin6",
                            "--pair", "L,R,M", "--panels", "4")
@@ -190,6 +206,26 @@ class TestTable:
         payload = json.loads(out)
         assert payload["rules"] == ["L", "M"]
         assert len(payload["rows"]) == 2
+
+    def test_tiny_errors_are_printed_not_zeroed(self, capsys):
+        # at 4000 bits the errors are far below the double range
+        argv = ("table", "--integrand", "sin2", "--rules", "M,T",
+                "--panels", "2,3", "--prec", "4000")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        row = next(line.split() for line in out.splitlines()
+                   if line.split()[:1] == ["2"])
+        assert row[2:] == ["2.4949e-1204", "-5.3949e-1205"]
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        err_m = json.loads(out)["rows"][0]["errors"]["M"]
+        assert err_m.startswith("2.4949") and err_m.endswith("e-1204")
+
+    def test_sci_cells(self):
+        assert _sci(mpf(0)) == "0"
+        assert _sci(mpf("-0.00125")) == "-1.2500e-03"  # in range: as before
+        assert _sci(mpf(2) ** -1100) == "7.3622e-332"  # 7.36215...e-332
+        assert _sci(mpf(2) ** 1100) == "1.3583e+331"   # 1.35829...e+331
+        assert _sci(-mpf(2) ** -1030) == "-8.6917e-311"  # a subnormal
 
     def test_order_and_flags_stable_across_precisions(self, capsys):
         outputs = []
@@ -306,3 +342,26 @@ def test_output_bytes_are_deterministic(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_ends_without_a_traceback(unbuffered):
+    # stdout is a pipe whose reader is gone before quad starts, as after
+    # `quad ... | head` has exited; buffered output fails only on flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadrules.cli", "table", "--integrand",
+             "asin6", "--panels", "1,2", "--format", "json"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

@@ -4,13 +4,13 @@ from dataclasses import dataclass
 import pytest
 from mpmath import mp, mpf
 
-from quadrules.composite import composite_eval, composite_values
+from quadrules.composite import composite_values
 from quadrules.expr import DomainError
 from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.precision import pi_at, ulp, workprec
 from quadrules.rules import Interval, UnknownRuleError
 
-from oracles import brute_composite, random_poly_tree
+from oracles import brute_composite, composite_value, random_poly_tree
 
 
 @dataclass
@@ -53,14 +53,14 @@ class TestExampleOneComposite:
     def test_left_rule_panel_arithmetic(self):
         # panels [0, pi/2], [pi/2, pi]: 0 + (pi/2) * 2
         f = builtin_integrand("sin2")
-        v = composite_eval("L", f, f.interval, 2)
+        v = composite_value("L", f, 2)
         with workprec(53):
             want = pi_at(53) / 2 * f.eval_at(pi_at(53) / 2)
         assert abs(v - want) <= 2 * ulp(want, 53)
 
     def test_t2_sums_two_half_pi_panels(self):
         f = builtin_integrand("sin2")
-        v = composite_eval("T2", f, f.interval, 2)
+        v = composite_value("T2", f, 2)
         assert abs(v - pi_at(85)) <= 4 * ulp(pi_at(53), 53)
 
 
@@ -68,7 +68,7 @@ def test_constant_integrand_every_rule_every_n():
     f = Integrand.from_text("1", 0, 1)
     for name in ("L", "R", "M", "T", "S", "T2", "Q"):
         for n in (1, 2, 7, 64):
-            v = composite_eval(name, f, f.interval, n)
+            v = composite_value(name, f, n)
             assert abs(v - 1) <= 4 * ulp(mpf(1), 53), (name, n)
 
 
@@ -174,14 +174,14 @@ def test_summation_is_compensated_at_default_precision():
     # a pathological cancellation pattern: exact in compensated arithmetic
     f = Integrand.from_text("x", 0, 1)
     n = 4096
-    v = composite_eval("T", f, f.interval, n)
+    v = composite_value("T", f, n)
     assert abs(v - mpf("0.5")) <= 2 * ulp(mpf("0.5"), 53)
 
 
 def test_domain_error_names_panel_and_node():
     f = Integrand.from_text("1/x", -1, 1)
     with pytest.raises(DomainError) as exc:
-        composite_eval("M", f, f.interval, 1)  # midpoint hits x = 0
+        composite_value("M", f, 1)  # midpoint hits x = 0
     err = exc.value
     assert err.panel == 0
     assert "panel 0" in str(err)
@@ -190,17 +190,17 @@ def test_domain_error_names_panel_and_node():
 
     # the offending boundary node belongs to a later panel here
     with pytest.raises(DomainError) as exc:
-        composite_eval("T", f, f.interval, 2)  # boundary node at x = 0
+        composite_value("T", f, 2)  # boundary node at x = 0
     assert exc.value.panel == 0
     with pytest.raises(DomainError) as exc:
-        composite_eval("R", f, f.interval, 4)
+        composite_value("R", f, 4)
     assert exc.value.panel == 1
 
 
 def test_extended_precision_uses_requested_bits():
     f = builtin_integrand("atan2")
-    v128 = composite_eval("S", f, f.interval, 8, 128)
-    v256 = composite_eval("S", f, f.interval, 8, 256)
+    v128 = composite_value("S", f, 8, 128)
+    v256 = composite_value("S", f, 8, 256)
     # both approximate the same number far beyond 53-bit resolution
     assert abs(v128 - v256) < mpf(2) ** -120
     assert v128._mpf_[3] > 100  # really carries an extended significand
