@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .expr import DifferentiationError, DomainError, _eval
+from .expr import DifferentiationError, DomainError, Tape
 from .precision import as_mpf, workprec
 from .rules import NEGATIVE, POSITIVE, RULES, RuleSpec, rule_meta
 
@@ -158,6 +158,8 @@ UNKNOWN = "unknown"
 
 SAMPLES = 257  # equispaced sign-check points, both endpoints included
 
+_eval = Tape.run  # the sign check's one call per sample goes through here
+
 _TAGS = {ALL_POSITIVE: "A+", ALL_NEGATIVE: "A-", IDENTICALLY_ZERO: "A0",
          SIGN_CHANGE: "A!", UNKNOWN: "A?"}
 
@@ -201,8 +203,8 @@ def check_assumption_A(f, order, precision=53):
         step = (b - a) / (SAMPLES - 1)
         xs = [a + i * step for i in range(SAMPLES - 1)] + [b]
         try:
-            deriv = f.derivative_expr(order)
-            values = [_eval(deriv, x) for x in xs]
+            tape = f.tape(order)
+            values = [_eval(tape, x) for x in xs]
         except (DomainError, DifferentiationError):
             return AssumptionVerdict(UNKNOWN)
         if not all(mp.isfinite(v) for v in values):

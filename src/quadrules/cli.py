@@ -37,8 +37,8 @@ from mpmath import mp
 from .analysis import (Reference, convergence_table, degree_probe,
                        digits_correct, signed_error, table_to_csv,
                        table_to_json)
-from .associate import associate_value, bracket, check_assumption_A, \
-    companion_pair
+from .associate import SAMPLES, associate_value, bracket, \
+    check_assumption_A, companion_pair
 from .composite import composite_values
 from .expr import DifferentiationError, DomainError, ParseError, parse
 from .integrand import BUILTIN_NAMES, Integrand, builtin_integrand
@@ -272,6 +272,7 @@ def cmd_bracket(args):
             payload["associate"] = format_real(assoc, args.prec)
             payload["weights"] = [weights.c1, weights.c2]
             payload["assumption"] = verdict.tag
+            payload["assumption_basis"] = "sampled"
         if contains is not None:
             payload["contains_reference"] = contains
         print(json.dumps(payload, indent=2))
@@ -290,7 +291,9 @@ def cmd_bracket(args):
         print(f"associate (weights {weights.c1}:{weights.c2}) = "
               f"{format_real(assoc, args.prec)}")
         print(f"assumption check (order {pair.derivative_order}): {verdict}")
-        if not verdict.uniform:
+        if verdict.uniform:
+            print(f"note: sign sampled at {SAMPLES} points, not proven")
+        else:
             print("note: sign check failed, the bracket is unverified")
     if contains is not None:
         print(f"contains reference: {'true' if contains else 'false'}")

@@ -56,7 +56,8 @@ def composite_values(f, interval, rules, panels, precision=53):
 
     Every distinct node of every requested rule is evaluated exactly once;
     the per-panel S, T2 and Q values reuse the panel M, T and S values.
-    Domain errors are re-raised naming the offending node, point and panel.
+    Domain errors are re-raised naming the offending node, point and panel
+    (numbered from 1, like the panel total).
     """
     names = rule_names(rules)
     if panels < 1:
@@ -77,7 +78,7 @@ def composite_values(f, interval, rules, panels, precision=53):
                 try:
                     cache[key] = node_value(f, a + key[0] * half, order)
                 except DomainError as err:
-                    raise err.located(i, n) from None
+                    raise err.located(i + 1, n) from None
             return cache[key]
 
         sums = {name: _Sum(precision <= 53) for name in names}

@@ -16,10 +16,12 @@ converted at whatever working precision is active when the tree is
 evaluated, so one tree serves every precision.  Whitespace is ignored.
 Syntax errors report the byte offset of the offending token.
 
-Trees are immutable (frozen dataclasses, structural equality), evaluation
-is a pure function of (tree, x), and ``parse(to_text(e))`` reproduces ``e``
-exactly, so expressions can be shared between threads and serialized
-through their printed form.
+Trees are immutable (frozen dataclasses, structural equality) and
+``parse(to_text(e))`` reproduces ``e`` exactly, so expressions can be
+shared between threads and serialized through their printed form.
+Evaluation has one path, ``Tape``: a tree compiled once into flat steps
+with one register per structurally distinct node, literals materialized
+once per precision, and bit-identical to a recursive walk of the tree.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class DomainError(ArithmeticError):
     """Evaluation left the real domain (sqrt of a negative, zero division).
 
     Carries the offending node, the evaluation point it is raised at and,
-    via ``located``, the composite panel the point belongs to.
+    via ``located``, the composite panel the point belongs to (numbered
+    from 1).
     """
 
     def __init__(self, reason, node=None, x=None, panel=None, panels=None):
@@ -345,48 +348,124 @@ def to_text(e):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: a flat tape with one register per distinct node
 
-def _eval(e, x):
-    if isinstance(e, Num):
-        return mpf(e.value)
-    if isinstance(e, PiConst):
-        return +mp.pi
-    if isinstance(e, Var):
-        if x is None:
-            raise DomainError("free variable x in a constant context", e, x)
-        return x
-    if isinstance(e, Add):
-        return _eval(e.left, x) + _eval(e.right, x)
-    if isinstance(e, Sub):
-        return _eval(e.left, x) - _eval(e.right, x)
-    if isinstance(e, Mul):
-        return _eval(e.left, x) * _eval(e.right, x)
-    if isinstance(e, Div):
-        den = _eval(e.right, x)
-        if den == 0:
-            raise DomainError("division by zero", e, x)
-        return _eval(e.left, x) / den
-    if isinstance(e, Pow):
-        base = _eval(e.base, x)
-        expo = _eval(e.exponent, x)
-        if base == 0 and expo < 0:
-            raise DomainError("zero raised to a negative power", e, x)
-        if base < 0 and not mp.isint(expo):
-            raise DomainError("fractional power of a negative base", e, x)
-        return base ** expo
-    if isinstance(e, Neg):
-        return -_eval(e.arg, x)
-    if isinstance(e, Sin):
-        return mp.sin(_eval(e.arg, x))
-    if isinstance(e, Cos):
-        return mp.cos(_eval(e.arg, x))
-    if isinstance(e, Sqrt):
-        v = _eval(e.arg, x)
-        if v < 0:
-            raise DomainError("square root of a negative value", e, x)
-        return mp.sqrt(v)
-    raise TypeError(f"not an expression node: {e!r}")
+def _checked_power(r, a, b):
+    base, expo = r[a], r[b]
+    if base == 0 and expo < 0:
+        raise DomainError("zero raised to a negative power")
+    if base < 0 and not mp.isint(expo):
+        raise DomainError("fractional power of a negative base")
+    return base ** expo
+
+
+def _checked_sqrt(r, a, b):
+    if r[a] < 0:
+        raise DomainError("square root of a negative value")
+    return mp.sqrt(r[a])
+
+
+def _nonzero(r, a, b):
+    if r[a] == 0:
+        raise DomainError("division by zero")
+    return r[a]
+
+
+def _bound(r, a, b):
+    if r[a] is None:
+        raise DomainError("free variable x in a constant context")
+    return r[a]
+
+
+# step functions by node type: each reads registers a (and b) of r
+_STEPS = {
+    Var: _bound,
+    Add: lambda r, a, b: r[a] + r[b],
+    Sub: lambda r, a, b: r[a] - r[b],
+    Mul: lambda r, a, b: r[a] * r[b],
+    Div: lambda r, a, b: r[a] / r[b],
+    Pow: _checked_power,
+    Neg: lambda r, a, b: -r[a],
+    Sin: lambda r, a, b: mp.sin(r[a]),
+    Cos: lambda r, a, b: mp.cos(r[a]),
+    Sqrt: _checked_sqrt,
+}
+
+
+class Tape:
+    """An expression compiled to flat steps over registers, one register
+    per structurally distinct node.  Steps follow the first-visit
+    post-order of a recursive walk, operands left to right except that a
+    division checks its denominator first, so values are bit-identical to
+    the walk's and the first domain error is the one it would raise.
+    ``has_x`` tells whether the variable x occurs."""
+
+    def __init__(self, e):
+        self.nodes = []   # register -> the first node object holding it
+        self.steps = []   # (out, step function, a, b, node for errors)
+        self._literals = []   # (register, Num or PiConst node)
+        self._by_prec = {}    # mp.prec -> registers with literals filled
+        self._var = None
+        self.result = self._visit(e, {}, {})
+        self.has_x = self._var is not None
+
+    def _visit(self, e, seen, registers):
+        r = seen.get(id(e))
+        if r is not None:
+            return r
+        t = type(e)
+        a = b = None
+        if t in (Num, PiConst, Var):
+            key = (t, e.value) if t is Num else (t,)
+        elif t is Div:
+            b = self._visit(e.right, seen, registers)
+            mark = len(self.steps)
+            self.steps.append((b, _nonzero, b, None, e))
+            a = self._visit(e.left, seen, registers)
+            key = (t, a, b)
+            if key in registers:  # checked where the equal node was built
+                del self.steps[mark]
+        elif t in (Add, Sub, Mul, Pow):
+            left, right = (e.base, e.exponent) if t is Pow else \
+                (e.left, e.right)
+            a = self._visit(left, seen, registers)
+            b = self._visit(right, seen, registers)
+            key = (t, a, b)
+        elif t in (Neg, Sin, Cos, Sqrt):
+            a = self._visit(e.arg, seen, registers)
+            key = (t, a)
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        r = registers.get(key)
+        if r is None:
+            r = registers[key] = len(self.nodes)
+            self.nodes.append(e)
+            if t is Num or t is PiConst:
+                self._literals.append((r, e))
+            else:
+                if t is Var:
+                    self._var = a = r
+                self.steps.append((r, _STEPS[t], a, b, e))
+        seen[id(e)] = r
+        return r
+
+    def run(self, x):
+        """Value at ``x`` (None for a constant) at the ambient precision."""
+        template = self._by_prec.get(mp.prec)
+        if template is None:
+            template = [None] * len(self.nodes)
+            for r, e in self._literals:
+                template[r] = +mp.pi if type(e) is PiConst else mpf(e.value)
+            self._by_prec[mp.prec] = template
+        regs = template.copy()
+        if self._var is not None:
+            regs[self._var] = x
+        try:
+            for out, step, a, b, e in self.steps:
+                regs[out] = step(regs, a, b)
+        except DomainError as err:
+            raise DomainError(err.reason, e, x) from None
+        return regs[self.result]
 
 
 def eval_expr(e, x, precision=53):
@@ -400,24 +479,12 @@ def eval_expr(e, x, precision=53):
     with workprec(precision):
         if isinstance(x, (int, str)):
             x = mpf(x)
-        return +_eval(e, x)
+        return +Tape(e).run(x)
 
 
 def constant_value(e):
     """Value of a variable-free tree at the ambient working precision."""
-    return _eval(e, None)
-
-
-def has_free_var(e):
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, (Num, PiConst)):
-        return False
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return has_free_var(e.left) or has_free_var(e.right)
-    if isinstance(e, Pow):
-        return has_free_var(e.base) or has_free_var(e.exponent)
-    return has_free_var(e.arg)
+    return Tape(e).run(None)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +581,8 @@ def differentiate(e):
                    _mul(e.left, differentiate(e.right)))
         return _div(num, _pow(e.right, Num(2)))
     if isinstance(e, Pow):
-        if has_free_var(e.exponent):
+        # literal exponents, by far the most common, need no tape
+        if type(e.exponent) is not Num and Tape(e.exponent).has_x:
             raise DifferentiationError(
                 f"cannot differentiate {to_text(e)}: exponent contains x")
         r = e.exponent

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import (Expression, Num, PiConst, _eval, differentiate, parse,
+from .expr import (Expression, Num, PiConst, Tape, differentiate, parse,
                    to_text)
 from .rules import Interval
 
 
 @dataclass
 class Integrand:
-    """A function to integrate, with lazily cached symbolic derivatives.
+    """A function to integrate, with lazily cached symbolic derivatives
+    and one evaluation tape per derivative order.
 
     ``reference``, when present, is a constant expression for the exact
     value of the integral over ``interval`` (the built-ins use pi).
@@ -32,9 +33,11 @@ class Integrand:
     reference: Expression | None = None
     name: str | None = None
     _derivatives: list = field(init=False, repr=False, compare=False)
+    _tapes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._derivatives = [self.expression]
+        self._tapes = {0: Tape(self.expression)}
 
     @classmethod
     def from_text(cls, text, a, b, reference=None, name=None):
@@ -48,11 +51,17 @@ class Integrand:
             self._derivatives.append(differentiate(self._derivatives[-1]))
         return self._derivatives[order]
 
+    def tape(self, order):
+        """The evaluation tape of the order-th derivative."""
+        if order not in self._tapes:
+            self._tapes[order] = Tape(self.derivative_expr(order))
+        return self._tapes[order]
+
     def eval_at(self, x):
-        return _eval(self.expression, x)
+        return self._tapes[0].run(x)
 
     def derivative_at(self, x, order):
-        return _eval(self.derivative_expr(order), x)
+        return self.tape(order).run(x)
 
     def label(self):
         name = f"{self.name}: " if self.name else ""

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Expression, Num, constant_value, has_free_var, parse
+from .expr import Expression, Num, Tape, constant_value, parse
 from .precision import workprec
 
 RULE_ORDER = ("L", "R", "M", "T", "S", "T2", "Q")
@@ -129,7 +129,7 @@ def _as_constant(value):
         e = parse(value)
     else:
         raise TypeError(f"cannot use {value!r} as an interval endpoint")
-    if has_free_var(e):
+    if Tape(e).has_x:
         raise ValueError(f"interval endpoint {e} contains the variable x")
     return e
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's evaluation paths: rule
 values come from the direct textbook formulas (Simpson through its
 endpoint form, not the weighted mean), sums are plain sequential loops,
 polynomial integrals are exact rational antiderivatives obtained by
-interpolation, and derivatives are checked by central differences.
+interpolation, derivatives are checked by central differences, and
+expressions are evaluated by a recursive walk of the tree.
 The last section holds two one-rule shorthands over the package's own
 entry points; they are conveniences, not oracles.
 """
@@ -13,10 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from quadrules.composite import composite_values
-from quadrules.expr import Add, Div, Mul, Neg, Num, Pow, Sub, Var
+from quadrules.expr import (Add, Cos, Div, DomainError, Mul, Neg, Num,
+                            PiConst, Pow, Sin, Sqrt, Sub, Var)
 from quadrules.precision import workprec
 from quadrules.rules import simple_rule_values
 
@@ -67,6 +69,58 @@ def central_diff(fcall, x, h):
 
 def central_second_diff(fcall, x, h):
     return (fcall(x + h) - 2 * fcall(x) + fcall(x - h)) / (h * h)
+
+
+# ---------------------------------------------------------------------------
+# expression values by a recursive walk of the tree
+
+def tree_eval(e, x):
+    """Value of ``e`` at ``x`` (None in a constant context) at the ambient
+    precision, every shared subtree evaluated again at each occurrence.
+
+    Operands are evaluated left to right, except that a division checks
+    its denominator before it evaluates its numerator; domain errors name
+    the node and x as the package does.
+    """
+    if isinstance(e, Num):
+        return mpf(e.value)
+    if isinstance(e, PiConst):
+        return +mp.pi
+    if isinstance(e, Var):
+        if x is None:
+            raise DomainError("free variable x in a constant context", e, x)
+        return x
+    if isinstance(e, Add):
+        return tree_eval(e.left, x) + tree_eval(e.right, x)
+    if isinstance(e, Sub):
+        return tree_eval(e.left, x) - tree_eval(e.right, x)
+    if isinstance(e, Mul):
+        return tree_eval(e.left, x) * tree_eval(e.right, x)
+    if isinstance(e, Div):
+        den = tree_eval(e.right, x)
+        if den == 0:
+            raise DomainError("division by zero", e, x)
+        return tree_eval(e.left, x) / den
+    if isinstance(e, Pow):
+        base = tree_eval(e.base, x)
+        expo = tree_eval(e.exponent, x)
+        if base == 0 and expo < 0:
+            raise DomainError("zero raised to a negative power", e, x)
+        if base < 0 and not mp.isint(expo):
+            raise DomainError("fractional power of a negative base", e, x)
+        return base ** expo
+    if isinstance(e, Neg):
+        return -tree_eval(e.arg, x)
+    if isinstance(e, Sin):
+        return mp.sin(tree_eval(e.arg, x))
+    if isinstance(e, Cos):
+        return mp.cos(tree_eval(e.arg, x))
+    if isinstance(e, Sqrt):
+        v = tree_eval(e.arg, x)
+        if v < 0:
+            raise DomainError("square root of a negative value", e, x)
+        return mp.sqrt(v)
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------

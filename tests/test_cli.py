@@ -97,6 +97,18 @@ class TestIntegrate:
         assert code == 2
         assert "domain error" in err and "panel" in err
 
+    @pytest.mark.parametrize("integrand, rule, panels, where", [
+        ("1/x", "T", "1", "at x = 0.0 (panel 1 of 1)"),
+        ("1/(x-1)", "R", "4", "at x = 1.0 (panel 4 of 4)"),
+    ])
+    def test_domain_error_panels_count_from_one(self, capsys, integrand,
+                                                rule, panels, where):
+        code, _, err = run(capsys, "integrate", "--integrand", integrand,
+                           "--a", "0", "--b", "1", "--rule", rule,
+                           "--panels", panels)
+        assert code == 2
+        assert err.endswith(f"{where}\n")
+
     def test_left_rule_never_reads_the_right_end(self, capsys):
         # f(0) is undefined, but L over [-1, 0] reads only left ends
         code, out, err = run(capsys, "integrate", "--integrand", "1/x",
@@ -155,6 +167,20 @@ class TestBracket:
         assert "bracket = [" in out
         assert "assumption check (order 1): A? (unknown)\n" in out
         assert "note: sign check failed, the bracket is unverified" in out
+
+    def test_sampled_verdict_is_labelled_not_proven(self, capsys):
+        # f' dips below zero near x = 0.3, between two of the 257 samples
+        argv = ("bracket", "--integrand", "x + 0.001/(1+(10000*(x-0.3))^2)",
+                "--a", "0", "--b", "1", "--pair", "L,R", "--panels", "4")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "assumption check (order 1): A+ (all_positive)\n" \
+            "note: sign sampled at 257 points, not proven\n" in out
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["assumption"] == "A+"
+        assert payload["assumption_basis"] == "sampled"
 
     def test_pair_needs_two_rules(self, capsys):
         code, _, err = run(capsys, "bracket", "--integrand", "asin6",

@@ -183,18 +183,22 @@ def test_domain_error_names_panel_and_node():
     with pytest.raises(DomainError) as exc:
         composite_value("M", f, 1)  # midpoint hits x = 0
     err = exc.value
-    assert err.panel == 0
-    assert "panel 0" in str(err)
+    assert err.panel == 1
+    assert "(panel 1 of 1)" in str(err)
     assert "division by zero" in str(err)
     assert "1 / x" in str(err)
 
-    # the offending boundary node belongs to a later panel here
+    # panels are numbered from 1, like the total
     with pytest.raises(DomainError) as exc:
         composite_value("T", f, 2)  # boundary node at x = 0
-    assert exc.value.panel == 0
+    assert exc.value.panel == 1
     with pytest.raises(DomainError) as exc:
         composite_value("R", f, 4)
-    assert exc.value.panel == 1
+    assert exc.value.panel == 2
+    with pytest.raises(DomainError) as exc:
+        composite_value("R", Integrand.from_text("1/(x-1)", 0, 1), 4)
+    assert (exc.value.panel, exc.value.panels) == (4, 4)
+    assert str(exc.value).endswith("at x = 1.0 (panel 4 of 4)")
 
 
 def test_extended_precision_uses_requested_bits():

@@ -6,12 +6,13 @@ from mpmath import mp, mpf
 
 from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
                             Mul, Neg, Num, ParseError, PiConst, Pow, Sin,
-                            Sqrt, Sub, Var, _negate, differentiate, eval_expr,
-                            parse, to_text)
+                            Sqrt, Sub, Tape, Var, _negate, differentiate,
+                            eval_expr, parse, to_text)
 from quadrules.integrand import builtin_integrand
 from quadrules.precision import ulp, workprec
 
-from oracles import central_diff, central_second_diff, random_poly_tree
+from oracles import (central_diff, central_second_diff, random_poly_tree,
+                     tree_eval)
 
 
 class TestParse:
@@ -227,3 +228,68 @@ class TestEval:
         node = parse("x+1")
         with pytest.raises(Exception):
             node.left = Num(5)
+
+
+def _no_runaway_power(e, confined=False):
+    """False when a power sits inside an exponent or a sine or cosine
+    argument: there mpmath needs billions of bits (sin(9^9^9) reduces its
+    argument by pi to 10^9 bits), on either evaluator."""
+    if isinstance(e, Pow):
+        return not confined and _no_runaway_power(e.base) \
+            and _no_runaway_power(e.exponent, True)
+    if isinstance(e, (Sin, Cos)):
+        return _no_runaway_power(e.arg, True)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return _no_runaway_power(e.left, confined) \
+            and _no_runaway_power(e.right, confined)
+    if isinstance(e, (Neg, Sqrt)):
+        return _no_runaway_power(e.arg, confined)
+    return True
+
+
+def _outcome(evaluate, e, x):
+    """The exact value, or the full text of the domain error."""
+    try:
+        return evaluate(e, x)._mpf_
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+class TestTape:
+    POINTS = (None, "-1.5", "0", "0.5", "1", "2.75")
+
+    def assert_matches_tree_walk(self, tree):
+        tape = Tape(tree)
+        for precision in (53, 256):
+            with workprec(precision):
+                for x in self.POINTS:
+                    x = None if x is None else mpf(x)
+                    assert _outcome(Tape.run, tape, x) == \
+                        _outcome(tree_eval, tree, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_expression_trees().filter(_no_runaway_power))
+    def test_tape_matches_the_tree_walk_bit_for_bit(self, tree):
+        self.assert_matches_tree_walk(tree)
+        try:
+            deriv = differentiate(tree)
+        except DifferentiationError:
+            return
+        # derivatives share subtrees by reference, and equal ones by value
+        self.assert_matches_tree_walk(deriv)
+
+    def test_division_checks_its_denominator_before_its_numerator(self):
+        e = parse("sqrt(-x)/(x-1)")
+        want = "division by zero in sqrt(-x) / (x - 1) at x = 1.0"
+        with pytest.raises(DomainError) as exc:
+            eval_expr(e, 1)
+        assert str(exc.value) == want
+        with workprec(53):
+            assert _outcome(tree_eval, e, mpf(1)) == f"DomainError: {want}"
+
+    def test_builtin_derivatives_match_the_tree_walk(self):
+        # deep derivative DAGs: asin6's order 4 is 4,036 tree nodes
+        for name in ("sin2", "asin6", "atan2"):
+            f = builtin_integrand(name)
+            for order in range(5):
+                self.assert_matches_tree_walk(f.derivative_expr(order))

@@ -1,0 +1,38 @@
+"""Exact size and work of the evaluation tape, pinned as counts.
+
+Wall-clock time is too noisy to gate on, so these tests pin what the
+tape does: one register per structurally distinct node, and the number
+of mpmath kernel calls a small convergence table makes, counted by the
+benchmark's tracer (``perfbench/tracing.py``, used here read-only).
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import tracing  # noqa: E402
+from quadrules.cli import main  # noqa: E402
+from quadrules.integrand import builtin_integrand  # noqa: E402
+
+
+def test_asin6_tapes_hold_one_register_per_distinct_node():
+    f = builtin_integrand("asin6")
+    registers = [len(f.tape(order).nodes) for order in range(7)]
+    assert registers == [8, 15, 29, 58, 115, 216, 381]
+    assert registers == [tracing.tree_sizes([f.derivative_expr(order)])[1]
+                         for order in range(7)]
+
+
+def test_small_table_makes_a_pinned_number_of_mpf_calls():
+    # 1,199,677 calls when every sample walked the derivative trees
+    tracer = tracing.Tracer()
+    with tracer, contextlib.redirect_stdout(io.StringIO()):
+        assert main(["table", "--integrand", "asin6",
+                     "--panels", "1,2,4"]) == 0
+    tracer.end_op()
+    counts = tracer.per_op(1)
+    assert counts["mpmath.mpf_calls"] == 53553
+    assert counts["associate.sign_check_samples"] == 3 * 257
