@@ -15,7 +15,7 @@ it integrates x^4 and x^5 exactly and first fails on x^6.
 from fractions import Fraction
 
 from quadrules import QUOTED_DEGREES, RULE_ORDER, degree_probe
-from quadrules.analysis import _monomial_rule_value
+from quadrules.rules import _monomial_rule_value
 
 print(f"{'rule':>5}  {'probe':>5}  {'quoted':>6}  note")
 for name in RULE_ORDER:

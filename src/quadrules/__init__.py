@@ -1,6 +1,6 @@
 """Quadrature through companion rules and their associate weighted means.
 
-Seven simple rules (L, R, M, T, S, T2, Q) with signed error metadata,
+Seven simple rules (L, R, M, T, S, T2, Q) with derived signed error laws,
 composite versions over uniform panels, gcd-weighted associate synthesis,
 guaranteed brackets for the integral under a verified derivative-sign
 condition, convergence tables, and an exact degree probe.  All arithmetic

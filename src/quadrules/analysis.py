@@ -6,9 +6,8 @@ underestimates) of every active rule, the "order string" obtained by
 concatenating the rule names sorted by ascending rule value, and the
 sign-check verdicts for the companion pairs among the active rules.
 
-The degree probe is exact: rule values on the monomials x^k over [0, 1]
-are computed in rational arithmetic (all node positions and weights are
-rational there), so exactness decisions carry no floating-point tolerance.
+The degree probe reads each rule's degree from ``RULES``, derived from
+exact rational rule values on x^k, so it carries no tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_DOWN, ROUND_HALF_UP, Context,
+                     Decimal)
 
 from mpmath import mp
 
@@ -26,10 +26,8 @@ from .associate import COMPANION_PAIRS, check_assumption_A
 from .composite import composite_values
 from .expr import (DifferentiationError, DomainError, Expression,
                    constant_value)
-from .precision import (as_mpf, format_real, parse_real, to_fraction,
-                        workprec)
-from .rules import (RULE_ORDER, needed_rules, rule_meta, rule_names,
-                    rule_values)
+from .precision import as_mpf, format_real, parse_real, workprec
+from .rules import RULE_ORDER, rule_meta, rule_names
 
 #: extra bits used when materializing references and taking differences
 GUARD_BITS = 32
@@ -142,17 +140,6 @@ def convergence_table(f, rules=("L", "R", "M", "T", "S", "T2"),
 # ---------------------------------------------------------------------------
 # exact-rational degree probe
 
-def _monomial_rule_value(name, k):
-    """Exact value of a rule on x^k over [0, 1] (all nodes are rational)."""
-    xs = (Fraction(0), Fraction(1, 2), Fraction(1))
-
-    def node(j, order):  # f = x^k, f'' = k (k-1) x^(k-2)
-        x = xs[j]
-        return k * (k - 1) * x ** (k - 2) if order else x ** k
-
-    return rule_values(needed_rules((name,)), Fraction(1), node)[name]
-
-
 @dataclass(frozen=True)
 class DegreeProbe:
     rule: str
@@ -161,20 +148,15 @@ class DegreeProbe:
 
 
 def degree_probe(rule, max_k=8):
-    """Empirical degree of a rule: exact on x^k for all k <= degree over
-    [0, 1], not exact on the next monomial.
-
-    Runs in exact rational arithmetic, so there is no tolerance.  When the
-    rule is still exact at max_k + 1 the result carries at_least=True and
-    degree == max_k.
+    """Degree of a rule: exact on x^k for all k <= degree over [0, 1], not
+    exact on the next monomial.  When the rule is still exact at max_k + 1
+    the result carries at_least=True and degree == max_k.
     """
-    name = rule_meta(rule).name
+    spec = rule_meta(rule)
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    for k in range(max_k + 2):
-        if _monomial_rule_value(name, k) != Fraction(1, k + 1):
-            return DegreeProbe(name, k - 1, False)
-    return DegreeProbe(name, max_k, True)
+    return DegreeProbe(spec.name, min(spec.degree, max_k),
+                       spec.degree > max_k)
 
 
 # ---------------------------------------------------------------------------
@@ -197,36 +179,30 @@ def digits_correct(value, reference, precision=53):
 
     if value == ref:
         return cap
-    if value == 0 or ref == 0:
-        return 0
-    if (value > 0) != (ref > 0):
+    if (value > 0) != (ref > 0):  # a zero is handled by the digit test
         return 0
 
-    fv, fr = abs(to_fraction(value)), abs(to_fraction(ref))
-    ev, er = _decimal_exponent(fv), _decimal_exponent(fr)
+    v, r = _decimal_magnitude(value), _decimal_magnitude(ref)
     for d in range(cap, 0, -1):
-        scaled = fv * Fraction(10) ** (d - 1 - ev)
-        digits, rem = divmod(scaled.numerator, scaled.denominator)
-        if 2 * rem >= scaled.denominator:
-            digits += 1
-        ev_after = ev
-        if digits == 10 ** d:  # rounding carried into a new leading digit
-            digits //= 10
-            ev_after += 1
-        truncated = int(fr * Fraction(10) ** (d - 1 - er))
-        if ev_after == er and digits == truncated:
+        if _to_digits(v, d, ROUND_HALF_UP) == _to_digits(r, d, ROUND_DOWN):
             return d
     return 0
 
 
-def _decimal_exponent(frac):
-    """floor(log10(frac)) for a positive rational, exactly."""
-    e = len(str(frac.numerator)) - len(str(frac.denominator))
-    while Fraction(10) ** e > frac:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= frac:
-        e += 1
-    return e
+def _to_digits(x, digits, rounding):
+    """A Decimal rounded to ``digits`` significant digits, at any exponent."""
+    return Context(prec=digits, rounding=rounding, Emin=MIN_EMIN,
+                   Emax=MAX_EMAX).plus(x)
+
+
+def _decimal_magnitude(x):
+    """|x| as an exact Decimal, from its significand and exponent."""
+    if not mp.isfinite(x):
+        raise ValueError("cannot count the digits of a non-finite value")
+    _, man, exp, _ = x._mpf_
+    if exp >= 0:
+        return Decimal(int(man) << exp)
+    return Decimal(f"{int(man) * 5 ** -exp}E{exp}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Companion pairs, associate rules (gcd-weighted means), and brackets.
 
-Two rules of the same degree whose leading errors have opposite signs form
-a companion pair.  Dividing their error denominators d1 (positive rule)
+Two rules of the same degree whose error laws have opposite signs form a
+companion pair.  Dividing their error denominators d1 (positive rule)
 and d2 (negative rule) by gcd(d1, d2) gives coprime weights (c1, c2), and
 the associate rule
 
@@ -14,7 +14,8 @@ guaranteed enclosure.  ``check_assumption_A`` decides that sign condition
 numerically by sampling the symbolic derivative over the integrand's
 interval.
 
-The three companion pairs here, with their weights and associates:
+``COMPANION_PAIRS`` pairs each positive rule of ``RULES`` with the first
+negative rule of its degree, which gives these weights and associates:
 
     (L, R)   d = (2, 2)       weights (1, 1)   associate T
     (M, T)   d = (24, 12)     weights (2, 1)   associate S
@@ -56,11 +57,15 @@ class CompanionPair:
                               self.negative.error_denominator)
 
 
-COMPANION_PAIRS = (
-    CompanionPair(RULES["L"], RULES["R"]),
-    CompanionPair(RULES["M"], RULES["T"]),
-    CompanionPair(RULES["T2"], RULES["S"]),
-)
+def _companion_pairs():
+    for pos in RULES.values():
+        neg = next((s for s in RULES.values() if s.error_sign == NEGATIVE
+                    and s.degree == pos.degree), None)
+        if pos.error_sign == POSITIVE and neg is not None:
+            yield CompanionPair(pos, neg)
+
+
+COMPANION_PAIRS = tuple(_companion_pairs())
 
 
 def companion_pair(x_rule, y_rule):
@@ -225,5 +230,5 @@ def check_assumption_A(f, order, precision=53):
                 return AssumptionVerdict(SIGN_CHANGE, (xs[last], xs[i]))
             last = i  # index of the last strictly signed sample
         if positive is None:
-            return AssumptionVerdict(IDENTICALLY_ZERO)
+            return AssumptionVerdict(UNKNOWN)
         return AssumptionVerdict(ALL_POSITIVE if positive else ALL_NEGATIVE)

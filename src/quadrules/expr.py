@@ -563,22 +563,33 @@ def differentiate(e):
 
     Power nodes must have a constant exponent: the node vocabulary has no
     logarithm, so d/dx of u(x)^v(x) with x in the exponent is not
-    expressible and raises DifferentiationError.
+    expressible and raises DifferentiationError.  A subtree shared by
+    reference is differentiated once, and its derivative is shared too.
     """
+    memo = {}  # id(node) -> derivative; every key is held alive by e
+
+    def d(e):
+        if id(e) not in memo:
+            memo[id(e)] = _derivative(e, d)
+        return memo[id(e)]
+
+    return d(e)
+
+
+def _derivative(e, d):
+    """d/dx of one node, with ``d`` differentiating its children."""
     if isinstance(e, (Num, PiConst)):
         return Num(0)
     if isinstance(e, Var):
         return Num(1)
     if isinstance(e, Add):
-        return _add(differentiate(e.left), differentiate(e.right))
+        return _add(d(e.left), d(e.right))
     if isinstance(e, Sub):
-        return _sub(differentiate(e.left), differentiate(e.right))
+        return _sub(d(e.left), d(e.right))
     if isinstance(e, Mul):
-        return _add(_mul(differentiate(e.left), e.right),
-                    _mul(e.left, differentiate(e.right)))
+        return _add(_mul(d(e.left), e.right), _mul(e.left, d(e.right)))
     if isinstance(e, Div):
-        num = _sub(_mul(differentiate(e.left), e.right),
-                   _mul(e.left, differentiate(e.right)))
+        num = _sub(_mul(d(e.left), e.right), _mul(e.left, d(e.right)))
         return _div(num, _pow(e.right, Num(2)))
     if isinstance(e, Pow):
         # literal exponents, by far the most common, need no tape
@@ -586,14 +597,14 @@ def differentiate(e):
             raise DifferentiationError(
                 f"cannot differentiate {to_text(e)}: exponent contains x")
         r = e.exponent
-        du = differentiate(e.base)
+        du = d(e.base)
         return _mul(_mul(r, _pow(e.base, _sub(r, Num(1)))), du)
     if isinstance(e, Neg):
-        return _negate(differentiate(e.arg))
+        return _negate(d(e.arg))
     if isinstance(e, Sin):
-        return _mul(Cos(e.arg), differentiate(e.arg))
+        return _mul(Cos(e.arg), d(e.arg))
     if isinstance(e, Cos):
-        return _negate(_mul(Sin(e.arg), differentiate(e.arg)))
+        return _negate(_mul(Sin(e.arg), d(e.arg)))
     if isinstance(e, Sqrt):
-        return _div(differentiate(e.arg), _mul(Num(2), Sqrt(e.arg)))
+        return _div(d(e.arg), _mul(Num(2), Sqrt(e.arg)))
     raise TypeError(f"not an expression node: {e!r}")

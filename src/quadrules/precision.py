@@ -11,7 +11,6 @@ functions.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from mpmath import mp, mpf
 
@@ -57,15 +56,6 @@ def ulp(x, bits):
         raise ValueError("ulp of a non-finite value")
     _, man, exp, bc = x._mpf_
     return mpf(2) ** (exp + bc - bits)
-
-
-def to_fraction(x):
-    """Exact rational value of a finite mpmath float (no re-rounding)."""
-    if not mp.isfinite(x):
-        raise ValueError("cannot convert a non-finite value to a fraction")
-    sign, man, exp, _ = x._mpf_
-    value = Fraction(int(man)) * Fraction(2) ** exp
-    return -value if sign else value
 
 
 def decimal_digits(bits):

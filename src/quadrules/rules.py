@@ -1,21 +1,19 @@
-"""The seven simple quadrature rules and their signed error metadata.
+"""The seven simple quadrature rules and their signed error laws.
 
 Every rule approximates the integral of f over one interval [a, b] from a
 few evaluations of f (and, for T2 and Q, of f'') at the endpoints and the
-midpoint.  Each rule of degree m carries a leading error term of the form
-(b-a)^(m+2) * f^(m+1)(xi) / d with a fixed sign and integer denominator d,
-valid whenever f^(m+1) keeps one sign on the interval:
+midpoint.  A rule of degree m is exact on polynomials of degree <= m,
+and its error, integral minus rule, is sign * (b-a)^(m+2) f^(m+1)(xi) / d
+for some xi in [a, b], with a fixed sign and integer denominator d:
 
-    name  degree  error sign  d      value
-    L     0       +           2      (b-a) f(a)
-    R     0       -           2      (b-a) f(b)
-    M     1       +           24     (b-a) f((a+b)/2)
-    T     1       -           12     (b-a)/2 (f(a) + f(b))
-    S     3       -           2880   (2 M + T) / 3
-    T2    3       +           1920   M + (b-a)^3/24 f''((a+b)/2)
-    Q     3       + under the difference-sign assumption; its error is a
-          difference of two f''''(xi) terms, so it has no single-term d.
-          value: (2 T2 + 3 S) / 5
+    name  degree  error sign  d       value
+    L     0       +           2       (b-a) f(a)
+    R     0       -           2       (b-a) f(b)
+    M     1       +           24      (b-a) f((a+b)/2)
+    T     1       -           12      (b-a)/2 (f(a) + f(b))
+    S     3       -           2880    (2 M + T) / 3
+    T2    3       +           1920    M + (b-a)^3/24 f''((a+b)/2)
+    Q     5       -           806400  (2 T2 + 3 S) / 5
 
 S and Q are evaluated through those weighted means (reusing M, T, T2, S)
 rather than through expanded node formulas; the direct endpoint Simpson
@@ -25,47 +23,36 @@ kept to the test suite as a cross-check.
 Each formula is written once, in ``rule_values``, which fetches exactly
 the nodes its formulas read through a node reader and works in any number
 type.  ``simple_rule_values`` calls it on one interval, the composite once
-per panel over cached nodes, and the degree probe with exact rationals.
+per panel over cached nodes, and ``RULES`` with exact rationals.
 
-The stored degrees are guaranteed lower bounds.  R is commonly quoted with
-degree 1 and Q with degree 3; the exact-rational probe in
-``quadrules.analysis.degree_probe`` shows R has degree 0 (it is not exact
-on x) and Q has degree 5 (its error difference cancels the degree-4 and
-degree-5 monomials).  ``QUOTED_DEGREES`` records the quoted values so the
-discrepancy can be reported next to probe output.
+``RULES`` is derived from ``rule_values`` at import (see ``_derive_law``),
+and the test suite proves each law from the rule's Peano kernel.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .expr import Expression, Num, Tape, constant_value, parse
 from .precision import workprec
 
 RULE_ORDER = ("L", "R", "M", "T", "S", "T2", "Q")
 
-POSITIVE, NEGATIVE, CONDITIONAL = "positive", "negative", "conditional"
+POSITIVE, NEGATIVE = "positive", "negative"
 
 
 @dataclass(frozen=True)
 class RuleSpec:
-    """Identity and error metadata of one simple rule."""
+    """Identity and error law of one simple rule."""
 
     name: str
-    degree: int                    # guaranteed exactness degree (lower bound)
-    error_sign: str                # positive | negative | conditional
-    error_denominator: int | None  # d in the leading error term, if single-term
+    degree: int             # exact up to this polynomial degree, not above
+    error_sign: str         # sign of integral - rule when f^(degree+1) > 0
+    error_denominator: int  # d in the error law
 
-
-RULES = {
-    "L": RuleSpec("L", 0, POSITIVE, 2),
-    "R": RuleSpec("R", 0, NEGATIVE, 2),
-    "M": RuleSpec("M", 1, POSITIVE, 24),
-    "T": RuleSpec("T", 1, NEGATIVE, 12),
-    "S": RuleSpec("S", 3, NEGATIVE, 2880),
-    "T2": RuleSpec("T2", 3, POSITIVE, 1920),
-    "Q": RuleSpec("Q", 3, CONDITIONAL, None),
-}
 
 # Degrees as commonly quoted in rule summaries.  R and Q disagree with the
 # exact probe (0 and 5); `quad degree` prints a note when they differ.
@@ -79,7 +66,7 @@ class UnknownRuleError(ValueError):
 
 
 def rule_meta(name):
-    """The fixed RuleSpec for a rule name."""
+    """The derived RuleSpec for a rule name."""
     try:
         return RULES[name]
     except KeyError:
@@ -180,6 +167,36 @@ def rule_values(need, w, node):
     if "Q" in need:
         vals["Q"] = (2 * vals["T2"] + 3 * vals["S"]) / 5
     return vals
+
+
+def _monomial_rule_value(name, k):
+    """Exact value of a rule on x^k over [0, 1] (all nodes are rational)."""
+    xs = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+    def node(j, order):  # f = x^k, f'' = k (k-1) x^(k-2)
+        x = xs[j]
+        return k * (k - 1) * x ** (k - 2) if order else x ** k
+
+    return rule_values(needed_rules((name,)), Fraction(1), node)[name]
+
+
+def _derive_law(name):
+    """The RuleSpec of a rule: its degree m is one less than the first k
+    where it is not exact on x^k over [0, 1], and c = E(x^(m+1)) / (m+1)!,
+    with E the integral minus the rule, gives the sign and d = 1/|c|."""
+    errors = (Fraction(1, k + 1) - _monomial_rule_value(name, k)
+              for k in itertools.count())
+    degree, error = next((k - 1, e) for k, e in enumerate(errors) if e)
+    c = error / math.factorial(degree + 1)
+    d = 1 / abs(c)
+    if d.denominator != 1:
+        raise ArithmeticError(f"rule {name}: error constant {c} is not "
+                              f"the reciprocal of an integer")
+    return RuleSpec(name, degree, POSITIVE if c > 0 else NEGATIVE,
+                    d.numerator)
+
+
+RULES = {name: _derive_law(name) for name in RULE_ORDER}
 
 
 def node_value(f, x, order=0):

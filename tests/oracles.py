@@ -5,7 +5,9 @@ values come from the direct textbook formulas (Simpson through its
 endpoint form, not the weighted mean), sums are plain sequential loops,
 polynomial integrals are exact rational antiderivatives obtained by
 interpolation, derivatives are checked by central differences, and
-expressions are evaluated by a recursive walk of the tree.
+expressions are evaluated by a recursive walk of the tree.  Each rule's
+error law is proven from its Peano kernel, with exact rationals only; the
+kernel reads the package's rule formulas, which are what it certifies.
 The last section holds two one-rule shorthands over the package's own
 entry points; they are conveniences, not oracles.
 """
@@ -13,6 +15,7 @@ entry points; they are conveniences, not oracles.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 
 from mpmath import mp, mpf
 
@@ -20,7 +23,7 @@ from quadrules.composite import composite_values
 from quadrules.expr import (Add, Cos, Div, DomainError, Mul, Neg, Num,
                             PiConst, Pow, Sin, Sqrt, Sub, Var)
 from quadrules.precision import workprec
-from quadrules.rules import simple_rule_values
+from quadrules.rules import needed_rules, rule_values, simple_rule_values
 
 
 def brute_composite(fcall, a, b, n, names, fpp=None):
@@ -192,11 +195,15 @@ def eval_fraction(e, x):
 
 def poly_coefficients(e, degree):
     """Exact coefficients via interpolation at 0..degree."""
-    n = degree + 1
-    rows = []
-    for i in range(n):
-        x = Fraction(i)
-        rows.append([x ** j for j in range(n)] + [eval_fraction(e, x)])
+    return interpolate([(Fraction(i), eval_fraction(e, Fraction(i)))
+                        for i in range(degree + 1)])
+
+
+def interpolate(points):
+    """Coefficients, lowest degree first, of the polynomial through the
+    rational points (x, y), by Gauss-Jordan elimination."""
+    n = len(points)
+    rows = [[x ** j for j in range(n)] + [y] for x, y in points]
     for col in range(n):
         pivot = next(r for r in range(col, n) if rows[r][col] != 0)
         rows[col], rows[pivot] = rows[pivot], rows[col]
@@ -222,6 +229,102 @@ def mpf_from_fraction(fr, bits):
         v = mpf(fr.numerator) / mpf(fr.denominator)
     with workprec(bits):
         return +v
+
+
+# ---------------------------------------------------------------------------
+# error laws from Peano kernels, exactly
+#
+# A rule of degree m on [0, 1] has the error E(f) = integral(K f^(m+1))
+# with the Peano kernel K(t) = E[(x - t)_+^m] / m!.  When K keeps one sign,
+# E(f) = f^(m+1)(xi) * integral(K) for some xi, which is the rule's error
+# law with d = 1/|integral(K)|.  The rules read nodes 0, 1/2 and 1 only, so
+# K is one polynomial of degree <= m+1 on each of [0, 1/2] and [1/2, 1].
+
+KERNEL_PIECES = ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)))
+
+
+def exact_rule_value(name, b, f, fpp):
+    """Exact value of the package's rule ``name`` on [0, b] for the f and
+    f'' given as functions of a rational x."""
+    xs = (Fraction(0), b / 2, b)
+    return rule_values(needed_rules((name,)), b,
+                       lambda j, order: fpp(xs[j]) if order else f(xs[j]))[name]
+
+
+def _kernel_at(name, m, t):
+    def f(x):  # (x - t)_+^m; x == t never happens at the sampled t
+        return (x - t) ** m if x > t else Fraction(0)
+
+    def fpp(x):
+        return m * (m - 1) * (x - t) ** (m - 2) if x > t else Fraction(0)
+
+    error = (1 - t) ** (m + 1) / (m + 1) - exact_rule_value(
+        name, Fraction(1), f, fpp)
+    return error / factorial(m)
+
+
+def peano_kernel(name, m):
+    """The two pieces of the order-m Peano kernel of rule ``name``, as
+    coefficient lists, lowest degree first, on ``KERNEL_PIECES``.
+
+    Each piece is interpolated from m+2 points strictly inside it and
+    checked at one more, which fails if a rule reads another node.
+    """
+    pieces = []
+    for lo, hi in KERNEL_PIECES:
+        ts = [lo + (hi - lo) * Fraction(i + 1, m + 4) for i in range(m + 3)]
+        coeffs = interpolate([(t, _kernel_at(name, m, t)) for t in ts[:-1]])
+        t = ts[-1]
+        if sum(c * t ** j for j, c in enumerate(coeffs)) \
+                != _kernel_at(name, m, t):
+            raise ValueError(f"{name}: the kernel is not one polynomial "
+                             f"on [{lo}, {hi}]")
+        pieces.append(coeffs)
+    return pieces
+
+
+def _bernstein(coeffs, lo, hi):
+    """Bernstein coefficients on [lo, hi] of a polynomial in t."""
+    n = len(coeffs) - 1
+    # power coefficients of p(lo + (hi - lo) u) in u
+    shifted = [sum(c * comb(j, i) * lo ** (j - i)
+                   for j, c in enumerate(coeffs) if j >= i)
+               * (hi - lo) ** i for i in range(n + 1)]
+    return [sum(Fraction(comb(i, j), comb(n, j)) * shifted[j]
+                for j in range(i + 1)) for i in range(n + 1)]
+
+
+def _sign_on(b, depth):
+    """+1 or -1 when the polynomial with Bernstein coefficients ``b`` keeps
+    that weak sign on its interval, else None (after ``depth`` halvings)."""
+    if all(c >= 0 for c in b) and any(b):
+        return 1
+    if all(c <= 0 for c in b) and any(b):
+        return -1
+    if depth == 0:
+        return None
+    left, right, row = [], [], list(b)  # de Casteljau split at the middle
+    while row:
+        left.append(row[0])
+        right.append(row[-1])
+        row = [(p + q) / 2 for p, q in zip(row, row[1:])]
+    signs = {_sign_on(left, depth - 1), _sign_on(right[::-1], depth - 1)}
+    return signs.pop() if len(signs) == 1 else None
+
+
+def kernel_sign(pieces, depth=24):
+    """+1 or -1 when the kernel is proven to keep that sign on [0, 1]
+    (zeros allowed), else None."""
+    signs = {_sign_on(_bernstein(c, lo, hi), depth)
+             for c, (lo, hi) in zip(pieces, KERNEL_PIECES)}
+    return signs.pop() if len(signs) == 1 else None
+
+
+def kernel_integral(pieces):
+    """The exact integral of the kernel over [0, 1]."""
+    return sum((c * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
+                for coeffs, (lo, hi) in zip(pieces, KERNEL_PIECES)
+                for j, c in enumerate(coeffs)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,8 @@ from quadrules.composite import composite_values
 from quadrules.expr import PiConst, parse
 from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.precision import pi_at, ulp, workprec
-from quadrules.rules import Interval, QUOTED_DEGREES, RULE_ORDER, RULES
+from quadrules.rules import (Interval, QUOTED_DEGREES, RULE_ORDER, RULES,
+                             _monomial_rule_value)
 
 from oracles import brute_composite, legacy_t2_composite
 
@@ -202,6 +204,17 @@ class TestDegreeProbe:
         for name, spec in RULES.items():
             assert degree_probe(name).degree >= spec.degree
 
+    @pytest.mark.parametrize("max_k", range(1, 9))
+    def test_matches_a_monomial_search(self, max_k):
+        # the first monomial, up to max_k + 1, on which the rule is inexact
+        for name in RULE_ORDER:
+            failing = next((k for k in range(max_k + 2)
+                            if _monomial_rule_value(name, k)
+                            != Fraction(1, k + 1)), None)
+            want = DegreeProbe(name, max_k, True) if failing is None \
+                else DegreeProbe(name, failing - 1, False)
+            assert degree_probe(name, max_k) == want
+
     def test_at_least_flag_when_no_failure_in_range(self):
         probe = degree_probe("Q", max_k=4)
         assert probe == DegreeProbe("Q", 4, True)
@@ -229,9 +242,21 @@ class TestDigitsCorrect:
     def test_three_fifteen(self):
         assert digits_correct(mpf("3.15"), pi_at(160), precision=53) == 2
 
+    def test_rounding_carries_into_a_new_leading_digit(self):
+        # 9.9999 rounds to 10.00 at four digits, the first four of 10
+        assert digits_correct(mpf("9.9999"), mpf(10)) == 4
+        assert digits_correct(mpf("9.99949"), mpf(10)) == 3
+        assert digits_correct(mpf("99.5"), mpf(100)) == 2
+
+    def test_non_finite_value_is_rejected(self):
+        with pytest.raises(ValueError):
+            digits_correct(mpf("inf"), mpf(3))
+
     def test_sign_and_zero_handling(self):
         assert digits_correct(mpf(0), pi_at(85), precision=53) == 0
         assert digits_correct(-pi_at(53), pi_at(160), precision=53) == 0
+        assert digits_correct(mpf(-1), mpf(0), precision=53) == 0
+        assert digits_correct(mpf(0), -pi_at(85), precision=53) == 0
 
 
 class TestSerialization:

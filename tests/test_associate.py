@@ -47,6 +47,8 @@ class TestDeriveWeights:
     def test_pairs_use_their_rules_denominators(self):
         expected = {("L", "R"): (1, 1), ("M", "T"): (2, 1),
                     ("T2", "S"): (2, 3)}
+        assert [(pair.positive.name, pair.negative.name)
+                for pair in COMPANION_PAIRS] == list(expected)
         for pair in COMPANION_PAIRS:
             w = pair.weights()
             key = (pair.positive.name, pair.negative.name)
@@ -159,6 +161,15 @@ class TestCheckAssumptionA:
         verdict = check_assumption_A(f, 1)
         assert verdict.kind == IDENTICALLY_ZERO
         assert verdict.tag == "A0"
+
+    def test_nothing_clears_the_tolerance_at_eight_bits(self):
+        # the zero tolerance scale * 2^(8 - precision) reaches the largest
+        # sample, so a nonzero derivative is unknown, not zero
+        f = builtin_integrand("sin2")
+        assert check_assumption_A(f, 1, precision=8).kind == UNKNOWN
+        assert check_assumption_A(f, 1, precision=9).kind == SIGN_CHANGE
+        f = Integrand.from_text("5", 0, 1)
+        assert check_assumption_A(f, 1, precision=4).kind == IDENTICALLY_ZERO
 
     def test_endpoints_are_sampled(self, monkeypatch):
         seen, evaluate = [], associate._eval

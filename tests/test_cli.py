@@ -168,6 +168,20 @@ class TestBracket:
         assert "assumption check (order 1): A? (unknown)\n" in out
         assert "note: sign check failed, the bracket is unverified" in out
 
+    @pytest.mark.parametrize("prec", ["4", "8"])
+    @pytest.mark.parametrize("integrand, pair, order", [
+        ("sin2", "L,R", 1),    # f' = 2 sin 2x changes sign at pi/2
+        ("atan2", "T2,S", 4),  # f'''' changes sign near +-0.3249
+    ])
+    def test_low_precision_sign_check_is_unknown(self, capsys, integrand,
+                                                 pair, order, prec):
+        # at 8 bits or fewer the zero tolerance reaches the largest sample
+        code, out, _ = run(capsys, "bracket", "--integrand", integrand,
+                           "--pair", pair, "--panels", "4", "--prec", prec)
+        assert code == 0
+        assert f"assumption check (order {order}): A? (unknown)\n" \
+            "note: sign check failed, the bracket is unverified\n" in out
+
     def test_sampled_verdict_is_labelled_not_proven(self, capsys):
         # f' dips below zero near x = 0.3, between two of the 257 samples
         argv = ("bracket", "--integrand", "x + 0.001/(1+(10000*(x-0.3))^2)",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from quadrules.analysis import _monomial_rule_value
+from quadrules.rules import _monomial_rule_value
 from quadrules.cli import main
 from quadrules.composite import composite_values
 from quadrules.integrand import BUILTIN_NAMES, Integrand, builtin_integrand

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp, mpf
@@ -7,12 +8,13 @@ from mpmath import mp, mpf
 from quadrules.composite import composite_values
 from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.precision import pi_at, ulp, workprec
-from quadrules.rules import (CONDITIONAL, Interval, NEGATIVE, POSITIVE,
-                             RULE_ORDER, RULES, UnknownRuleError, rule_meta,
+from quadrules.rules import (Interval, NEGATIVE, POSITIVE, RULE_ORDER,
+                             RULES, UnknownRuleError, rule_meta,
                              simple_rule_values)
 
-from oracles import (exact_poly_integral, mpf_from_fraction, random_poly_tree,
-                     simple_value)
+from oracles import (exact_poly_integral, exact_rule_value, kernel_integral,
+                     kernel_sign, mpf_from_fraction, peano_kernel,
+                     random_poly_tree, simple_value)
 
 
 class TestMetadata:
@@ -26,8 +28,41 @@ class TestMetadata:
             "T": (1, NEGATIVE, 12),
             "S": (3, NEGATIVE, 2880),
             "T2": (3, POSITIVE, 1920),
-            "Q": (3, CONDITIONAL, None),
+            "Q": (5, NEGATIVE, 806400),
         }
+
+    @pytest.mark.parametrize("name", RULE_ORDER)
+    def test_peano_kernel_proves_the_law(self, name):
+        # a one-signed kernel K gives E(f) = f^(m+1)(xi) * integral(K)
+        spec = RULES[name]
+        sign = 1 if spec.error_sign == POSITIVE else -1
+        kernel = peano_kernel(name, spec.degree)
+        assert kernel_sign(kernel) == sign
+        assert kernel_integral(kernel) == Fraction(sign,
+                                                   spec.error_denominator)
+
+    def test_q_has_no_degree_3_law(self):
+        # Q's order-3 kernel changes sign and integrates to zero
+        kernel = peano_kernel("Q", 3)
+        assert kernel_sign(kernel) is None
+        assert kernel_integral(kernel) == 0
+
+    @pytest.mark.parametrize("name", RULE_ORDER)
+    def test_law_on_an_interval_of_width_two(self, name):
+        # on [0, 1] the width is 1, so a wrong power of it would not show:
+        # E(x^k) over [0, w] is 0 for k <= m and sign * w^(m+2) (m+1)! / d
+        # for k = m+1
+        spec = RULES[name]
+        m, w = spec.degree, Fraction(2)
+        sign = 1 if spec.error_sign == POSITIVE else -1
+        for k in range(m + 2):
+            value = exact_rule_value(
+                name, w, lambda x: x ** k,
+                lambda x: k * (k - 1) * x ** (k - 2) if k >= 2 else 0)
+            want = 0 if k <= m else Fraction(
+                sign * w ** (m + 2) * factorial(m + 1),
+                spec.error_denominator)
+            assert w ** (k + 1) / (k + 1) - value == want, f"{name} x^{k}"
 
     def test_rule_meta_examples(self):
         assert rule_meta("M").degree == 1
@@ -188,7 +223,7 @@ class TestSignRealization:
 
     def _signs(self, f, reference):
         out = {}
-        for name in ("L", "R", "M", "T", "S", "T2"):
+        for name in RULE_ORDER:
             v = simple_value(name, f, precision=128)
             err = reference - v
             assert err != 0

@@ -1,12 +1,14 @@
 """Exact size and work of the evaluation tape, pinned as counts.
 
 Wall-clock time is too noisy to gate on, so these tests pin what the
-tape does: one register per structurally distinct node, and the number
-of mpmath kernel calls a small convergence table makes, counted by the
-benchmark's tracer (``perfbench/tracing.py``, used here read-only).
+tape does: one register per structurally distinct node, the node objects
+differentiation builds, and the number of mpmath kernel calls a small
+convergence table makes, counted by the benchmark's tracer
+(``perfbench/tracing.py``, used here read-only).
 """
 
 import contextlib
+import dataclasses
 import io
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import tracing  # noqa: E402
 from quadrules.cli import main  # noqa: E402
+from quadrules.expr import Expression  # noqa: E402
 from quadrules.integrand import builtin_integrand  # noqa: E402
 
 
@@ -24,6 +27,27 @@ def test_asin6_tapes_hold_one_register_per_distinct_node():
     assert registers == [8, 15, 29, 58, 115, 216, 381]
     assert registers == [tracing.tree_sizes([f.derivative_expr(order)])[1]
                          for order in range(7)]
+
+
+def node_objects(e):
+    """Distinct node objects reachable from ``e``, a shared one once."""
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(v for v in (getattr(node, fd.name) for fd in
+                                     dataclasses.fields(node))
+                         if isinstance(v, Expression))
+    return len(seen)
+
+
+def test_differentiation_shares_the_derivatives_of_shared_subtrees():
+    # 42,029 objects at order 6 when each order walked the previous
+    # derivative as a tree
+    f = builtin_integrand("asin6")
+    objects = [node_objects(f.derivative_expr(order)) for order in range(7)]
+    assert objects == [8, 18, 45, 124, 361, 1075, 3220]
 
 
 def test_small_table_makes_a_pinned_number_of_mpf_calls():
