@@ -194,15 +194,19 @@ def check_assumption_A(f, order, precision=53):
     """Sample the order-th derivative of f and classify its sign.
 
     The derivative is taken symbolically and evaluated at ``SAMPLES``
-    equispaced points of ``f.interval``, both endpoints included.  Samples
-    whose magnitude is at most 2^-(precision-8) times the largest sampled
-    magnitude count as zero.  Verdicts: all samples zero ->
-    identically_zero; strict positives only -> all_positive (zeros
+    equispaced points of ``f.interval``, both endpoints included, at
+    p = max(precision, 53) bits.  Samples whose magnitude is at most 2^(8-p)
+    times the largest sampled magnitude count as zero.  That tolerance is
+    at most 2^-45 of the largest sample, which therefore always clears it;
+    below 53 bits it could swallow a whole lobe of a derivative that
+    changes sign.  Verdicts: all samples
+    zero -> identically_zero; strict positives only -> all_positive (zeros
     allowed); strict negatives only -> all_negative; both strict signs ->
     sign_change, carrying the first subinterval between strictly signed
     samples where the flip happens; a derivative that cannot be taken, or
     a sample that is non-finite or outside its domain -> unknown.
     """
+    precision = max(precision, 53)
     with workprec(precision):
         a, b = f.interval.bounds()
         step = (b - a) / (SAMPLES - 1)
@@ -229,6 +233,4 @@ def check_assumption_A(f, order, precision=53):
             elif positive != (v > 0):
                 return AssumptionVerdict(SIGN_CHANGE, (xs[last], xs[i]))
             last = i  # index of the last strictly signed sample
-        if positive is None:
-            return AssumptionVerdict(UNKNOWN)
         return AssumptionVerdict(ALL_POSITIVE if positive else ALL_NEGATIVE)

@@ -8,20 +8,22 @@ Subcommands::
     quad degree    --rule Q --max 8
     quad pi        --example 3 --panels 1024 --prec 256
 
-``--integrand`` takes a built-in name (sin2, asin6, atan2) or expression
-text; expression integrands and overridden intervals need both ``--a`` and
-``--b`` (decimal literals).  ``--panels`` accepts an integer, a comma list,
-and the doubling shorthand 2^k..2^m.  Defaults for ``--prec`` (bits) and
-``--format`` (text, csv, json) come from the QUAD_PREC and QUAD_FORMAT
-environment variables when set.
+integrate, bracket and table take ``--integrand``: a built-in name (sin2,
+asin6, atan2) or expression text; expression integrands and overridden
+intervals need both ``--a`` and ``--b`` (decimal literals).  ``--panels``
+accepts an integer, a comma list, and the doubling shorthand 2^k..2^m.
+Every subcommand takes ``--prec`` (bits) and ``--format`` (text, csv,
+json), whose defaults come from the QUAD_PREC and QUAD_FORMAT environment
+variables when set.  Each value is formatted once, into a JSON payload
+and text lines, and ``_emit`` prints one of them; only table has a CSV
+form, the others print text for csv.
 
 Exit status: 0 on success, 1 on usage errors (unknown flag, rule or
 integrand, malformed input or environment default, an integrand whose
 derivative the rule needs but cannot be taken) and on a closed stdout,
 2 on numeric domain errors (the message names the offending node and
-panel).  Data goes to stdout,
-diagnostics to stderr; output bytes are deterministic for fixed inputs and
-precision.
+panel).  Data goes to stdout, diagnostics to stderr; output bytes are
+deterministic for fixed inputs and precision.
 """
 
 from __future__ import annotations
@@ -77,62 +79,53 @@ def _output_format(text):
     return text
 
 
-def _add_common(sub):
-    # string defaults pass through ``type`` too, so the environment values
-    # are checked like command-line ones, inside main's error handling
-    sub.add_argument("--prec", type=_precision,
-                     default=os.environ.get("QUAD_PREC", "53"),
-                     help="working precision in bits (default 53)")
-    sub.add_argument("--format", type=_output_format,
-                     default=os.environ.get("QUAD_FORMAT", "text"),
-                     help="output format: text, csv or json (default text)")
-
-
 def build_parser():
     parser = _ArgumentParser(prog="quad",
                              description="companion/associate quadrature")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("integrate", help="apply one composite rule")
-    p.add_argument("--integrand", required=True,
-                   help="built-in name or expression in x")
-    p.add_argument("--a")
-    p.add_argument("--b")
+    def command(func, help, integrand=True):
+        p = subs.add_parser(func.__name__[len("cmd_"):], help=help)
+        p.set_defaults(func=func)
+        if integrand:
+            p.add_argument("--integrand", required=True,
+                           help="built-in name or expression in x")
+            p.add_argument("--a")
+            p.add_argument("--b")
+        return p
+
+    p = command(cmd_integrate, "apply one composite rule")
     p.add_argument("--rule", default="S")
     p.add_argument("--panels", default="1")
-    _add_common(p)
-    p.set_defaults(func=cmd_integrate)
 
-    p = subs.add_parser("bracket", help="two-rule enclosure of the integral")
-    p.add_argument("--integrand", required=True)
-    p.add_argument("--a")
-    p.add_argument("--b")
+    p = command(cmd_bracket, "two-rule enclosure of the integral")
     p.add_argument("--pair", default="L,R", help="two rule names, e.g. L,R")
     p.add_argument("--panels", default="1")
-    _add_common(p)
-    p.set_defaults(func=cmd_bracket)
 
-    p = subs.add_parser("table", help="convergence table over panel counts")
-    p.add_argument("--integrand", required=True)
-    p.add_argument("--a")
-    p.add_argument("--b")
+    p = command(cmd_table, "convergence table over panel counts")
     p.add_argument("--rules", default="L,R,M,T,S,T2")
     p.add_argument("--panels", default="2^0..2^10")
-    _add_common(p)
-    p.set_defaults(func=cmd_table)
 
-    p = subs.add_parser("degree", help="exact-rational degree probe")
+    p = command(cmd_degree, "exact-rational degree probe", integrand=False)
     p.add_argument("--rule", required=True)
     p.add_argument("--max", type=int, default=8, dest="max_k")
-    _add_common(p)
-    p.set_defaults(func=cmd_degree)
 
-    p = subs.add_parser("pi", help="the three built-in pi integrals")
+    p = command(cmd_pi, "the three built-in pi integrals", integrand=False)
     p.add_argument("--example", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--rule", default="S")
     p.add_argument("--panels", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_pi)
+
+    # added last, so an ambiguous prefix such as --p lists --panels before
+    # --prec; string defaults pass through ``type`` too, so the environment
+    # values are checked like command-line ones
+    for p in subs.choices.values():
+        p.add_argument("--prec", type=_precision,
+                       default=os.environ.get("QUAD_PREC", "53"),
+                       help="working precision in bits (default 53)")
+        p.add_argument("--format", type=_output_format,
+                       default=os.environ.get("QUAD_FORMAT", "text"),
+                       help="output format: text, csv or json "
+                            "(default text)")
     return parser
 
 
@@ -159,35 +152,31 @@ def parse_panels(text):
 
 
 def _resolve_integrand(args):
-    name = args.integrand
-    has_a = getattr(args, "a", None) is not None
-    has_b = getattr(args, "b", None) is not None
-    if has_a != has_b:
+    """The Integrand of --integrand, on the --a/--b interval when given."""
+    if (args.a is None) != (args.b is None):
         raise UsageError("--a and --b must be given together")
-    if name in BUILTIN_NAMES:
-        f = builtin_integrand(name)
-        if has_a:
-            # explicit bounds override the built-in interval; the closed-form
-            # reference only holds for the built-in one, so it is dropped
-            f = Integrand(f.expression, _interval(args), None, f.name)
-        return f
+    if args.integrand in BUILTIN_NAMES:
+        f = builtin_integrand(args.integrand)
+        if args.a is None:
+            return f
+        # explicit bounds override the built-in interval; the closed-form
+        # reference only holds for the built-in one, so it is dropped
+        expression, label = f.expression, f.name
+    else:
+        try:
+            expression, label = parse(args.integrand), None
+        except ParseError as err:
+            raise UsageError(
+                f"--integrand {args.integrand!r} is neither a built-in "
+                f"({', '.join(BUILTIN_NAMES)}) nor a valid expression: {err}"
+            ) from None
+        if args.a is None:
+            raise UsageError("expression integrands need --a and --b")
     try:
-        expression = parse(name)
-    except ParseError as err:
-        raise UsageError(
-            f"--integrand {name!r} is neither a built-in "
-            f"({', '.join(BUILTIN_NAMES)}) nor a valid expression: {err}"
-        ) from None
-    if not has_a:
-        raise UsageError("expression integrands need --a and --b")
-    return Integrand(expression, _interval(args), None, None)
-
-
-def _interval(args):
-    try:
-        return Interval(args.a, args.b)
+        interval = Interval(args.a, args.b)
     except (ParseError, ValueError) as err:
         raise UsageError(f"bad interval: {err}") from None
+    return Integrand(expression, interval, None, label)
 
 
 def _rule_list(text):
@@ -207,36 +196,44 @@ def _one_rule(text):
     return names[0]
 
 
-def _single_panels(args):
-    panels = parse_panels(args.panels)
+def _single_panels(text):
+    panels = parse_panels(text)
     if len(panels) != 1:
         raise UsageError("this subcommand takes a single panel count")
     return panels[0]
 
 
-def cmd_integrate(args):
-    f = _resolve_integrand(args)
+def _emit(args, payload, lines):
+    """Print the JSON payload, or the text lines for text and csv."""
+    print(json.dumps(payload, indent=2) if args.format == "json"
+          else "\n".join(lines))
+
+
+def _rule_value(args, f, panels):
+    """One composite rule on f, shared by integrate and pi: the JSON fields
+    and text lines both print, the value, the reference and the signed
+    error (None when f has no reference)."""
     rule = _one_rule(args.rule)
-    n = _single_panels(args)
+    n = _single_panels(panels)
     value = composite_values(f, f.interval, (rule,), n, args.prec)[rule]
     ref = Reference.for_integrand(f)
-    err_text = None
-    if ref is not None:
-        err_text = format_real(signed_error(value, ref, args.prec), args.prec)
-    if args.format == "json":
-        payload = {"integrand": f.label(), "rule": rule, "panels": n,
-                   "precision": args.prec,
-                   "value": format_real(value, args.prec)}
-        if err_text is not None:
-            payload["error"] = err_text
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"integrand {f.label()}")
-        print(f"rule {rule} with {n} panel(s) at {args.prec}-bit precision")
-        print(f"value = {format_real(value, args.prec)}")
-        if err_text is not None:
-            print(f"error vs reference = {err_text}")
-    return 0
+    err = None if ref is None else signed_error(value, ref, args.prec)
+    text = format_real(value, args.prec)
+    payload = {"integrand": f.label(), "rule": rule, "panels": n,
+               "precision": args.prec, "value": text}
+    lines = [f"rule {rule} with {n} panel(s) at {args.prec}-bit precision",
+             f"value = {text}"]
+    return payload, lines, value, ref, err
+
+
+def cmd_integrate(args):
+    payload, lines, _, _, err = _rule_value(args, _resolve_integrand(args),
+                                            args.panels)
+    lines.insert(0, f"integrand {payload['integrand']}")
+    if err is not None:
+        payload["error"] = format_real(err, args.prec)
+        lines.append(f"error vs reference = {payload['error']}")
+    _emit(args, payload, lines)
 
 
 def cmd_bracket(args):
@@ -244,60 +241,42 @@ def cmd_bracket(args):
     names = _rule_list(args.pair)
     if len(names) != 2:
         raise UsageError("--pair needs exactly two rule names")
-    x_name, y_name = names
-    n = _single_panels(args)
+    n = _single_panels(args.panels)
     values = composite_values(f, f.interval, names, n, args.prec)
-    enclosure = bracket(values[x_name], values[y_name])
+    enclosure = bracket(*(values[r] for r in names))
+    texts = {r: format_real(values[r], args.prec) for r in names}
+    lo, hi = (format_real(v, args.prec) for v in (enclosure.lo, enclosure.hi))
+    payload = {"integrand": f.label(), "pair": list(names), "panels": n,
+               "precision": args.prec, "values": texts, "bracket": [lo, hi]}
+    lines = [f"integrand {payload['integrand']}",
+             f"pair ({', '.join(names)}) with {n} panel(s) "
+             f"at {args.prec}-bit precision",
+             *(f"{r}_{n} = {texts[r]}" for r in names),
+             f"bracket = [{lo}, {hi}]"]
 
-    pair = companion_pair(x_name, y_name)
-    verdict = assoc = weights = None
-    if pair is not None:
+    pair = companion_pair(*names)
+    if pair is None:
+        lines.append("note: not a companion pair; the enclosure is unverified")
+    else:
         verdict = check_assumption_A(f, pair.derivative_order, args.prec)
         weights = pair.weights()
-        assoc = associate_value(values[pair.positive.name],
-                                values[pair.negative.name], weights)
+        assoc = format_real(associate_value(values[pair.positive.name],
+                                            values[pair.negative.name],
+                                            weights), args.prec)
+        payload.update(associate=assoc, weights=[weights.c1, weights.c2],
+                       assumption=verdict.tag, assumption_basis="sampled")
+        lines += [f"associate (weights {weights.c1}:{weights.c2}) = {assoc}",
+                  f"assumption check (order {pair.derivative_order}): "
+                  f"{verdict}",
+                  f"note: sign sampled at {SAMPLES} points, not proven"
+                  if verdict.uniform else
+                  "note: sign check failed, the bracket is unverified"]
     ref = Reference.for_integrand(f)
-    contains = None
     if ref is not None:
         contains = enclosure.contains(ref.value_at(args.prec + 32))
-
-    if args.format == "json":
-        payload = {"integrand": f.label(), "pair": list(names), "panels": n,
-                   "precision": args.prec,
-                   "values": {r: format_real(values[r], args.prec)
-                              for r in names},
-                   "bracket": [format_real(enclosure.lo, args.prec),
-                               format_real(enclosure.hi, args.prec)]}
-        if assoc is not None:
-            payload["associate"] = format_real(assoc, args.prec)
-            payload["weights"] = [weights.c1, weights.c2]
-            payload["assumption"] = verdict.tag
-            payload["assumption_basis"] = "sampled"
-        if contains is not None:
-            payload["contains_reference"] = contains
-        print(json.dumps(payload, indent=2))
-        return 0
-
-    print(f"integrand {f.label()}")
-    print(f"pair ({x_name}, {y_name}) with {n} panel(s) "
-          f"at {args.prec}-bit precision")
-    for r in names:
-        print(f"{r}_{n} = {format_real(values[r], args.prec)}")
-    print(f"bracket = [{format_real(enclosure.lo, args.prec)}, "
-          f"{format_real(enclosure.hi, args.prec)}]")
-    if pair is None:
-        print("note: not a companion pair; the enclosure is unverified")
-    else:
-        print(f"associate (weights {weights.c1}:{weights.c2}) = "
-              f"{format_real(assoc, args.prec)}")
-        print(f"assumption check (order {pair.derivative_order}): {verdict}")
-        if verdict.uniform:
-            print(f"note: sign sampled at {SAMPLES} points, not proven")
-        else:
-            print("note: sign check failed, the bracket is unverified")
-    if contains is not None:
-        print(f"contains reference: {'true' if contains else 'false'}")
-    return 0
+        payload["contains_reference"] = contains
+        lines.append(f"contains reference: {'true' if contains else 'false'}")
+    _emit(args, payload, lines)
 
 
 def cmd_table(args):
@@ -316,24 +295,17 @@ def cmd_table(args):
         print(table_to_json(rows, names, args.prec))
     else:
         print(f"integrand {f.label()}  ({args.prec}-bit precision)")
-        flags = rows[0].assumptions if rows else {}
+        flags = sorted(rows[0].assumptions.items())
         if flags:
             print("assumption checks: "
-                  + "  ".join(f"({k})={v}" for k, v in sorted(flags.items())))
-        order_width = max(6, max(len(r.order) for r in rows))
-        header = f"{'n':>6}  {'order':<{order_width}}"
-        for r in names:
-            header += f"  {'err_' + r:>13}"
-        print(header)
+                  + "  ".join(f"({k})={v}" for k, v in flags))
+        width = max(6, max(len(r.order) for r in rows))
+        print(f"{'n':>6}  {'order':<{width}}"
+              + "".join(f"  {'err_' + r:>13}" for r in names))
         for row in rows:
-            if row.note:
-                print(f"{row.panels:>6}  error: {row.note}")
-                continue
-            line = f"{row.panels:>6}  {row.order:<{order_width}}"
-            for r in names:
-                line += f"  {_sci(row.errors[r]):>13}"
-            print(line)
-    return 0
+            print(f"{row.panels:>6}  error: {row.note}" if row.note else
+                  f"{row.panels:>6}  {row.order:<{width}}"
+                  + "".join(f"  {_sci(row.errors[r]):>13}" for r in names))
 
 
 def _sci(x):
@@ -350,58 +322,40 @@ def cmd_degree(args):
         raise UsageError(f"--max must be at least 1, got {args.max_k}")
     probe = degree_probe(rule, args.max_k)
     quoted = QUOTED_DEGREES[rule]
-    note = None
-    if probe.degree != quoted and not probe.at_least:
-        note = (f"commonly quoted degree for {rule} is {quoted}; the "
-                f"exact-rational probe gives {probe.degree}")
-    if args.format == "json":
-        payload = {"rule": rule, "degree": probe.degree,
-                   "at_least": probe.at_least, "quoted_degree": quoted}
-        if note:
-            payload["note"] = note
-        print(json.dumps(payload, indent=2))
-    else:
-        suffix = " (at least; no failing monomial found)" if probe.at_least \
-            else ""
-        print(f"rule {rule}: degree {probe.degree}{suffix}")
-        if note:
-            print(f"note: {note}")
-    return 0
+    payload = {"rule": rule, "degree": probe.degree,
+               "at_least": probe.at_least, "quoted_degree": quoted}
+    lines = [f"rule {rule}: degree {probe.degree}"]
+    if probe.at_least:
+        lines[0] += f" (at least; capped by --max {args.max_k})"
+    elif probe.degree != quoted:
+        payload["note"] = (f"commonly quoted degree for {rule} is {quoted}; "
+                           f"the exact-rational probe gives {probe.degree}")
+        lines.append(f"note: {payload['note']}")
+    _emit(args, payload, lines)
 
 
 def cmd_pi(args):
-    name = BUILTIN_NAMES[args.example - 1]
-    f = builtin_integrand(name)
-    rule = _one_rule(args.rule)
-    n = _single_panels(args) if args.panels is not None else \
-        {1: 2, 2: 1024, 3: 1024}[args.example]
-    value = composite_values(f, f.interval, (rule,), n, args.prec)[rule]
-    ref = Reference.for_integrand(f)
+    f = builtin_integrand(BUILTIN_NAMES[args.example - 1])
+    panels = args.panels if args.panels is not None else \
+        2 if args.example == 1 else 1024
+    fields, lines, value, ref, err = _rule_value(args, f, panels)
+    lines.insert(0, f"example {args.example}: {fields['integrand']}")
     digits = digits_correct(value, ref, precision=args.prec)
-    err = signed_error(value, ref, args.prec)
-    if args.format == "json":
-        print(json.dumps({"example": args.example, "integrand": f.label(),
-                          "rule": rule, "panels": n, "precision": args.prec,
-                          "value": format_real(value, args.prec),
-                          "error": format_real(err, args.prec),
-                          "digits_correct": digits}, indent=2))
-    else:
-        print(f"example {args.example}: {f.label()}")
-        print(f"rule {rule} with {n} panel(s) at {args.prec}-bit precision")
-        print(f"value = {format_real(value, args.prec)}")
-        print(f"pi    = {format_real(pi_at(args.prec), args.prec)}")
-        print(f"error = {format_real(err, args.prec)}")
-        print(f"digits_correct = {digits}")
-    return 0
+    payload = {"example": args.example, **fields,
+               "error": format_real(err, args.prec), "digits_correct": digits}
+    if args.format != "json":  # the constant is shown in text only
+        lines.append(f"pi    = {format_real(pi_at(args.prec), args.prec)}")
+    lines += [f"error = {payload['error']}", f"digits_correct = {digits}"]
+    _emit(args, payload, lines)
 
 
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit
-        return code
+        return 0
     except (UsageError, DifferentiationError) as err:
         print(f"quad: error: {err}", file=sys.stderr)
         return 1

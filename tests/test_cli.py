@@ -8,7 +8,8 @@ import pytest
 from mpmath import mpf
 
 from quadrules.analysis import convergence_table, table_from_csv
-from quadrules.cli import UsageError, _sci, main, parse_panels
+from quadrules.cli import (UsageError, _sci, build_parser, main,
+                           parse_panels)
 from quadrules.integrand import builtin_integrand
 from quadrules.precision import pi_at, ulp
 
@@ -168,19 +169,30 @@ class TestBracket:
         assert "assumption check (order 1): A? (unknown)\n" in out
         assert "note: sign check failed, the bracket is unverified" in out
 
-    @pytest.mark.parametrize("prec", ["4", "8"])
+    @pytest.mark.parametrize("prec", ["4", "8", "9", "10"])
     @pytest.mark.parametrize("integrand, pair, order", [
         ("sin2", "L,R", 1),    # f' = 2 sin 2x changes sign at pi/2
         ("atan2", "T2,S", 4),  # f'''' changes sign near +-0.3249
+        ("atan2", "M,T", 2),   # f'' changes sign at +-1/sqrt(3)
     ])
     def test_low_precision_sign_check_is_unknown(self, capsys, integrand,
                                                  pair, order, prec):
-        # at 8 bits or fewer the zero tolerance reaches the largest sample
-        code, out, _ = run(capsys, "bracket", "--integrand", integrand,
-                           "--pair", pair, "--panels", "4", "--prec", prec)
-        assert code == 0
-        assert f"assumption check (order {order}): A? (unknown)\n" \
-            "note: sign check failed, the bracket is unverified\n" in out
+        # below 53 bits the zero tolerance would hide the sign change (A?
+        # up to 8 bits, A+ or A- at 9 and 10), so the check samples at 53
+        # bits and prints the 53-bit verdict
+        argv = ("bracket", "--integrand", integrand, "--pair", pair,
+                "--panels", "4", "--prec")
+        verdicts = []
+        for bits in (prec, "53"):
+            code, out, _ = run(capsys, *argv, bits)
+            assert code == 0
+            assert "note: sign check failed, the bracket is unverified\n" \
+                in out
+            verdicts.append(next(l for l in out.splitlines()
+                                 if l.startswith("assumption check")))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0].startswith(
+            f"assumption check (order {order}): A! (sign change in [")
 
     def test_sampled_verdict_is_labelled_not_proven(self, capsys):
         # f' dips below zero near x = 0.3, between two of the 257 samples
@@ -299,6 +311,12 @@ class TestDegree:
         assert "degree 3" in out
         assert "note:" not in out
 
+    def test_capped_degree_names_the_cap(self, capsys):
+        # Q has degree 5; --max 3 caps the derived degree, no search runs
+        code, out, _ = run(capsys, "degree", "--rule", "Q", "--max", "3")
+        assert code == 0
+        assert out == "rule Q: degree 3 (at least; capped by --max 3)\n"
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "degree", "--rule", "Q",
                            "--format", "json")
@@ -354,6 +372,28 @@ class TestEnvironmentDefaults:
                            "--format", "text")
         assert code == 0
         assert out.startswith("rule L")
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("integrate", "--integrand", "sin2"),
+     {"integrand": "sin2", "a": None, "b": None, "rule": "S", "panels": "1"}),
+    (("bracket", "--integrand", "sin2"),
+     {"integrand": "sin2", "a": None, "b": None, "pair": "L,R",
+      "panels": "1"}),
+    (("table", "--integrand", "sin2"),
+     {"integrand": "sin2", "a": None, "b": None, "rules": "L,R,M,T,S,T2",
+      "panels": "2^0..2^10"}),
+    (("degree", "--rule", "Q"), {"rule": "Q", "max_k": 8}),
+    (("pi", "--example", "1"), {"example": 1, "rule": "S", "panels": None}),
+], ids=["integrate", "bracket", "table", "degree", "pi"])
+def test_each_subcommand_keeps_its_flags(monkeypatch, argv, flags):
+    # every flag and default of each subcommand's minimal command line
+    monkeypatch.delenv("QUAD_PREC", raising=False)
+    monkeypatch.delenv("QUAD_FORMAT", raising=False)
+    namespace = vars(build_parser().parse_args(list(argv)))
+    assert namespace.pop("func").__name__ == "cmd_" + argv[0]
+    assert namespace == {"command": argv[0], **flags, "prec": 53,
+                         "format": "text"}
 
 
 @pytest.mark.parametrize("env, argv", [

@@ -58,6 +58,16 @@ CLI_CASES = [
      "--rule", "M"),
     ("integrate", "--integrand", "sqrt(x - 1)", "--a", "0", "--b", "2",
      "--rule", "S", "--panels", "2", "--format", "json"),
+    ("integrate", "--integrand", "x^2", "--a", "0", "--b", "1", "--rule", "T",
+     "--panels", "3", "--format", "json"),
+    ("bracket", "--integrand", "sin2", "--pair", "L,M", "--panels", "2",
+     "--format", "json"),
+    ("bracket", "--integrand", "x^3 + 1", "--a", "0", "--b", "2",
+     "--pair", "M,T", "--panels", "4", "--format", "json"),
+    ("bracket", "--integrand", "atan2", "--pair", "T2,S", "--panels", "4"),
+    ("degree", "--rule", "Q", "--max", "3", "--format", "json"),
+    ("degree", "--rule", "S", "--format", "json"),
+    ("table", "--integrand", "sin2", "--rules", "L,M", "--panels", "1,2"),
 ]
 
 VALUE_PRECISIONS = (53, 256)
