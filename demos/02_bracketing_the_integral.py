@@ -8,8 +8,8 @@ verifies the sign condition numerically before trusting the bracket.
 """
 
 from quadrules import (bracket, builtin_integrand, check_assumption_A,
-                       companion_pair, composite_values, derive_weights,
-                       associate_value, pi_at)
+                       companion_pair, composite_values, associate_value,
+                       pi_at)
 
 f = builtin_integrand("asin6")
 print(f"integrand: {f.label()}")

@@ -5,30 +5,30 @@ Subcommands::
     quad integrate --integrand sin2 --rule M --panels 2
     quad bracket   --integrand asin6 --pair L,R --panels 8
     quad table     --integrand asin6 --rules L,R,M,T,S,T2 --panels 2^0..2^10
-    quad degree    --rule Q --max 8
+    quad degree    --rule Q
     quad pi        --example 3 --panels 1024 --prec 256
 
 integrate, bracket and table take ``--integrand``: a built-in name (sin2,
 asin6, atan2) or expression text; expression integrands and overridden
 intervals need both ``--a`` and ``--b`` (decimal literals).  ``--panels``
 accepts an integer, a comma list, and the doubling shorthand 2^k..2^m.
-Every subcommand takes ``--prec`` (bits) and ``--format`` (text, csv,
-json), whose defaults come from the QUAD_PREC and QUAD_FORMAT environment
-variables when set.  Each value is formatted once, into a JSON payload
-and text lines, and ``_emit`` prints one of them; only table has a CSV
-form, the others print text for csv.
+Every subcommand takes ``--prec`` (bits, default 53) and ``--format``
+(text, csv or json, default text).  Each value is formatted once, into a
+JSON payload and text lines, and ``_emit`` prints one of them; only table
+has a CSV form, the others print text for csv.
 
 Exit status: 0 on success, 1 on usage errors (unknown flag, rule or
-integrand, malformed input or environment default, an integrand whose
-derivative the rule needs but cannot be taken) and on a closed stdout,
-2 on numeric domain errors (the message names the offending node and
-panel).  Data goes to stdout, diagnostics to stderr; output bytes are
-deterministic for fixed inputs and precision.
+integrand, malformed input, an integrand whose derivative the rule needs
+but cannot be taken) and on a closed stdout, 2 on numeric domain errors
+(the message names the offending node and panel).  Data goes to stdout,
+diagnostics to stderr; output bytes are deterministic for fixed inputs
+and precision.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -71,14 +71,8 @@ def _precision(text):
     return bits
 
 
-def _output_format(text):
-    if text not in _FORMATS:
-        choices = ", ".join(map(repr, _FORMATS))
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from {choices})")
-    return text
-
-
+# built at first use, not at import, and reused: it costs about a request
+@functools.cache
 def build_parser():
     parser = _ArgumentParser(prog="quad",
                              description="companion/associate quadrature")
@@ -108,22 +102,17 @@ def build_parser():
 
     p = command(cmd_degree, "exact-rational degree probe", integrand=False)
     p.add_argument("--rule", required=True)
-    p.add_argument("--max", type=int, default=8, dest="max_k")
 
     p = command(cmd_pi, "the three built-in pi integrals", integrand=False)
     p.add_argument("--example", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--rule", default="S")
     p.add_argument("--panels", default=None)
 
-    # added last, so an ambiguous prefix such as --p lists --panels before
-    # --prec; string defaults pass through ``type`` too, so the environment
-    # values are checked like command-line ones
+    # added last, so an ambiguous prefix --p lists --panels before --prec
     for p in subs.choices.values():
-        p.add_argument("--prec", type=_precision,
-                       default=os.environ.get("QUAD_PREC", "53"),
+        p.add_argument("--prec", type=_precision, default=53,
                        help="working precision in bits (default 53)")
-        p.add_argument("--format", type=_output_format,
-                       default=os.environ.get("QUAD_FORMAT", "text"),
+        p.add_argument("--format", choices=_FORMATS, default="text",
                        help="output format: text, csv or json "
                             "(default text)")
     return parser
@@ -318,16 +307,12 @@ def _sci(x):
 
 def cmd_degree(args):
     rule = _one_rule(args.rule)
-    if args.max_k < 1:
-        raise UsageError(f"--max must be at least 1, got {args.max_k}")
-    probe = degree_probe(rule, args.max_k)
+    probe = degree_probe(rule)
     quoted = QUOTED_DEGREES[rule]
     payload = {"rule": rule, "degree": probe.degree,
                "at_least": probe.at_least, "quoted_degree": quoted}
     lines = [f"rule {rule}: degree {probe.degree}"]
-    if probe.at_least:
-        lines[0] += f" (at least; capped by --max {args.max_k})"
-    elif probe.degree != quoted:
+    if probe.degree != quoted:
         payload["note"] = (f"commonly quoted degree for {rule} is {quoted}; "
                            f"the exact-rational probe gives {probe.degree}")
         lines.append(f"note: {payload['note']}")

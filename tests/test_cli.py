@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -208,6 +209,19 @@ class TestBracket:
         assert payload["assumption"] == "A+"
         assert payload["assumption_basis"] == "sampled"
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "bracket takes [min, max] of the rounded composite values without "
+        "widening them for rounding error; ROADMAP item 4 (outward-rounded "
+        "brackets) fixes it"))
+    def test_low_precision_bracket_contains_the_reference(self, capsys):
+        # at 6 bits M_3 and T_3 both round to 3.1875, below pi, so the
+        # zero-width bracket misses the integral its sign check vouches for
+        code, out, _ = run(capsys, "bracket", "--integrand", "asin6",
+                           "--pair", "M,T", "--panels", "3", "--prec", "6")
+        assert code == 0
+        assert "assumption check (order 2): A+ (all_positive)\n" in out
+        assert "contains reference: true\n" in out
+
     def test_pair_needs_two_rules(self, capsys):
         code, _, err = run(capsys, "bracket", "--integrand", "asin6",
                            "--pair", "L,R,M", "--panels", "4")
@@ -294,7 +308,7 @@ class TestTable:
 
 class TestDegree:
     def test_q_reports_five_with_note(self, capsys):
-        code, out, _ = run(capsys, "degree", "--rule", "Q", "--max", "8")
+        code, out, _ = run(capsys, "degree", "--rule", "Q")
         assert code == 0
         assert "degree 5" in out
         assert "note:" in out and "3" in out
@@ -310,12 +324,6 @@ class TestDegree:
         assert code == 0
         assert "degree 3" in out
         assert "note:" not in out
-
-    def test_capped_degree_names_the_cap(self, capsys):
-        # Q has degree 5; --max 3 caps the derived degree, no search runs
-        code, out, _ = run(capsys, "degree", "--rule", "Q", "--max", "3")
-        assert code == 0
-        assert out == "rule Q: degree 3 (at least; capped by --max 3)\n"
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "degree", "--rule", "Q",
@@ -352,26 +360,46 @@ class TestPi:
         assert payload["digits_correct"] >= 3
 
 
-class TestEnvironmentDefaults:
-    def test_quad_prec(self, capsys, monkeypatch):
-        monkeypatch.setenv("QUAD_PREC", "128")
-        code, out, _ = run(capsys, "integrate", "--integrand", "sin2",
-                           "--rule", "M", "--panels", "2")
-        assert code == 0
-        assert "128-bit precision" in out
+def test_stdout_ignores_the_environment(capsys, monkeypatch):
+    # --prec and --format have fixed defaults; no variable stands in for them
+    argv = ("integrate", "--integrand", "sin2", "--rule", "M", "--panels", "2")
+    for name in ("QUAD_PREC", "QUAD_FORMAT"):
+        monkeypatch.delenv(name, raising=False)
+    unset = run(capsys, *argv)
+    monkeypatch.setenv("QUAD_PREC", "128")
+    monkeypatch.setenv("QUAD_FORMAT", "json")
+    assert run(capsys, *argv) == unset
+    assert unset[0] == 0 and "53-bit precision" in unset[1]
 
-    def test_quad_format(self, capsys, monkeypatch):
-        monkeypatch.setenv("QUAD_FORMAT", "json")
-        code, out, _ = run(capsys, "degree", "--rule", "L")
-        assert code == 0
-        assert json.loads(out)["degree"] == 0
 
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QUAD_FORMAT", "json")
-        code, out, _ = run(capsys, "degree", "--rule", "L",
-                           "--format", "text")
-        assert code == 0
-        assert out.startswith("rule L")
+def test_parser_is_built_once(capsys, monkeypatch):
+    # argparse construction costs about as much as a short request, so
+    # main must not rebuild it per call; subcommand parsers are counted
+    # apart from the top-level one
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        assert run(capsys, "degree", "--rule", "S")[0] == 0
+    assert built.count("quad") <= 1
+
+
+def test_import_builds_no_parser():
+    # any ArgumentParser construction fails in this child, so the import
+    # succeeds only if the parser waits for its first use
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = ("import argparse\n"
+            "argparse.ArgumentParser.__init__ = None\n"
+            "import quadrules.cli\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv, flags", [
@@ -383,37 +411,37 @@ class TestEnvironmentDefaults:
     (("table", "--integrand", "sin2"),
      {"integrand": "sin2", "a": None, "b": None, "rules": "L,R,M,T,S,T2",
       "panels": "2^0..2^10"}),
-    (("degree", "--rule", "Q"), {"rule": "Q", "max_k": 8}),
+    (("degree", "--rule", "Q"), {"rule": "Q"}),
     (("pi", "--example", "1"), {"example": 1, "rule": "S", "panels": None}),
 ], ids=["integrate", "bracket", "table", "degree", "pi"])
-def test_each_subcommand_keeps_its_flags(monkeypatch, argv, flags):
+def test_each_subcommand_keeps_its_flags(argv, flags):
     # every flag and default of each subcommand's minimal command line
-    monkeypatch.delenv("QUAD_PREC", raising=False)
-    monkeypatch.delenv("QUAD_FORMAT", raising=False)
     namespace = vars(build_parser().parse_args(list(argv)))
     assert namespace.pop("func").__name__ == "cmd_" + argv[0]
     assert namespace == {"command": argv[0], **flags, "prec": 53,
                          "format": "text"}
 
 
-@pytest.mark.parametrize("env, argv", [
-    ({}, ("integrate", "--integrand", "sin2", "--prec", "2")),
-    ({"QUAD_PREC": "2"}, ("integrate", "--integrand", "sin2")),
-    ({"QUAD_PREC": "abc"}, ("degree", "--rule", "Q")),
-    ({"QUAD_FORMAT": "xml"}, ("degree", "--rule", "Q")),
-    ({}, ("degree", "--rule", "Q", "--max", "0")),
-    ({}, ("integrate", "--integrand", "x^x", "--a", "1", "--b", "2",
-          "--rule", "T2")),
-    ({}, ("table", "--integrand", "asin6", "--rules", "L,L")),
-    ({}, ("table", "--integrand", "asin6", "--rules", "L,R,L")),
-    ({}, ("bracket", "--integrand", "asin6", "--pair", "L,L")),
+@pytest.mark.parametrize("argv", [
+    ("integrate", "--integrand", "sin2", "--prec", "2"),
+    ("degree", "--rule", "Q", "--max", "0"),
+    ("integrate", "--integrand", "x^x", "--a", "1", "--b", "2",
+     "--rule", "T2"),
+    ("table", "--integrand", "asin6", "--rules", "L,L"),
+    ("table", "--integrand", "asin6", "--rules", "L,R,L"),
+    ("bracket", "--integrand", "asin6", "--pair", "L,L"),
 ])
-def test_bad_input_is_one_line_usage_error(capsys, monkeypatch, env, argv):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_bad_input_is_one_line_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("quad: error: ") and err.count("\n") == 1
+
+
+def test_unknown_format_lists_the_choices(capsys):
+    assert run(capsys, "integrate", "--integrand", "sin2",
+               "--format", "xml") == (
+        1, "", "quad: error: argument --format: invalid choice: 'xml' "
+               "(choose from 'text', 'csv', 'json')\n")
 
 
 def test_output_bytes_are_deterministic(capsys):
