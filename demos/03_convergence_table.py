@@ -37,5 +37,5 @@ for r in RULES:
     order = observed_order(prev.errors[r], last.errors[r])
     print(f"  {r:>2}: {float(order):.3f}")
 
-print("\nThe same table as CSV (reparsable via table_from_csv):\n")
+print("\nThe same table as CSV (each error reads back exactly at 53 bits):\n")
 print(table_to_csv(rows[:3], RULES))

@@ -19,10 +19,10 @@ from quadrules.rules import _monomial_rule_value
 
 print(f"{'rule':>5}  {'probe':>5}  {'quoted':>6}  note")
 for name in RULE_ORDER:
-    probe = degree_probe(name, max_k=8)
+    degree = degree_probe(name)
     quoted = QUOTED_DEGREES[name]
-    note = "" if probe.degree == quoted else "<- disagrees with the quote"
-    print(f"{name:>5}  {probe.degree:>5}  {quoted:>6}  {note}")
+    note = "" if degree == quoted else "<- disagrees with the quote"
+    print(f"{name:>5}  {degree:>5}  {quoted:>6}  {note}")
 
 print("\nwhy R fails on x:  R(x over [0,1]) =",
       _monomial_rule_value("R", 1), "but the integral is 1/2")

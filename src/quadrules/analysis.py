@@ -17,16 +17,15 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from decimal import (MAX_EMAX, MIN_EMIN, ROUND_DOWN, ROUND_HALF_UP, Context,
-                     Decimal)
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, ROUND_HALF_UP,
+                     Context, Decimal)
 
 from mpmath import mp
 
 from .associate import COMPANION_PAIRS, check_assumption_A
 from .composite import composite_values
-from .expr import (DifferentiationError, DomainError, Expression,
-                   constant_value)
-from .precision import as_mpf, format_real, parse_real, workprec
+from .expr import DifferentiationError, DomainError, Expression, eval_expr
+from .precision import as_mpf, format_real, workprec
 from .rules import RULE_ORDER, rule_meta, rule_names
 
 #: extra bits used when materializing references and taking differences
@@ -42,8 +41,7 @@ class Reference:
     expression: Expression
 
     def value_at(self, precision):
-        with workprec(precision):
-            return +constant_value(self.expression)
+        return eval_expr(self.expression, None, precision)
 
     @classmethod
     def for_integrand(cls, f):
@@ -140,23 +138,10 @@ def convergence_table(f, rules=("L", "R", "M", "T", "S", "T2"),
 # ---------------------------------------------------------------------------
 # exact-rational degree probe
 
-@dataclass(frozen=True)
-class DegreeProbe:
-    rule: str
-    degree: int
-    at_least: bool  # True when no failing monomial was found up to the cap
-
-
-def degree_probe(rule, max_k=8):
+def degree_probe(rule):
     """Degree of a rule: exact on x^k for all k <= degree over [0, 1], not
-    exact on the next monomial.  When the rule is still exact at max_k + 1
-    the result carries at_least=True and degree == max_k.
-    """
-    spec = rule_meta(rule)
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
-    return DegreeProbe(spec.name, min(spec.degree, max_k),
-                       spec.degree > max_k)
+    exact on the next monomial."""
+    return rule_meta(rule).degree
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +180,10 @@ def _to_digits(x, digits, rounding):
                    Emax=MAX_EMAX).plus(x)
 
 
+# a context that rounds nothing: scaleb in it only moves the exponent
+_EXACT = Context(prec=MAX_PREC, Emin=MIN_EMIN, Emax=MAX_EMAX)
+
+
 def _decimal_magnitude(x):
     """|x| as an exact Decimal, from its significand and exponent."""
     if not mp.isfinite(x):
@@ -202,12 +191,14 @@ def _decimal_magnitude(x):
     _, man, exp, _ = x._mpf_
     if exp >= 0:
         return Decimal(int(man) << exp)
-    return Decimal(f"{int(man) * 5 ** -exp}E{exp}")
+    # man * 2^exp == (man * 5^-exp) * 10^exp; no decimal string is built,
+    # so Python's integer-to-string digit limit never applies
+    return _EXACT.scaleb(Decimal(int(man) * 5 ** -exp), exp)
 
 
 # ---------------------------------------------------------------------------
-# table serialization (CSV and JSON); the CSV round-trips exactly at the
-# default 53-bit precision, where shortest round-trip printing is used
+# table serialization (CSV and JSON); at the default 53-bit precision each
+# error prints as text that reads back to the same value
 
 def table_to_csv(rows, rules, precision=53):
     names = rule_names(rules)
@@ -223,27 +214,6 @@ def table_to_csv(rows, rules, precision=53):
             cells.append("" if err is None else format_real(err, precision))
         writer.writerow(cells)
     return out.getvalue()
-
-
-def table_from_csv(text, precision=53):
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header[:3] != ["n", "order", "assumptions"]:
-        raise ValueError("not a convergence-table CSV")
-    names = [h[len("err_"):] for h in header[3:]]
-    rows = []
-    for record in reader:
-        if not record:
-            continue
-        flags = {}
-        if record[2]:
-            for item in record[2].split(";"):
-                key, _, tag = item.rpartition(":")
-                flags[key] = tag
-        errors = {r: parse_real(cell, precision)
-                  for r, cell in zip(names, record[3:]) if cell != ""}
-        rows.append(TableRow(int(record[0]), record[1], errors, flags))
-    return rows
 
 
 def table_to_json(rows, rules, precision=53):

@@ -135,9 +135,6 @@ class Bracket:
     def width(self):
         return self.hi - self.lo
 
-    def __str__(self):
-        return f"[{self.lo}, {self.hi}]"
-
 
 def bracket(x_val, y_val):
     """Ordered enclosure [min, max] of two rule values.

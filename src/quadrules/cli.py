@@ -12,10 +12,11 @@ integrate, bracket and table take ``--integrand``: a built-in name (sin2,
 asin6, atan2) or expression text; expression integrands and overridden
 intervals need both ``--a`` and ``--b`` (decimal literals).  ``--panels``
 accepts an integer, a comma list, and the doubling shorthand 2^k..2^m.
-Every subcommand takes ``--prec`` (bits, default 53) and ``--format``
-(text, csv or json, default text).  Each value is formatted once, into a
-JSON payload and text lines, and ``_emit`` prints one of them; only table
-has a CSV form, the others print text for csv.
+Every subcommand takes ``--prec`` (bits, 4 to 65536, default 53; only
+the CLI caps it) and ``--format`` (text, csv or json, default text).
+Each value is formatted once, into a JSON payload and text lines, and
+``_emit`` prints one of them; only table has a CSV form, the others print
+text for csv.
 
 Exit status: 0 on success, 1 on usage errors (unknown flag, rule or
 integrand, malformed input, an integrand whose derivative the rule needs
@@ -36,9 +37,9 @@ import sys
 
 from mpmath import mp
 
-from .analysis import (Reference, convergence_table, degree_probe,
-                       digits_correct, signed_error, table_to_csv,
-                       table_to_json)
+from .analysis import (GUARD_BITS, Reference, convergence_table,
+                       degree_probe, digits_correct, signed_error,
+                       table_to_csv, table_to_json)
 from .associate import SAMPLES, associate_value, bracket, \
     check_assumption_A, companion_pair
 from .composite import composite_values
@@ -49,6 +50,9 @@ from .rules import (QUOTED_DEGREES, Interval, UnknownRuleError,
                     rule_names)
 
 _FORMATS = ("text", "csv", "json")
+# a 16-panel Simpson rule on sin2 takes about 10 s at 2^16 bits on a 2-CPU
+# host; far larger values ask mpmath for integers it cannot finish or store
+_MAX_BITS = 2 ** 16
 
 
 class UsageError(Exception):
@@ -65,9 +69,10 @@ def _precision(text):
         bits = int(text)
     except ValueError:
         bits = None
-    if bits is None or bits < 4:
+    if bits is None or not 4 <= bits <= _MAX_BITS:
         raise argparse.ArgumentTypeError(
-            f"precision must be an integer of at least 4 bits, got {text!r}")
+            f"precision must be an integer from 4 to {_MAX_BITS} bits, "
+            f"got {text!r}")
     return bits
 
 
@@ -111,7 +116,8 @@ def build_parser():
     # added last, so an ambiguous prefix --p lists --panels before --prec
     for p in subs.choices.values():
         p.add_argument("--prec", type=_precision, default=53,
-                       help="working precision in bits (default 53)")
+                       help=f"working precision in bits, 4 to "
+                            f"{_MAX_BITS} (default 53)")
         p.add_argument("--format", choices=_FORMATS, default="text",
                        help="output format: text, csv or json "
                             "(default text)")
@@ -262,7 +268,7 @@ def cmd_bracket(args):
                   "note: sign check failed, the bracket is unverified"]
     ref = Reference.for_integrand(f)
     if ref is not None:
-        contains = enclosure.contains(ref.value_at(args.prec + 32))
+        contains = enclosure.contains(ref.value_at(args.prec + GUARD_BITS))
         payload["contains_reference"] = contains
         lines.append(f"contains reference: {'true' if contains else 'false'}")
     _emit(args, payload, lines)
@@ -307,14 +313,15 @@ def _sci(x):
 
 def cmd_degree(args):
     rule = _one_rule(args.rule)
-    probe = degree_probe(rule)
+    degree = degree_probe(rule)
     quoted = QUOTED_DEGREES[rule]
-    payload = {"rule": rule, "degree": probe.degree,
-               "at_least": probe.at_least, "quoted_degree": quoted}
-    lines = [f"rule {rule}: degree {probe.degree}"]
-    if probe.degree != quoted:
+    # every degree is exact; "at_least" stays in the payload's schema
+    payload = {"rule": rule, "degree": degree, "at_least": False,
+               "quoted_degree": quoted}
+    lines = [f"rule {rule}: degree {degree}"]
+    if degree != quoted:
         payload["note"] = (f"commonly quoted degree for {rule} is {quoted}; "
-                           f"the exact-rational probe gives {probe.degree}")
+                           f"the exact-rational probe gives {degree}")
         lines.append(f"note: {payload['note']}")
     _emit(args, payload, lines)
 

@@ -471,8 +471,9 @@ class Tape:
 def eval_expr(e, x, precision=53):
     """Value of ``e`` at ``x``, every operation rounded at ``precision`` bits.
 
-    ``x`` may be an mpmath float (used as given), an int, or a decimal
-    string; the latter two are converted at the requested precision.
+    ``x`` may be an mpmath float (used as given), an int, a decimal
+    string (the latter two converted at the requested precision), or None
+    for a tree without x.
     Raises DomainError, naming the evaluation point, when the value
     leaves the real domain.
     """
@@ -480,11 +481,6 @@ def eval_expr(e, x, precision=53):
         if isinstance(x, (int, str)):
             x = mpf(x)
         return +Tape(e).run(x)
-
-
-def constant_value(e):
-    """Value of a variable-free tree at the ambient working precision."""
-    return Tape(e).run(None)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ import math
 
 from mpmath import mp, mpf
 
-DEFAULT_PRECISION = 53
-
 # the normal range of a double: 2^-1022 <= |x| < 2^1024
 _DOUBLE_MIN, _DOUBLE_OVER = mpf(2) ** -1022, mpf(2) ** 1024
 
@@ -43,32 +41,17 @@ def as_mpf(x):
     return x if isinstance(x, mpf) else mpf(x)
 
 
-def ulp(x, bits):
-    """Unit in the last place of ``x`` at a ``bits``-bit significand.
-
-    For x == 0 this returns the ulp of 1, which is the conventional
-    absolute floor when a relative spacing is meaningless.
-    """
-    x = as_mpf(x)
-    if x == 0:
-        return mpf(2) ** (1 - bits)
-    if not mp.isfinite(x):
-        raise ValueError("ulp of a non-finite value")
-    _, man, exp, bc = x._mpf_
-    return mpf(2) ** (exp + bc - bits)
-
-
 def decimal_digits(bits):
     """Decimal digits reliably carried by a ``bits``-bit significand."""
     return int(math.floor(bits * math.log10(2)))
 
 
-def format_real(x, bits=DEFAULT_PRECISION):
+def format_real(x, bits=53):
     """Decimal text for ``x``.
 
-    At 53 bits ``parse_real`` recovers the value from the text: it is the
-    shortest round-tripping double text in the double's normal range, and
-    17 significant digits outside it.  Above 53 bits a fixed significant-
+    At 53 bits, reading the text back at 53 bits recovers the value: it is
+    the shortest round-tripping double text in the double's normal range,
+    and 17 significant digits outside it.  Above 53 bits a fixed significant-
     digit count of ``decimal_digits(bits) - 2`` is printed, which is
     deliberately two digits short of exact round-trip.
     """
@@ -85,8 +68,3 @@ def fits_double(x):
     or in the double's normal range."""
     return not x or not mp.isfinite(x) or _DOUBLE_MIN <= abs(x) < _DOUBLE_OVER
 
-
-def parse_real(text, bits=DEFAULT_PRECISION):
-    """Parse decimal text to a float rounded at ``bits`` bits."""
-    with workprec(bits):
-        return mpf(text.strip())

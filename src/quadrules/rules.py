@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Expression, Num, Tape, constant_value, parse
+from .expr import Expression, Num, Tape, parse
 from .precision import workprec
 
 RULE_ORDER = ("L", "R", "M", "T", "S", "T2", "Q")
@@ -101,7 +101,7 @@ class Interval:
                 raise ValueError(f"interval requires a < b, got [{lo}, {hi}]")
 
     def bounds(self):
-        return constant_value(self.a), constant_value(self.b)
+        return Tape(self.a).run(None), Tape(self.b).run(None)
 
     def __str__(self):
         return f"[{self.a}, {self.b}]"

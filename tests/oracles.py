@@ -8,6 +8,7 @@ interpolation, derivatives are checked by central differences, and
 expressions are evaluated by a recursive walk of the tree.  Each rule's
 error law is proven from its Peano kernel, with exact rationals only; the
 kernel reads the package's rule formulas, which are what it certifies.
+Tolerances are counted in ulps by ``ulp``.
 The last section holds two one-rule shorthands over the package's own
 entry points; they are conveniences, not oracles.
 """
@@ -22,7 +23,7 @@ from mpmath import mp, mpf
 from quadrules.composite import composite_values
 from quadrules.expr import (Add, Cos, Div, DomainError, Mul, Neg, Num,
                             PiConst, Pow, Sin, Sqrt, Sub, Var)
-from quadrules.precision import workprec
+from quadrules.precision import as_mpf, workprec
 from quadrules.rules import needed_rules, rule_values, simple_rule_values
 
 
@@ -325,6 +326,24 @@ def kernel_integral(pieces):
     return sum((c * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
                 for coeffs, (lo, hi) in zip(pieces, KERNEL_PIECES)
                 for j, c in enumerate(coeffs)), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# tolerances in units in the last place
+
+def ulp(x, bits):
+    """Unit in the last place of ``x`` at a ``bits``-bit significand.
+
+    For x == 0 this returns the ulp of 1, which is the conventional
+    absolute floor when a relative spacing is meaningless.
+    """
+    x = as_mpf(x)
+    if x == 0:
+        return mpf(2) ** (1 - bits)
+    if not mp.isfinite(x):
+        raise ValueError("ulp of a non-finite value")
+    _, man, exp, bc = x._mpf_
+    return mpf(2) ** (exp + bc - bits)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,11 @@ from quadrules.associate import associate_value, bracket, derive_weights
 from quadrules.composite import composite_values
 from quadrules.expr import differentiate, eval_expr
 from quadrules.integrand import Integrand, builtin_integrand
-from quadrules.precision import pi_at, ulp, workprec
+from quadrules.precision import pi_at, workprec
 from quadrules.rules import Interval, QUOTED_DEGREES, RULES, simple_rule_values
 
 from oracles import (central_diff, composite_value, legacy_t2_composite,
-                     mpf_from_fraction, random_poly_tree, simple_value)
+                     mpf_from_fraction, random_poly_tree, simple_value, ulp)
 
 SIX = ("L", "R", "M", "T", "S", "T2")
 SWEEP = tuple(2 ** k for k in range(0, 11))  # 1 .. 1024
@@ -225,14 +225,14 @@ def test_criterion_7_degree_probes():
     failures = []
     expected = {"L": 0, "M": 1, "T": 1, "S": 3, "T2": 3, "R": 0, "Q": 5}
     for name, want in expected.items():
-        probe = degree_probe(name, 8)
-        if probe.degree != want or probe.at_least:
-            failures.append(f"{name}: probe gave {probe}, wanted {want}")
+        degree = degree_probe(name)
+        if degree != want:
+            failures.append(f"{name}: probe gave {degree}, wanted {want}")
     # R and Q must come with a recorded discrepancy against the quoted table
     for name, quoted in (("R", 1), ("Q", 3)):
         if QUOTED_DEGREES[name] != quoted:
             failures.append(f"quoted degree for {name} is not {quoted}")
-        if degree_probe(name, 8).degree == QUOTED_DEGREES[name]:
+        if degree_probe(name) == QUOTED_DEGREES[name]:
             failures.append(f"{name}: no discrepancy to report")
     elapsed = time.perf_counter() - start
     if elapsed >= 1.0:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -5,19 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from quadrules.analysis import (DegreeProbe, Reference,
-                                UndefinedOrderError, convergence_table,
-                                degree_probe, digits_correct, observed_order,
-                                order_string, signed_error, table_from_csv,
-                                table_to_csv, table_to_json)
+from quadrules.analysis import (Reference, UndefinedOrderError,
+                                convergence_table, degree_probe,
+                                digits_correct, observed_order, order_string,
+                                signed_error, table_to_csv, table_to_json)
 from quadrules.composite import composite_values
 from quadrules.expr import PiConst, parse
 from quadrules.integrand import Integrand, builtin_integrand
-from quadrules.precision import pi_at, ulp, workprec
+from quadrules.precision import pi_at, workprec
 from quadrules.rules import (Interval, QUOTED_DEGREES, RULE_ORDER, RULES,
                              _monomial_rule_value)
 
-from oracles import brute_composite, legacy_t2_composite
+from oracles import brute_composite, legacy_t2_composite, ulp
 
 SIX = ("L", "R", "M", "T", "S", "T2")
 
@@ -189,40 +190,27 @@ class TestConvergenceTable:
 
 class TestDegreeProbe:
     def test_all_rules(self):
-        degrees = {name: degree_probe(name).degree for name in RULE_ORDER}
+        degrees = {name: degree_probe(name) for name in RULE_ORDER}
         assert degrees == {"L": 0, "R": 0, "M": 1, "T": 1, "S": 3,
                            "T2": 3, "Q": 5}
-        assert not any(degree_probe(name).at_least for name in RULE_ORDER)
 
     def test_r_and_q_disagree_with_quoted_degrees(self):
-        assert degree_probe("R").degree != QUOTED_DEGREES["R"] == 1
-        assert degree_probe("Q").degree != QUOTED_DEGREES["Q"] == 3
+        assert degree_probe("R") != QUOTED_DEGREES["R"] == 1
+        assert degree_probe("Q") != QUOTED_DEGREES["Q"] == 3
         for name in ("L", "M", "T", "S", "T2"):
-            assert degree_probe(name).degree == QUOTED_DEGREES[name]
+            assert degree_probe(name) == QUOTED_DEGREES[name]
 
     def test_probe_never_undershoots_metadata(self):
         for name, spec in RULES.items():
-            assert degree_probe(name).degree >= spec.degree
+            assert degree_probe(name) >= spec.degree
 
-    @pytest.mark.parametrize("max_k", range(1, 9))
-    def test_matches_a_monomial_search(self, max_k):
-        # the first monomial, up to max_k + 1, on which the rule is inexact
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_a_monomial_search(self, k):
+        # a rule has degree >= k exactly when it is exact on x^0 .. x^k
         for name in RULE_ORDER:
-            failing = next((k for k in range(max_k + 2)
-                            if _monomial_rule_value(name, k)
-                            != Fraction(1, k + 1)), None)
-            want = DegreeProbe(name, max_k, True) if failing is None \
-                else DegreeProbe(name, failing - 1, False)
-            assert degree_probe(name, max_k) == want
-
-    def test_at_least_flag_when_no_failure_in_range(self):
-        probe = degree_probe("Q", max_k=4)
-        assert probe == DegreeProbe("Q", 4, True)
-
-    def test_small_max_k(self):
-        assert degree_probe("M", max_k=1) == DegreeProbe("M", 1, False)
-        with pytest.raises(ValueError):
-            degree_probe("M", max_k=0)
+            exact = all(_monomial_rule_value(name, j) == Fraction(1, j + 1)
+                        for j in range(k + 1))
+            assert exact == (degree_probe(name) >= k), name
 
 
 class TestDigitsCorrect:
@@ -230,6 +218,13 @@ class TestDigitsCorrect:
         with workprec(256):
             value = mpf("3.1415926535897932384")
         assert digits_correct(value, pi_at(340), precision=256) == 20
+
+    def test_more_digits_than_integer_to_string_allows(self):
+        # each exact decimal here has about 8,000 digits, past the
+        # interpreter's 4,300-digit integer-to-string limit
+        with workprec(8192):
+            value = mpf("3.1415926535897932384")
+        assert digits_correct(value, pi_at(8192), precision=8192) == 20
 
     def test_precision_limited_maximum(self):
         d = digits_correct(pi_at(53), pi_at(160), precision=53)
@@ -268,15 +263,17 @@ class TestSerialization:
     def test_csv_round_trips_exactly_at_53_bits(self):
         rows = self._rows()
         text = table_to_csv(rows, SIX, 53)
-        back = table_from_csv(text, 53)
-        assert len(back) == len(rows)
-        for mine, theirs in zip(rows, back):
-            assert mine.panels == theirs.panels
-            assert mine.order == theirs.order
-            assert mine.assumptions == theirs.assumptions
-            assert set(mine.errors) == set(theirs.errors)
-            for name in mine.errors:
-                assert mine.errors[name] == theirs.errors[name], name
+        records = list(csv.DictReader(io.StringIO(text)))
+        assert [int(r["n"]) for r in records] == [row.panels for row in rows]
+        for row, record in zip(rows, records):
+            assert record["order"] == row.order
+            flags = dict(item.rsplit(":", 1)
+                         for item in record["assumptions"].split(";"))
+            assert flags == row.assumptions
+            for name in SIX:
+                with workprec(53):
+                    back = mpf(record["err_" + name])
+                assert back == row.errors[name], name
 
     def test_csv_header(self):
         text = table_to_csv(self._rows(), SIX, 53)

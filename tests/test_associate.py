@@ -14,10 +14,11 @@ from quadrules.associate import (ALL_NEGATIVE, ALL_POSITIVE, AssociateWeights,
                                  derive_weights)
 from quadrules.composite import composite_values
 from quadrules.integrand import Integrand, builtin_integrand
-from quadrules.precision import pi_at, ulp, workprec
+from quadrules.precision import pi_at, workprec
 from quadrules.rules import Interval, RULES
 
-from oracles import exact_poly_integral, mpf_from_fraction, random_poly_tree
+from oracles import (exact_poly_integral, mpf_from_fraction, random_poly_tree,
+                     ulp)
 
 
 class TestDeriveWeights:

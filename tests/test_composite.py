@@ -7,10 +7,10 @@ from mpmath import mp, mpf
 from quadrules.composite import composite_values
 from quadrules.expr import DomainError
 from quadrules.integrand import Integrand, builtin_integrand
-from quadrules.precision import pi_at, ulp, workprec
+from quadrules.precision import pi_at, workprec
 from quadrules.rules import Interval, UnknownRuleError
 
-from oracles import brute_composite, composite_value, random_poly_tree
+from oracles import brute_composite, composite_value, random_poly_tree, ulp
 
 
 @dataclass

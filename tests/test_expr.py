@@ -9,10 +9,10 @@ from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
                             Sqrt, Sub, Tape, Var, _negate, differentiate,
                             eval_expr, parse, to_text)
 from quadrules.integrand import builtin_integrand
-from quadrules.precision import ulp, workprec
+from quadrules.precision import workprec
 
 from oracles import (central_diff, central_second_diff, random_poly_tree,
-                     tree_eval)
+                     tree_eval, ulp)
 
 
 class TestParse:

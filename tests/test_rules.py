@@ -7,14 +7,14 @@ from mpmath import mp, mpf
 
 from quadrules.composite import composite_values
 from quadrules.integrand import Integrand, builtin_integrand
-from quadrules.precision import pi_at, ulp, workprec
+from quadrules.precision import pi_at, workprec
 from quadrules.rules import (Interval, NEGATIVE, POSITIVE, RULE_ORDER,
                              RULES, UnknownRuleError, rule_meta,
                              simple_rule_values)
 
 from oracles import (exact_poly_integral, exact_rule_value, kernel_integral,
                      kernel_sign, mpf_from_fraction, peano_kernel,
-                     random_poly_tree, simple_value)
+                     random_poly_tree, simple_value, ulp)
 
 
 class TestMetadata:
