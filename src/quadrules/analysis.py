@@ -168,7 +168,10 @@ def digits_correct(value, reference, precision=53):
         return 0
 
     v, r = _decimal_magnitude(value), _decimal_magnitude(ref)
-    for d in range(cap, 0, -1):
+    # d digits match only if |value - ref| < 1.5 * 10^(E-d+1), E the
+    # decimal exponent of ref: start the scan at the largest such d
+    top = r.adjusted() - _EXACT.subtract(v, r).adjusted() + 1
+    for d in range(min(cap, top), 0, -1):
         if _to_digits(v, d, ROUND_HALF_UP) == _to_digits(r, d, ROUND_DOWN):
             return d
     return 0

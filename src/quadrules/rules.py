@@ -23,7 +23,7 @@ kept to the test suite as a cross-check.
 Each formula is written once, in ``rule_values``, which fetches exactly
 the nodes its formulas read through a node reader and works in any number
 type.  ``simple_rule_values`` calls it on one interval, the composite once
-per panel over cached nodes, and ``RULES`` with exact rationals.
+on node sums over all panels, and ``RULES`` with exact rationals.
 
 ``RULES`` is derived from ``rule_values`` at import (see ``_derive_law``),
 and the test suite proves each law from the rule's Peano kernel.

@@ -4,10 +4,12 @@ Everything here deliberately avoids the package's evaluation paths: rule
 values come from the direct textbook formulas (Simpson through its
 endpoint form, not the weighted mean), sums are plain sequential loops,
 polynomial integrals are exact rational antiderivatives obtained by
-interpolation, derivatives are checked by central differences, and
-expressions are evaluated by a recursive walk of the tree.  Each rule's
-error law is proven from its Peano kernel, with exact rationals only; the
-kernel reads the package's rule formulas, which are what it certifies.
+interpolation, derivatives are checked by central differences,
+expressions are evaluated by a recursive walk of the tree, and correct
+digits are counted by trying every digit count from the cap down.  Each
+rule's error law is proven from its Peano kernel, with exact rationals
+only; the kernel reads the package's rule formulas, which are what it
+certifies.
 Tolerances are counted in ulps by ``ulp``.
 The last section holds two one-rule shorthands over the package's own
 entry points; they are conveniences, not oracles.
@@ -15,11 +17,14 @@ entry points; they are conveniences, not oracles.
 
 from __future__ import annotations
 
+from decimal import ROUND_DOWN, ROUND_HALF_UP
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, floor, log10
 
 from mpmath import mp, mpf
 
+from quadrules.analysis import (_decimal_magnitude, _reference_value,
+                                _to_digits)
 from quadrules.composite import composite_values
 from quadrules.expr import (Add, Cos, Div, DomainError, Mul, Neg, Num,
                             PiConst, Pow, Sin, Sqrt, Sub, Var)
@@ -326,6 +331,28 @@ def kernel_integral(pieces):
     return sum((c * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
                 for coeffs, (lo, hi) in zip(pieces, KERNEL_PIECES)
                 for j, c in enumerate(coeffs)), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# digit counting by a scan of every digit count from the cap down
+
+def digits_correct_full_scan(value, reference, precision=53):
+    """``analysis.digits_correct`` without its starting bound: every d
+    from the precision cap down is tried."""
+    cap = int(floor(precision * log10(2))) + 1
+    value = as_mpf(value)
+    ref = _reference_value(reference, precision + 64)
+
+    if value == ref:
+        return cap
+    if (value > 0) != (ref > 0):  # a zero is handled by the digit test
+        return 0
+
+    v, r = _decimal_magnitude(value), _decimal_magnitude(ref)
+    for d in range(cap, 0, -1):
+        if _to_digits(v, d, ROUND_HALF_UP) == _to_digits(r, d, ROUND_DOWN):
+            return d
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from quadrules import analysis
 from quadrules.analysis import (Reference, UndefinedOrderError,
                                 convergence_table, degree_probe,
                                 digits_correct, observed_order, order_string,
@@ -17,6 +19,8 @@ from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.precision import pi_at, workprec
 from quadrules.rules import (Interval, QUOTED_DEGREES, RULE_ORDER, RULES,
                              _monomial_rule_value)
+
+from oracles import digits_correct_full_scan
 
 from oracles import brute_composite, legacy_t2_composite, ulp
 
@@ -246,6 +250,42 @@ class TestDigitsCorrect:
     def test_non_finite_value_is_rejected(self):
         with pytest.raises(ValueError):
             digits_correct(mpf("inf"), mpf(3))
+
+    def test_matches_the_full_scan(self):
+        # values k digits off a reference, and pairs whose rounding carries
+        # into a new leading digit
+        rng = random.Random(11)
+        carries = [("9.995", "10.0"), ("9.9999", "10"), ("99.5", "100"),
+                   ("0.99999951", "1"), ("1.0000004", "0.99999999"),
+                   ("2.95", "3.04"), ("3.5", "3.57"), ("-9.995", "-10")]
+        cases = [(mpf(v), mpf(r), 53) for v, r in carries]
+        for precision in (24, 53, 113, 256):
+            with workprec(precision):
+                for _ in range(40):
+                    ref = mpf(rng.uniform(-1, 1)) * mpf(10) ** rng.randint(
+                        -30, 30)
+                    off = mpf(rng.uniform(-9, 9)) * mpf(10) ** -rng.randint(
+                        0, precision // 3)
+                    cases.append((ref * (1 + off), ref, precision))
+        for value, ref, precision in cases:
+            assert digits_correct(value, ref, precision) == \
+                digits_correct_full_scan(value, ref, precision), (value, ref)
+
+    def test_cost_does_not_grow_with_the_precision(self, monkeypatch):
+        # the full scan rounds both values at all 19,729 digit counts here
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return to_digits(*args)
+
+        to_digits = analysis._to_digits
+        monkeypatch.setattr(analysis, "_to_digits", counting)
+        ref = pi_at(65536)
+        with workprec(65536):
+            value = ref + mpf("3e-10")
+        assert digits_correct(value, ref, precision=65536) == 9
+        assert len(calls) <= 6
 
     def test_sign_and_zero_handling(self):
         assert digits_correct(mpf(0), pi_at(85), precision=53) == 0

@@ -4,11 +4,12 @@ from dataclasses import dataclass
 import pytest
 from mpmath import mp, mpf
 
+from quadrules import composite, rules
 from quadrules.composite import composite_values
 from quadrules.expr import DomainError
 from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.precision import pi_at, workprec
-from quadrules.rules import Interval, UnknownRuleError
+from quadrules.rules import RULE_ORDER, Interval, UnknownRuleError
 
 from oracles import brute_composite, composite_value, random_poly_tree, ulp
 
@@ -170,12 +171,56 @@ def test_monotone_convergence_on_example_2():
     assert abs(vals["R"] - reference) < 1e-3
 
 
-def test_summation_is_compensated_at_default_precision():
-    # a pathological cancellation pattern: exact in compensated arithmetic
+@pytest.mark.parametrize("precision", [24, 53, 113, 256])
+def test_node_sums_are_added_without_intermediate_rounding(precision):
+    # every node of x on [0, 1] at 4,096 panels is dyadic and the sums are
+    # 2047.5 and 2048.5, so T is exactly 1/2 when nothing rounds on the way
     f = Integrand.from_text("x", 0, 1)
-    n = 4096
-    v = composite_value("T", f, n)
-    assert abs(v - mpf("0.5")) <= 2 * ulp(mpf("0.5"), 53)
+    assert composite_value("T", f, 4096, precision) == mpf("0.5")
+
+
+@pytest.mark.parametrize("names", [("L",), ("R", "T"), ("T2",), RULE_ORDER],
+                         ids=",".join)
+def test_one_rule_kernel_call_per_composite(monkeypatch, names):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rules.rule_values(*args)
+
+    monkeypatch.setattr(composite, "rule_values", counting)
+    f = builtin_integrand("asin6")
+    for n in (1, 2, 7, 64):
+        calls.clear()
+        composite_values(f, f.interval, names, n)
+        assert len(calls) == 1, n
+
+
+GOLDEN_INTEGRANDS = {
+    "asin6": builtin_integrand("asin6"),
+    "atan2": builtin_integrand("atan2"),
+    "sin2": builtin_integrand("sin2"),
+    "user": Integrand.from_text("x^3*cos(x) + 1/(2+x)", "0.1", "0.7"),
+}
+
+
+@pytest.mark.parametrize("precision", [53, 113, 256])
+@pytest.mark.parametrize("name", GOLDEN_INTEGRANDS)
+def test_composites_round_within_three_ulps(name, precision):
+    # each node sum rounds once and the kernel adds a few operations, so
+    # every composite is within a few ulps of the same composite computed
+    # 200 bits higher; a reference near zero (sin2's R at n = 1 is f(pi))
+    # has no meaningful ulp and is skipped
+    f = GOLDEN_INTEGRANDS[name]
+    for n in (1, 7, 100, 512):
+        got = composite_values(f, f.interval, RULE_ORDER, n, precision)
+        ref = composite_values(f, f.interval, RULE_ORDER, n, precision + 200)
+        for rule in RULE_ORDER:
+            if abs(ref[rule]) < 1e-10:
+                continue
+            with workprec(precision + 200):
+                err = abs(got[rule] - ref[rule])
+            assert err <= 3 * ulp(ref[rule], precision), (rule, n)
 
 
 def test_domain_error_names_panel_and_node():

@@ -8,6 +8,8 @@ rational values behind the degree probe, and the stdout of every demo
 entry.  After an intended change of output, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which first prints ``section: key`` for every entry whose value changes.
 """
 
 import contextlib
@@ -86,28 +88,38 @@ def _exact(value):
     return [sign, int(man), exp, bc]
 
 
-def rule_values():
-    """Exact simple and composite values of all seven rules.
+def _value_cases():
+    """Each value entry's key and its (integrand, precision, panels); panels
+    None is the simple rule on the whole interval."""
+    cases = {}
+    for name in (*BUILTIN_NAMES, "user"):
+        for prec in VALUE_PRECISIONS:
+            cases[f"simple {name} {prec}"] = (name, prec, None)
+            for n in VALUE_PANELS:
+                cases[f"composite {name} {prec} {n}"] = (name, prec, n)
+    return cases
+
+
+VALUE_CASES = _value_cases()
+
+
+def rule_value_entry(name, prec, panels):
+    """Exact simple or composite values of all seven rules.
 
     The integrands are the built-ins and one off-centre user interval,
-    where (a+b)/2 and a + h/2 round differently.
+    ``"user"``, where (a+b)/2 and a + h/2 round differently.
     """
-    integrands = {name: builtin_integrand(name) for name in BUILTIN_NAMES}
-    integrands["user"] = Integrand.from_text("x^3*cos(x) + 1/(2+x)",
-                                             "0.1", "0.7")
-    out = {}
-    for name, f in integrands.items():
-        for prec in VALUE_PRECISIONS:
-            with workprec(prec):
-                a, b = f.interval.bounds()
-                simple = simple_rule_values(f, a, b, RULE_ORDER)
-            out[f"simple {name} {prec}"] = {r: _exact(v)
-                                            for r, v in simple.items()}
-            for n in VALUE_PANELS:
-                values = composite_values(f, f.interval, RULE_ORDER, n, prec)
-                out[f"composite {name} {prec} {n}"] = {
-                    r: _exact(v) for r, v in values.items()}
-    return out
+    if name == "user":
+        f = Integrand.from_text("x^3*cos(x) + 1/(2+x)", "0.1", "0.7")
+    else:
+        f = builtin_integrand(name)
+    if panels is None:
+        with workprec(prec):
+            a, b = f.interval.bounds()
+            values = simple_rule_values(f, a, b, RULE_ORDER)
+    else:
+        values = composite_values(f, f.interval, RULE_ORDER, panels, prec)
+    return {r: _exact(v) for r, v in values.items()}
 
 
 def monomial_values():
@@ -119,7 +131,8 @@ def monomial_values():
 def record():
     return {"cli": {" ".join(argv): run_cli(argv) for argv in CLI_CASES},
             "demos": demo_outputs(),
-            "values": rule_values(),
+            "values": {key: rule_value_entry(*case)
+                       for key, case in VALUE_CASES.items()},
             "monomials": monomial_values()}
 
 
@@ -133,13 +146,25 @@ def test_cli_output_bytes(golden, argv):
     assert run_cli(argv) == golden["cli"][" ".join(argv)]
 
 
-def test_rule_values_are_bit_identical(golden):
-    assert rule_values() == golden["values"]
+@pytest.mark.parametrize("key", VALUE_CASES)
+def test_rule_values_are_bit_identical(golden, key):
+    assert rule_value_entry(*VALUE_CASES[key]) == golden["values"][key]
 
 
 def test_monomial_values_are_exact(golden):
     assert monomial_values() == golden["monomials"]
 
 
+def drifted(old, new):
+    """``section: key`` for every entry whose recorded value changes."""
+    return [f"{section}: {key}" for section in sorted(new)
+            for key in sorted(set(old.get(section, {})) | set(new[section]))
+            if old.get(section, {}).get(key) != new[section].get(key)]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    new = record()
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for line in drifted(old, new):
+        print(line)
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
