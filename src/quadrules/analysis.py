@@ -168,13 +168,47 @@ def digits_correct(value, reference, precision=53):
         return 0
 
     v, r = _decimal_magnitude(value), _decimal_magnitude(ref)
-    # d digits match only if |value - ref| < 1.5 * 10^(E-d+1), E the
-    # decimal exponent of ref: start the scan at the largest such d
-    top = r.adjusted() - _EXACT.subtract(v, r).adjusted() + 1
-    for d in range(min(cap, top), 0, -1):
+    for d in _candidates(v, r, cap):
         if _to_digits(v, d, ROUND_HALF_UP) == _to_digits(r, d, ROUND_DOWN):
             return d
     return 0
+
+
+def _candidates(v, r, cap):
+    """The digit counts d <= cap, largest first, at which ``v`` rounded to
+    d digits can equal the first d digits of ``r`` (both exact, >= 0).
+
+    Write both with their leading digits aligned, and let them share their
+    first k digits.  A d <= k matches only if rounding ``v`` there does not
+    carry, that is if its digit d+1 is at most 4; only the largest such d
+    needs trying.  A d > k matches only if the carry reaches digit k+1 and
+    makes it r's: r's digit k+1 is one more than v's, and from digit k+2
+    to digit d ``v`` has 9s and ``r`` has 0s.  The caller confirms each
+    count by rounding, so at most a few are rounded.
+    """
+    top = max(v.adjusted(), r.adjusted())
+    vs, rs = _aligned_digits(v, top), _aligned_digits(r, top)
+    width = max(len(vs), len(rs)) + 1  # a trailing 0 ends every run
+    vs, rs = vs.ljust(width, b"\0"), rs.ljust(width, b"\0")
+    k = next(i for i in range(width) if vs[i] != rs[i])  # vs[i]: digit i+1
+    if rs[k] == vs[k] + 1:
+        carry = min(_run(vs[k + 1:], 9), _run(rs[k + 1:], 0))
+        yield from range(min(k + 1 + carry, cap), k, -1)
+    d = max(vs.rfind(bytes([digit]), 1, min(k, cap) + 1)
+            for digit in range(5))
+    if d > 0:
+        yield d
+
+
+def _run(digits, digit):
+    """How many times ``digits`` (bytes) starts with ``digit`` in a row."""
+    return len(digits) - len(digits.lstrip(bytes([digit])))
+
+
+def _aligned_digits(x, top):
+    """The decimal digits of ``x`` as bytes, the first one at 10^top."""
+    _, digits, exp = x.as_tuple()
+    return bytes(top - (exp + len(digits) - 1)) + bytes(digits)
 
 
 def _to_digits(x, digits, rounding):
@@ -195,8 +229,10 @@ def _decimal_magnitude(x):
     if exp >= 0:
         return Decimal(int(man) << exp)
     # man * 2^exp == (man * 5^-exp) * 10^exp; no decimal string is built,
-    # so Python's integer-to-string digit limit never applies
-    return _EXACT.scaleb(Decimal(int(man) * 5 ** -exp), exp)
+    # so Python's integer-to-string digit limit never applies, and 5^-exp
+    # is a Decimal power, as converting the product from int is quadratic
+    return _EXACT.scaleb(_EXACT.multiply(Decimal(int(man)),
+                                         _EXACT.power(5, -exp)), exp)
 
 
 # ---------------------------------------------------------------------------

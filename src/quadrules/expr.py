@@ -22,6 +22,8 @@ shared between threads and serialized through their printed form.
 Evaluation has one path, ``Tape``: a tree compiled once into flat steps
 with one register per structurally distinct node, literals materialized
 once per precision, and bit-identical to a recursive walk of the tree.
+The steps call ``mpmath.libmp`` kernels on raw ``_mpf_`` tuples, and only
+the result is wrapped as an mpf.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import mpmath.ctx_mp_python
 from mpmath import mp, mpf
+from mpmath.libmp import (fzero, mpf_cos, mpf_lt, mpf_pow, mpf_sin, mpf_sqrt,
+                          round_nearest)
 
 from .precision import workprec
 
@@ -348,64 +353,63 @@ def to_text(e):
 
 
 # ---------------------------------------------------------------------------
-# evaluation: a flat tape with one register per distinct node
+# evaluation: a flat tape of mpmath.libmp kernels over raw _mpf_ tuples
 
-def _checked_power(r, a, b):
-    base, expo = r[a], r[b]
-    if base == 0 and expo < 0:
+def _is_integer(v):
+    """``mp.isint`` on a raw tuple."""
+    return bool(v[1] and v[2] >= 0) or v == fzero
+
+
+def _checked_power(u, v, prec, rnd):
+    if u == fzero and mpf_lt(v, fzero):
         raise DomainError("zero raised to a negative power")
-    if base < 0 and not mp.isint(expo):
+    if mpf_lt(u, fzero) and not _is_integer(v):
         raise DomainError("fractional power of a negative base")
-    return base ** expo
+    return mpf_pow(u, v, prec, rnd)
 
 
-def _checked_sqrt(r, a, b):
-    if r[a] < 0:
+def _checked_sqrt(u, prec, rnd):
+    if mpf_lt(u, fzero):
         raise DomainError("square root of a negative value")
-    return mp.sqrt(r[a])
+    return mpf_sqrt(u, prec, rnd)
 
 
-def _nonzero(r, a, b):
-    if r[a] == 0:
+def _nonzero(u, prec, rnd):
+    if u == fzero:
         raise DomainError("division by zero")
-    return r[a]
+    return u
 
 
-def _bound(r, a, b):
-    if r[a] is None:
+def _bound(u, prec, rnd):
+    if u is None:
         raise DomainError("free variable x in a constant context")
-    return r[a]
-
-
-# step functions by node type: each reads registers a (and b) of r
-_STEPS = {
-    Var: _bound,
-    Add: lambda r, a, b: r[a] + r[b],
-    Sub: lambda r, a, b: r[a] - r[b],
-    Mul: lambda r, a, b: r[a] * r[b],
-    Div: lambda r, a, b: r[a] / r[b],
-    Pow: _checked_power,
-    Neg: lambda r, a, b: -r[a],
-    Sin: lambda r, a, b: mp.sin(r[a]),
-    Cos: lambda r, a, b: mp.cos(r[a]),
-    Sqrt: _checked_sqrt,
-}
+    return u
 
 
 class Tape:
     """An expression compiled to flat steps over registers, one register
-    per structurally distinct node.  Steps follow the first-visit
-    post-order of a recursive walk, operands left to right except that a
-    division checks its denominator first, so values are bit-identical to
-    the walk's and the first domain error is the one it would raise.
-    ``has_x`` tells whether the variable x occurs."""
+    per structurally distinct node.  Each step calls an ``mpmath.libmp``
+    kernel on raw ``_mpf_`` tuples, rounding to nearest at the ambient
+    precision exactly as the matching ``mpf`` operation or ``mp``
+    function does.  Steps follow the first-visit post-order of a
+    recursive walk, operands left to right except that a division checks
+    its denominator first, so values are bit-identical to the walk's and
+    the first domain error is the one it would raise.  ``has_x`` tells
+    whether the variable x occurs."""
 
     def __init__(self, e):
         self.nodes = []   # register -> the first node object holding it
-        self.steps = []   # (out, step function, a, b, node for errors)
+        self.steps = []   # (out, kernel, a, b or None if unary, node)
         self._literals = []   # (register, Num or PiConst node)
         self._by_prec = {}    # mp.prec -> registers with literals filled
         self._var = None
+        ops = mpmath.ctx_mp_python  # where perfbench's tracer counts calls
+        # kernels by node type, called k(u, prec, rnd) or k(u, v, prec, rnd)
+        self._kernels = {
+            Var: _bound, Add: ops.mpf_add, Sub: ops.mpf_sub,
+            Mul: ops.mpf_mul, Div: ops.mpf_div, Neg: ops.mpf_neg,
+            Pow: _checked_power, Sin: mpf_sin, Cos: mpf_cos,
+            Sqrt: _checked_sqrt}
         self.result = self._visit(e, {}, {})
         self.has_x = self._var is not None
 
@@ -445,27 +449,33 @@ class Tape:
             else:
                 if t is Var:
                     self._var = a = r
-                self.steps.append((r, _STEPS[t], a, b, e))
+                self.steps.append((r, self._kernels[t], a, b, e))
         seen[id(e)] = r
         return r
 
     def run(self, x):
-        """Value at ``x`` (None for a constant) at the ambient precision."""
-        template = self._by_prec.get(mp.prec)
+        """Value at the mpf ``x`` (None for a constant) at the ambient
+        precision, as an mpf."""
+        prec = mp.prec
+        template = self._by_prec.get(prec)
         if template is None:
             template = [None] * len(self.nodes)
             for r, e in self._literals:
-                template[r] = +mp.pi if type(e) is PiConst else mpf(e.value)
-            self._by_prec[mp.prec] = template
+                value = +mp.pi if type(e) is PiConst else mpf(e.value)
+                template[r] = value._mpf_
+            self._by_prec[prec] = template
         regs = template.copy()
         if self._var is not None:
-            regs[self._var] = x
+            regs[self._var] = None if x is None else x._mpf_
         try:
-            for out, step, a, b, e in self.steps:
-                regs[out] = step(regs, a, b)
+            for out, kernel, a, b, e in self.steps:
+                if b is None:
+                    regs[out] = kernel(regs[a], prec, round_nearest)
+                else:
+                    regs[out] = kernel(regs[a], regs[b], prec, round_nearest)
         except DomainError as err:
             raise DomainError(err.reason, e, x) from None
-        return regs[self.result]
+        return mp.make_mpf(regs[self.result])
 
 
 def eval_expr(e, x, precision=53):

@@ -252,8 +252,9 @@ class TestDigitsCorrect:
             digits_correct(mpf("inf"), mpf(3))
 
     def test_matches_the_full_scan(self):
-        # values k digits off a reference, and pairs whose rounding carries
-        # into a new leading digit
+        # values k digits off a reference, pairs whose rounding carries
+        # into a new leading digit, and digit strings built from runs that
+        # make rounding carry, perturbed by a unit or a half unit somewhere
         rng = random.Random(11)
         carries = [("9.995", "10.0"), ("9.9999", "10"), ("99.5", "100"),
                    ("0.99999951", "1"), ("1.0000004", "0.99999999"),
@@ -267,12 +268,26 @@ class TestDigitsCorrect:
                     off = mpf(rng.uniform(-9, 9)) * mpf(10) ** -rng.randint(
                         0, precision // 3)
                     cases.append((ref * (1 + off), ref, precision))
+        for _ in range(150):
+            precision = rng.choice((8, 24, 53, 113))
+            digits = "".join(rng.choice(("9", "0", "49", "5", "95", "04",
+                                         str(rng.randint(0, 9))))
+                             for _ in range(rng.randint(1, 12)))
+            scale = mpf(10) ** rng.randint(-5, 5)
+            with workprec(precision + 80):
+                ref = mpf(f"{rng.randint(1, 9)}.{digits}") * scale
+                step = scale * mpf(10) ** -rng.randint(0, len(digits) + 2)
+                value = ref + rng.choice((-5, -1, 1, 5, 0.5, 4.9)) * step
+            with workprec(precision):
+                value = +value
+            cases += [(value, ref, precision), (ref, value, precision)]
         for value, ref, precision in cases:
             assert digits_correct(value, ref, precision) == \
                 digits_correct_full_scan(value, ref, precision), (value, ref)
 
-    def test_cost_does_not_grow_with_the_precision(self, monkeypatch):
-        # the full scan rounds both values at all 19,729 digit counts here
+    @pytest.fixture
+    def roundings(self, monkeypatch):
+        """The arguments of every ``_to_digits`` call made in the test."""
         calls = []
 
         def counting(*args):
@@ -281,11 +296,26 @@ class TestDigitsCorrect:
 
         to_digits = analysis._to_digits
         monkeypatch.setattr(analysis, "_to_digits", counting)
+        return calls
+
+    def test_cost_does_not_grow_with_the_precision(self, roundings):
+        # the full scan rounds both values at all 19,729 digit counts here
         ref = pi_at(65536)
         with workprec(65536):
             value = ref + mpf("3e-10")
         assert digits_correct(value, ref, precision=65536) == 9
-        assert len(calls) <= 6
+        assert len(roundings) <= 6
+
+    def test_a_run_of_nines_costs_a_few_roundings(self, roundings):
+        # 1 - 2^-65000 is 0.999... with 19,567 nines; the scan from the
+        # difference's bound rounded at 19,567 digit counts to return 0
+        with workprec(65536):
+            nines = 1 - mpf(2) ** -65000
+        assert digits_correct(mpf(1), nines, precision=65536) == 0
+        assert roundings == []
+        # the other way round the carry of the nines makes 1.000...
+        assert digits_correct(nines, mpf(1), precision=65536) == 19566
+        assert len(roundings) <= 6
 
     def test_sign_and_zero_handling(self):
         assert digits_correct(mpf(0), pi_at(85), precision=53) == 0

@@ -255,17 +255,32 @@ def _outcome(evaluate, e, x):
         return f"DomainError: {err}"
 
 
+with workprec(300):
+    _THIRD = mpf(1) / 3  # more bits than any working precision below
+
+
 class TestTape:
-    POINTS = (None, "-1.5", "0", "0.5", "1", "2.75")
+    # strings are converted at the working precision; _THIRD is used as
+    # given, so a bare x returns all its bits and -x rounds them
+    POINTS = (None, "-1.5", "0", "0.5", "1", "2.75", _THIRD)
 
     def assert_matches_tree_walk(self, tree):
         tape = Tape(tree)
-        for precision in (53, 256):
+        for precision in (4, 53, 256):
             with workprec(precision):
                 for x in self.POINTS:
-                    x = None if x is None else mpf(x)
+                    x = mpf(x) if isinstance(x, str) else x
                     assert _outcome(Tape.run, tape, x) == \
                         _outcome(tree_eval, tree, x)
+
+    def test_x_keeps_its_bits_and_negation_rounds_them(self):
+        with workprec(53):
+            assert Tape(Var()).run(_THIRD)._mpf_ == _THIRD._mpf_
+            negated = Tape(Neg(Var())).run(_THIRD)
+        # the last field of an _mpf_ tuple is the significand's bit count
+        assert negated._mpf_[3] <= 53 < _THIRD._mpf_[3]
+        self.assert_matches_tree_walk(Var())
+        self.assert_matches_tree_walk(Neg(Var()))
 
     @settings(max_examples=150, deadline=None)
     @given(_expression_trees().filter(_no_runaway_power))
