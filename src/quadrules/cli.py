@@ -11,7 +11,8 @@ Subcommands::
 integrate, bracket and table take ``--integrand``: a built-in name (sin2,
 asin6, atan2) or expression text; expression integrands and overridden
 intervals need both ``--a`` and ``--b`` (decimal literals).  ``--panels``
-accepts an integer, a comma list, and the doubling shorthand 2^k..2^m.
+accepts an integer, a comma list, and the doubling shorthand 2^k..2^m,
+each count from 1 to 2^20 (only the CLI caps it).
 Every subcommand takes ``--prec`` (bits, 4 to 65536, default 53; only
 the CLI caps it) and ``--format`` (text, csv or json, default text).
 Each value is formatted once, into a JSON payload and text lines, and
@@ -53,6 +54,10 @@ _FORMATS = ("text", "csv", "json")
 # a 16-panel Simpson rule on sin2 takes about 10 s at 2^16 bits on a 2-CPU
 # host; far larger values ask mpmath for integers it cannot finish or store
 _MAX_BITS = 2 ** 16
+# a 2^16-panel Simpson rule on sin2 takes 2.6 s and 85 MB at 53 bits on a
+# 2-CPU host, both growing linearly in the panel count; the library itself
+# takes any positive count
+_MAX_PANEL_LOG2 = 20
 
 
 class UsageError(Exception):
@@ -125,7 +130,8 @@ def build_parser():
 
 
 def parse_panels(text):
-    """Panel list: integers, comma lists, and the 2^k..2^m doubling sweep."""
+    """Panel list: integers, comma lists, and the 2^k..2^m doubling sweep,
+    each count from 1 to 2^20."""
     out = []
     for item in str(text).split(","):
         item = item.strip()
@@ -134,6 +140,9 @@ def parse_panels(text):
             lo, hi = int(m.group(1)), int(m.group(2))
             if lo > hi:
                 raise UsageError(f"empty panel range {item!r}")
+            if hi > _MAX_PANEL_LOG2:
+                raise UsageError(f"panel range {item!r} goes past "
+                                 f"2^{_MAX_PANEL_LOG2}")
             out.extend(2 ** j for j in range(lo, hi + 1))
             continue
         try:
@@ -141,8 +150,9 @@ def parse_panels(text):
         except ValueError:
             raise UsageError(f"bad panel count {item!r}") from None
         out.append(n)
-    if not out or min(out) < 1:
-        raise UsageError("panel counts must be positive integers")
+    if not out or not 1 <= min(out) <= max(out) <= 2 ** _MAX_PANEL_LOG2:
+        raise UsageError(f"panel counts must be integers from 1 to "
+                         f"2^{_MAX_PANEL_LOG2}")
     return sorted(set(out))
 
 

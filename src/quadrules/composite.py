@@ -16,6 +16,14 @@ midpoints), cached by (k, order), so a boundary shared by two panels is
 evaluated once and h-rounding cannot alias two distinct nodes.  Each node
 position is produced by a single multiplication a + k*(h/2), never by
 repeated addition.
+
+f values also go through the integrand's memo ``f.f_memo(precision)``,
+keyed by the position's ``_mpf_`` tuple, which outlives the call.  In a
+doubling sweep h/2 halves exactly, so every node of n panels is, bit for
+bit, a node of 2n panels and is evaluated once for the whole sweep.  Only
+order 0 is memoized: f'' is read only at midpoints, and a midpoint of n
+panels is a boundary of 2n, where no rule reads f''.  A point where f
+raises is not stored, so a repeated call raises the same error.
 """
 
 from __future__ import annotations
@@ -43,10 +51,22 @@ _NODES_READ = {frozenset(need): _nodes_read(need)
                for need in map(needed_rules, combinations(RULE_ORDER, k))}
 
 
+def _node(f, memo, x, order):
+    """The order-th derivative of f at x as a raw tuple; f values are
+    read from, and stored in, ``memo``."""
+    if order:
+        return node_value(f, x, order)._mpf_
+    value = memo.get(x._mpf_)
+    if value is None:
+        value = memo[x._mpf_] = node_value(f, x, 0)._mpf_
+    return value
+
+
 def composite_values(f, interval, rules, panels, precision=53):
     """Composite values for several rules from one pass over shared nodes.
 
-    Every distinct node of every requested rule is evaluated exactly once.
+    Every distinct node of every requested rule is evaluated exactly once,
+    and an f node already in ``f.f_memo(precision)`` not at all.
     Domain errors are re-raised naming the offending node, point and panel
     (numbered from 1, like the panel total).
     """
@@ -60,14 +80,14 @@ def composite_values(f, interval, rules, panels, precision=53):
         a, b = interval.bounds()
         h = (b - a) / panels
         half = h / 2
+        memo = f.f_memo(precision)
         cache = {}
         for i in range(panels):
             for (j, order), column in columns.items():
                 key = (2 * i + j, order)
                 if key not in cache:
                     try:
-                        cache[key] = node_value(f, a + key[0] * half,
-                                                order)._mpf_
+                        cache[key] = _node(f, memo, a + key[0] * half, order)
                     except DomainError as err:
                         raise err.located(i + 1, panels) from None
                 column.append(cache[key])

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import mpmath.ctx_mp_python
 from mpmath import mp, mpf
-from mpmath.libmp import (fzero, mpf_cos, mpf_lt, mpf_pow, mpf_sin, mpf_sqrt,
-                          round_nearest)
+from mpmath.libmp import (fzero, mpf_cos, mpf_pow, mpf_pow_int, mpf_sin,
+                          mpf_sqrt, round_nearest)
 
 from .precision import workprec
 
@@ -355,21 +355,26 @@ def to_text(e):
 # ---------------------------------------------------------------------------
 # evaluation: a flat tape of mpmath.libmp kernels over raw _mpf_ tuples
 
-def _is_integer(v):
-    """``mp.isint`` on a raw tuple."""
-    return bool(v[1] and v[2] >= 0) or v == fzero
-
+# "is negative" reads the sign bit: mpmath has no negative zero, and the
+# bit agrees with mpf_lt(u, fzero) on every tuple, fninf and fnan included
 
 def _checked_power(u, v, prec, rnd):
-    if u == fzero and mpf_lt(v, fzero):
+    sign, man, exp, _ = v
+    if exp >= 0:
+        # an integer exponent (fzero too), dispatched as mpf_pow does
+        n = -(man << exp) if sign else man << exp
+        if n < 0 and u == fzero:
+            raise DomainError("zero raised to a negative power")
+        return mpf_pow_int(u, n, prec, rnd)
+    if sign and u == fzero:
         raise DomainError("zero raised to a negative power")
-    if mpf_lt(u, fzero) and not _is_integer(v):
+    if u[0]:  # v is a fraction, inf or nan here
         raise DomainError("fractional power of a negative base")
     return mpf_pow(u, v, prec, rnd)
 
 
 def _checked_sqrt(u, prec, rnd):
-    if mpf_lt(u, fzero):
+    if u[0]:
         raise DomainError("square root of a negative value")
     return mpf_sqrt(u, prec, rnd)
 

@@ -26,6 +26,13 @@ class Integrand:
     Evaluation happens at the ambient mpmath precision; use
     ``mpmath.mp.workprec`` or the precision arguments of the rule and
     composite entry points to control it.
+
+    ``f_memo(precision)`` is a memo of f values (order 0 only) that the
+    composite rules share across calls: ``x._mpf_ -> f(x)._mpf_`` at that
+    precision, so a node that a doubling sweep or any other grid reaches
+    again bit for bit is evaluated once.  It grows with the work done and
+    lives as long as the integrand; a point where f raises is never
+    stored.  ``eval_at`` itself does not read it.
     """
 
     expression: Expression
@@ -34,10 +41,12 @@ class Integrand:
     name: str | None = None
     _derivatives: list = field(init=False, repr=False, compare=False)
     _tapes: dict = field(init=False, repr=False, compare=False)
+    _f_values: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._derivatives = [self.expression]
         self._tapes = {0: Tape(self.expression)}
+        self._f_values = {}   # precision -> {x._mpf_: f(x)._mpf_}
 
     @classmethod
     def from_text(cls, text, a, b, reference=None, name=None):
@@ -62,6 +71,10 @@ class Integrand:
 
     def derivative_at(self, x, order):
         return self.tape(order).run(x)
+
+    def f_memo(self, precision):
+        """The memo of f values at ``precision``, for callers to fill."""
+        return self._f_values.setdefault(precision, {})
 
     def label(self):
         name = f"{self.name}: " if self.name else ""

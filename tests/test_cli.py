@@ -44,6 +44,13 @@ class TestParsePanels:
         with pytest.raises(UsageError):
             parse_panels("2^4..2^1")
 
+    def test_counts_stop_at_2_to_the_20(self):
+        assert parse_panels("2^18..2^20,1048576") == [2 ** 18, 2 ** 19,
+                                                      2 ** 20]
+        for text in ("1048577", "2^20..2^21", "1,2^0..2^2000000"):
+            with pytest.raises(UsageError, match="2\\^20"):
+                parse_panels(text)
+
 
 class TestIntegrate:
     def test_builtin_midpoint_two_panels(self, capsys):
@@ -438,6 +445,9 @@ def test_each_subcommand_keeps_its_flags(argv, flags):
     ("table", "--integrand", "asin6", "--rules", "L,L"),
     ("table", "--integrand", "asin6", "--rules", "L,R,L"),
     ("bracket", "--integrand", "asin6", "--pair", "L,L"),
+    ("integrate", "--integrand", "sin2", "--rule", "T",
+     "--panels", "99999999999"),
+    ("table", "--integrand", "sin2", "--panels", "2^0..2^2000000"),
 ])
 def test_bad_input_is_one_line_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

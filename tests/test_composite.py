@@ -4,10 +4,11 @@ from dataclasses import dataclass
 import pytest
 from mpmath import mp, mpf
 
-from quadrules import composite, rules
+from quadrules import analysis, composite, rules
+from quadrules.cli import main
 from quadrules.composite import composite_values
 from quadrules.expr import DomainError
-from quadrules.integrand import Integrand, builtin_integrand
+from quadrules.integrand import BUILTIN_NAMES, Integrand, builtin_integrand
 from quadrules.precision import pi_at, workprec
 from quadrules.rules import RULE_ORDER, Interval, UnknownRuleError
 
@@ -37,6 +38,9 @@ class CountingIntegrand:
     def derivative_at(self, x, order):
         self.fpp_calls += 1
         return self.inner.derivative_at(x, order)
+
+    def f_memo(self, precision):
+        return self.inner.f_memo(precision)
 
 
 class TestExampleOneComposite:
@@ -253,3 +257,89 @@ def test_extended_precision_uses_requested_bits():
     # both approximate the same number far beyond 53-bit resolution
     assert abs(v128 - v256) < mpf(2) ** -120
     assert v128._mpf_[3] > 100  # really carries an extended significand
+
+
+class TestNodeMemo:
+    """f values are memoized per integrand and precision across composites:
+    a node that a later grid reaches bit for bit is evaluated once."""
+
+    @pytest.fixture
+    def evals(self, monkeypatch):
+        counts = {"f": 0, "fpp": 0}
+        eval_at, derivative_at = Integrand.eval_at, Integrand.derivative_at
+
+        def counted_eval_at(f, x):
+            counts["f"] += 1
+            return eval_at(f, x)
+
+        def counted_derivative_at(f, x, order):
+            assert order == 2
+            counts["fpp"] += 1
+            return derivative_at(f, x, order)
+
+        monkeypatch.setattr(Integrand, "eval_at", counted_eval_at)
+        monkeypatch.setattr(Integrand, "derivative_at", counted_derivative_at)
+        return counts
+
+    @pytest.mark.parametrize("panels, f_evals, fpp_evals", [
+        # 2^10 panels have 2,049 distinct nodes, and every coarser level's
+        # nodes are among them; 4,105 evaluations without the memo
+        ("2^0..2^10", 2049, 2047),
+        # 6 and 12 panels reach every node of 1, 3 and 6 again; 59 without
+        ("1,3,5,6,12", 33, 27),
+    ])
+    def test_table_evaluates_each_distinct_f_node_once(
+            self, evals, capsys, panels, f_evals, fpp_evals):
+        assert main(["table", "--integrand", "asin6", "--panels",
+                     panels]) == 0
+        # f'' is read only at midpoints, which no coarser grid shares
+        assert evals == {"f": f_evals, "fpp": fpp_evals}
+
+    def test_a_second_call_evaluates_nothing_new(self, evals):
+        f = builtin_integrand("atan2")
+        first = composite_values(f, f.interval, ("T",), 8)
+        assert evals["f"] == 9
+        assert composite_values(f, f.interval, ("T",), 8) == first
+        composite_values(f, f.interval, ("L", "R"), 4)
+        assert evals["f"] == 9
+        # another precision has its own memo
+        composite_values(f, f.interval, ("T",), 8, 64)
+        assert evals["f"] == 18
+
+    @pytest.mark.parametrize("precision", [53, 256])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_table_rows_match_fresh_composites_bit_for_bit(
+            self, monkeypatch, name, precision):
+        seen = {}
+
+        def recording(f, interval, names, n, precision):
+            seen[n] = composite_values(f, interval, names, n, precision)
+            return seen[n]
+
+        monkeypatch.setattr(analysis, "composite_values", recording)
+        f = builtin_integrand(name)
+        n_list = (1, 2, 3, 4, 5, 6, 8, 12, 16, 32, 64)
+        rows = analysis.convergence_table(f, RULE_ORDER, n_list, precision)
+        assert sorted(seen) == [row.panels for row in rows] == list(n_list)
+        reference = analysis.Reference.for_integrand(f)
+        for row in rows:
+            fresh = builtin_integrand(name)
+            want = composite_values(fresh, fresh.interval, RULE_ORDER,
+                                    row.panels, precision)
+            assert {r: v._mpf_ for r, v in seen[row.panels].items()} == \
+                {r: v._mpf_ for r, v in want.items()}
+            assert row.errors == {r: analysis.signed_error(
+                want[r], reference, precision) for r in RULE_ORDER}
+
+    def test_a_domain_error_is_not_stored(self):
+        f = Integrand.from_text("1/x", -1, 1)
+        messages = []
+        for panels in (2, 2, 4, 2):
+            with pytest.raises(DomainError) as exc:
+                composite_values(f, f.interval, ("T",), panels)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == messages[3]
+        assert messages[0].endswith("(panel 1 of 2)")
+        assert messages[2].endswith("(panel 2 of 4)")
+        # the nodes before x = 0 are stored, x = 0 itself is not
+        assert sorted(mpf(x) for x in f.f_memo(53)) == [-1, mpf("-0.5")]

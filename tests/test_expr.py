@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import ComplexResult, mpf_pow, round_nearest
 
 from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
                             Mul, Neg, Num, ParseError, PiConst, Pow, Sin,
-                            Sqrt, Sub, Tape, Var, _negate, differentiate,
-                            eval_expr, parse, to_text)
+                            Sqrt, Sub, Tape, Var, _checked_power, _negate,
+                            differentiate, eval_expr, parse, to_text)
 from quadrules.integrand import builtin_integrand
 from quadrules.precision import workprec
 
@@ -308,3 +309,50 @@ class TestTape:
             f = builtin_integrand(name)
             for order in range(5):
                 self.assert_matches_tree_walk(f.derivative_expr(order))
+
+
+class TestCheckedPower:
+    # integer exponents take mpf_pow_int directly; 0.5 and -1.5 take the
+    # mpf_pow fallback
+    EXPONENTS = (0, 1, -1, 2, -2, 3, -3, 17, -17, 2 ** 40, "0.5", "-1.5")
+    with workprec(2000):  # every base exact: 10^300 takes 997 bits
+        BASES = [mpf(v) for v in (0, 1, -1, 2 ** -300, -(2 ** -300),
+                                  10 ** 300, -(10 ** 300))]
+    BASES += [_THIRD, -_THIRD]
+
+    def test_matches_mpf_pow_and_the_tree_walk(self):
+        messages = set()
+        for precision in (4, 53, 256):
+            with workprec(precision):
+                for expo in self.EXPONENTS:
+                    tree = Pow(Var(), Num(expo))
+                    tape = Tape(tree)
+                    v = mpf(expo)._mpf_
+                    for x in self.BASES:
+                        got = _outcome(Tape.run, tape, x)
+                        assert got == _outcome(tree_eval, tree, x)
+                        try:
+                            value = _checked_power(x._mpf_, v, precision,
+                                                   round_nearest)
+                        except DomainError as err:
+                            messages.add(str(err))
+                            negative = x < 0 and not mp.isint(expo)
+                            assert str(err) == (
+                                "fractional power of a negative base"
+                                if negative else
+                                "zero raised to a negative power")
+                            assert negative or (x == 0 and mpf(expo) < 0)
+                            continue
+                        assert value == got == mpf_pow(
+                            x._mpf_, v, precision, round_nearest)
+        assert messages == {"zero raised to a negative power",
+                            "fractional power of a negative base"}
+
+    def test_raises_only_where_mpf_pow_cannot_answer(self):
+        with workprec(53):
+            for u, v in ((mpf(0), mpf(-1)), (mpf(0), mpf("-1.5")),
+                         (mpf(-2), mpf("0.5"))):
+                with pytest.raises(DomainError):
+                    _checked_power(u._mpf_, v._mpf_, 53, round_nearest)
+                with pytest.raises((ComplexResult, ZeroDivisionError)):
+                    mpf_pow(u._mpf_, v._mpf_, 53, round_nearest)
