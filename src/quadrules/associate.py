@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_add, mpf_mul_int
 
 from .expr import DifferentiationError, DomainError, Tape
 from .precision import as_mpf, workprec
@@ -206,8 +207,11 @@ def check_assumption_A(f, order, precision=53):
     precision = max(precision, 53)
     with workprec(precision):
         a, b = f.interval.bounds()
-        step = (b - a) / (SAMPLES - 1)
-        xs = [a + i * step for i in range(SAMPLES - 1)] + [b]
+        start, step = a._mpf_, ((b - a) / (SAMPLES - 1))._mpf_
+        # a + i*step on raw tuples, with the kernels the mpf operators call
+        xs = [mp.make_mpf(mpf_add(start, mpf_mul_int(step, i, precision, "n"),
+                                  precision, "n"))
+              for i in range(SAMPLES - 1)] + [b]
         try:
             tape = f.tape(order)
             values = [_eval(tape, x) for x in xs]

@@ -12,10 +12,12 @@ itself, so an L-only sum never evaluates f(b) and an R-only one never f(a).
 
 Nodes are evaluated panel by panel and addressed by the half-step index
 k (node k sits at a + k*h/2: even k are panel boundaries, odd k are
-midpoints), cached by (k, order), so a boundary shared by two panels is
-evaluated once and h-rounding cannot alias two distinct nodes.  Each node
-position is produced by a single multiplication a + k*(h/2), never by
-repeated addition.
+midpoints), so h-rounding cannot alias two distinct nodes.  When a rule
+set reads both panel ends, a panel's left end is the previous panel's
+right end, read back from its column, so a shared boundary is evaluated
+once.  Each node position is produced by a single multiplication
+a + k*(h/2), never by repeated addition, on raw ``_mpf_`` tuples with the
+kernels the mpf operators call.
 
 f values also go through the integrand's memo ``f.f_memo(precision)``,
 keyed by the position's ``_mpf_`` tuple, which outlives the call.  In a
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from mpmath import mpf
-from mpmath.libmp import mpf_sum
+from mpmath import mp, mpf
+from mpmath.libmp import mpf_add, mpf_mul_int, mpf_sum
 
 from .expr import DomainError
 from .precision import workprec
@@ -52,13 +54,13 @@ _NODES_READ = {frozenset(need): _nodes_read(need)
 
 
 def _node(f, memo, x, order):
-    """The order-th derivative of f at x as a raw tuple; f values are
-    read from, and stored in, ``memo``."""
+    """The order-th derivative of f at the tuple x, as a tuple; f values
+    are read from, and stored in, ``memo``."""
     if order:
-        return node_value(f, x, order)._mpf_
-    value = memo.get(x._mpf_)
+        return node_value(f, mp.make_mpf(x), order)._mpf_
+    value = memo.get(x)
     if value is None:
-        value = memo[x._mpf_] = node_value(f, x, 0)._mpf_
+        value = memo[x] = node_value(f, mp.make_mpf(x), 0)._mpf_
     return value
 
 
@@ -75,22 +77,24 @@ def composite_values(f, interval, rules, panels, precision=53):
         raise ValueError(f"panel count must be >= 1, got {panels}")
     need = needed_rules(names)
     columns = {node: [] for node in _NODES_READ[frozenset(need)]}
+    right = columns.get((2, 0))  # read again as the next panel's left end
 
     with workprec(precision):
         a, b = interval.bounds()
         h = (b - a) / panels
-        half = h / 2
+        a, half = a._mpf_, (h / 2)._mpf_
         memo = f.f_memo(precision)
-        cache = {}
         for i in range(panels):
             for (j, order), column in columns.items():
-                key = (2 * i + j, order)
-                if key not in cache:
-                    try:
-                        cache[key] = _node(f, memo, a + key[0] * half, order)
-                    except DomainError as err:
-                        raise err.located(i + 1, panels) from None
-                column.append(cache[key])
+                if i and right is not None and (j, order) == (0, 0):
+                    column.append(right[i - 1])
+                    continue
+                x = mpf_add(a, mpf_mul_int(half, 2 * i + j, precision, "n"),
+                            precision, "n")
+                try:
+                    column.append(_node(f, memo, x, order))
+                except DomainError as err:
+                    raise err.located(i + 1, panels) from None
 
         vals = rule_values(need, h, lambda j, order: mpf(
             mpf_sum(columns[j, order], precision, "n")))

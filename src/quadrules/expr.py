@@ -24,16 +24,31 @@ with one register per structurally distinct node, literals materialized
 once per precision, and bit-identical to a recursive walk of the tree.
 The steps call ``mpmath.libmp`` kernels on raw ``_mpf_`` tuples, and only
 the result is wrapped as an mpf.
+
+At 53 bits the same steps first run on Python floats.  IEEE 754 requires
++, -, *, / and sqrt on binary64 to round correctly, ties to even, which is
+``round_nearest`` at 53 bits as long as every value stays in the normal
+range [2^-1022, 2^1024); mpmath's exponent is unbounded, a double's is
+not.  So the float run is an accelerator only: when an input has no
+exact double, a register ends up subnormal, infinite or NaN, a product or
+quotient of nonzero values underflows to 0, or a step raises, the tuple
+run takes over and its value or error is the answer.  Tapes with too few
+native float steps to repay the conversions keep the tuple run.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import partial
 
 import mpmath.ctx_mp_python
 from mpmath import mp, mpf
-from mpmath.libmp import (fzero, mpf_cos, mpf_pow, mpf_pow_int, mpf_sin,
+from mpmath.libmp import (MPZ, fzero, mpf_cos, mpf_pow, mpf_pow_int, mpf_sin,
                           mpf_sqrt, round_nearest)
 
 from .precision import workprec
@@ -391,6 +406,61 @@ def _bound(u, prec, rnd):
     return u
 
 
+# the float run needs binary64 doubles, which CPython floats are on every
+# IEEE-754 host
+_FLOAT53 = sys.float_info.radix == 2 and sys.float_info.mant_dig == 53
+_DBL_MIN = sys.float_info.min
+# the byte of a double holding its sign and top 7 exponent bits, and every
+# value of that byte where 2^-1007 <= |v| < 2^1009
+_HIGH = 7 if sys.byteorder == "little" else 0
+_MIDDLE = bytes(c for c in range(256) if c & 0x7F not in (0, 0x7F))
+
+
+def _to_double(t):
+    """The double equal to the tuple ``t``; ValueError when ``t`` has more
+    than 53 bits, is infinite or NaN, or lies outside the normal range."""
+    sign, man, exp, bc = t
+    if man and bc <= 53 and -1022 <= exp + bc - 1 < 1024:
+        return math.ldexp(-man if sign else man, exp)
+    if t == fzero:
+        return 0.0
+    raise ValueError("no double equals this value")
+
+
+def _to_tuple(v):
+    """The ``_mpf_`` tuple equal to the finite double ``v``."""
+    n, d = v.as_integer_ratio()  # d is a power of two, n is odd unless d is 1
+    sign = 0
+    if n < 0:
+        sign, n = 1, -n
+    if d == 1:
+        if not n:
+            return fzero
+        zeros = (n & -n).bit_length() - 1
+        n >>= zeros
+        return (sign, MPZ(n), zeros, n.bit_length())
+    return (sign, MPZ(n), 1 - d.bit_length(), n.bit_length())
+
+
+def _on_tuples(kernel, unary):
+    """A float step that runs ``kernel`` at 53 bits on the exact tuples of
+    its operands; ValueError when no double equals the result."""
+    if unary:
+        return lambda u: _to_double(kernel(_to_tuple(u), 53, round_nearest))
+    return lambda u, v: _to_double(kernel(_to_tuple(u), _to_tuple(v), 53,
+                                          round_nearest))
+
+
+# float steps by node type; a zero denominator makes truediv raise, and
+# math.sqrt raises on a negative value, so the tuple run reports both
+_FLOAT_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+              Div: operator.truediv, Neg: operator.neg, Sqrt: math.sqrt}
+# u^n for the exponents where mpf_pow_int is one correctly rounded
+# operation (u*u, 1/u) or exact; u^2 runs as a Mul of u with itself
+_FLOAT_POWERS = {-1: partial(operator.truediv, 1.0), 1: operator.pos,
+                 0: lambda u: 1.0}
+
+
 class Tape:
     """An expression compiled to flat steps over registers, one register
     per structurally distinct node.  Each step calls an ``mpmath.libmp``
@@ -400,13 +470,27 @@ class Tape:
     recursive walk, operands left to right except that a division checks
     its denominator first, so values are bit-identical to the walk's and
     the first domain error is the one it would raise.  ``has_x`` tells
-    whether the variable x occurs."""
+    whether the variable x occurs.
+
+    At 53 bits ``run`` first tries the steps on doubles: add, sub, mul,
+    div, neg, sqrt and the powers u^2, u^-1, u^1 and u^0 natively, every
+    other step through its kernel on exact tuples.  Inside the normal
+    range IEEE 754's round-half-even equals ``round_nearest`` at 53 bits,
+    so the double result is the tuple run's, bit for bit.  The tuple run
+    answers instead, with its own value or ``DomainError``, whenever a
+    literal or x has no exact double (more than 53 bits, or outside the
+    normal range), a register ends up subnormal, infinite or NaN, a
+    product or quotient of nonzero values is 0, or a float step raises.
+    A tape with too few native steps to repay the conversions, such as
+    ``2*sin(x)^2``, keeps the tuple run.
+    """
 
     def __init__(self, e):
         self.nodes = []   # register -> the first node object holding it
         self.steps = []   # (out, kernel, a, b or None if unary, node)
         self._literals = []   # (register, Num or PiConst node)
         self._by_prec = {}    # mp.prec -> registers with literals filled
+        self._floats = None   # the float program; False if there is none
         self._var = None
         ops = mpmath.ctx_mp_python  # where perfbench's tracer counts calls
         # kernels by node type, called k(u, prec, rnd) or k(u, v, prec, rnd)
@@ -458,10 +542,8 @@ class Tape:
         seen[id(e)] = r
         return r
 
-    def run(self, x):
-        """Value at the mpf ``x`` (None for a constant) at the ambient
-        precision, as an mpf."""
-        prec = mp.prec
+    def _template(self, prec):
+        """Registers with the literals filled at ``prec``, None elsewhere."""
         template = self._by_prec.get(prec)
         if template is None:
             template = [None] * len(self.nodes)
@@ -469,7 +551,25 @@ class Tape:
                 value = +mp.pi if type(e) is PiConst else mpf(e.value)
                 template[r] = value._mpf_
             self._by_prec[prec] = template
-        regs = template.copy()
+        return template
+
+    def run(self, x):
+        """Value at the mpf ``x`` (None for a constant) at the ambient
+        precision, as an mpf."""
+        prec = mp.prec
+        if prec == 53 and self._program():
+            value = self._run_floats(x)
+            if value is not None:
+                return mp.make_mpf(_to_tuple(value))
+            return self._fall_back(x)
+        return self._run_tuples(x, prec)
+
+    def _fall_back(self, x):
+        """The tuple run at 53 bits, where the float run cannot answer."""
+        return self._run_tuples(x, 53)
+
+    def _run_tuples(self, x, prec):
+        regs = self._template(prec).copy()
         if self._var is not None:
             regs[self._var] = None if x is None else x._mpf_
         try:
@@ -481,6 +581,76 @@ class Tape:
         except DomainError as err:
             raise DomainError(err.reason, e, x) from None
         return mp.make_mpf(regs[self.result])
+
+    def _program(self):
+        """The float program, built on first use; False if there is none."""
+        if self._floats is None:
+            self._floats = _FLOAT53 and self._float_program()
+        return self._floats
+
+    def _float_program(self):
+        """(registers, steps, products) of the float run, or False when a
+        literal has no double or the run would not pay.  Steps are
+        (out, fn, a, b or None), and products lists the (out, a, b) of
+        every Mul and Div."""
+        template = self._template(53)
+        try:
+            regs = [0.0 if t is None else _to_double(t) for t in template]
+        except ValueError:
+            return False
+        steps, products, kernels = [], [], 0
+        for out, kernel, a, b, e in self.steps:
+            t = type(e)
+            if kernel is _nonzero or t is Var:  # x is filled in by the run
+                continue
+            fn = _FLOAT_OPS.get(t)
+            if t is Pow and template[b] is not None and \
+                    regs[b] in (2, -1, 1, 0):
+                if regs[b] == 2:
+                    t, fn, b = Mul, operator.mul, a
+                else:
+                    fn, b = _FLOAT_POWERS[regs[b]], None
+            if fn is None:
+                fn = _on_tuples(kernel, b is None)
+                kernels += 1
+            if t in (Mul, Div):
+                products.append((out, a, b))
+            steps.append((out, fn, a, b))
+        # each native step saves about one kernel call and each kernel step
+        # costs about one more in conversions; converting x and the result
+        # and scanning the registers cost about two per run
+        if len(steps) - kernels <= kernels + 2:
+            return False
+        return regs, steps, products
+
+    def _run_floats(self, x):
+        """The 53-bit value as a double from the float program, or None
+        where the tuple run must answer instead."""
+        regs, steps, products = self._floats
+        regs = regs.copy()
+        if self._var is not None and x is None:
+            return None
+        try:
+            if self._var is not None:
+                regs[self._var] = _to_double(x._mpf_)
+            for out, fn, a, b in steps:
+                if b is None:
+                    regs[out] = fn(regs[a])
+                else:
+                    regs[out] = fn(regs[a], regs[b])
+        except (ArithmeticError, ValueError):
+            return None
+        # a quick exponent scan: no register zero, tiny, huge or non-finite
+        if not array("d", regs).tobytes()[_HIGH::8].translate(None, _MIDDLE):
+            return regs[self.result]
+        if not math.isfinite(sum(regs)):  # an infinity or a NaN (or huge)
+            return None
+        if min(filter(None, map(abs, regs)), default=1.0) <= _DBL_MIN:
+            return None  # a subnormal
+        for out, a, b in products:
+            if not regs[out] and regs[a] and regs[b]:  # underflow to 0
+                return None
+        return regs[self.result]
 
 
 def eval_expr(e, x, precision=53):

@@ -93,21 +93,27 @@ class Interval:
     b: Expression
 
     def __init__(self, a, b):
-        object.__setattr__(self, "a", _as_constant(a))
-        object.__setattr__(self, "b", _as_constant(b))
+        (a, a_tape), (b, b_tape) = _as_constant(a), _as_constant(b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        # the endpoint tapes, compiled once; not fields, so == and repr
+        # ignore them
+        object.__setattr__(self, "_tapes", (a_tape, b_tape))
         with workprec(64):
             lo, hi = self.bounds()
             if not lo < hi:
                 raise ValueError(f"interval requires a < b, got [{lo}, {hi}]")
 
     def bounds(self):
-        return Tape(self.a).run(None), Tape(self.b).run(None)
+        a_tape, b_tape = self._tapes
+        return a_tape.run(None), b_tape.run(None)
 
     def __str__(self):
         return f"[{self.a}, {self.b}]"
 
 
 def _as_constant(value):
+    """The endpoint ``value`` as a constant expression, with its tape."""
     if isinstance(value, Expression):
         e = value
     elif isinstance(value, int):
@@ -116,9 +122,10 @@ def _as_constant(value):
         e = parse(value)
     else:
         raise TypeError(f"cannot use {value!r} as an interval endpoint")
-    if Tape(e).has_x:
+    tape = Tape(e)
+    if tape.has_x:
         raise ValueError(f"interval endpoint {e} contains the variable x")
-    return e
+    return e, tape
 
 
 # the rules each weighted mean is built from

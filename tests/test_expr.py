@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
                             Mul, Neg, Num, ParseError, PiConst, Pow, Sin,
                             Sqrt, Sub, Tape, Var, _checked_power, _negate,
                             differentiate, eval_expr, parse, to_text)
+from quadrules.cli import main
 from quadrules.integrand import builtin_integrand
 from quadrules.precision import workprec
 
@@ -262,8 +265,12 @@ with workprec(300):
 
 class TestTape:
     # strings are converted at the working precision; _THIRD is used as
-    # given, so a bare x returns all its bits and -x rounds them
-    POINTS = (None, "-1.5", "0", "0.5", "1", "2.75", _THIRD)
+    # given, so a bare x returns all its bits and -x rounds them.  The
+    # powers of two and 1e308 sit at the edges of the double range, and
+    # 2^-1074 below its normal range, where 53-bit runs leave doubles
+    POINTS = (None, "-1.5", "0", "0.5", "1", "2.75", _THIRD,
+              mpf(2) ** -1000, -mpf(2) ** -1000, mpf(2) ** 1000, "1e308",
+              mpf(2) ** -1074)
 
     def assert_matches_tree_walk(self, tree):
         tape = Tape(tree)
@@ -309,6 +316,104 @@ class TestTape:
             f = builtin_integrand(name)
             for order in range(5):
                 self.assert_matches_tree_walk(f.derivative_expr(order))
+
+
+def _tuple_run(tape, x):
+    return tape._run_tuples(x, 53)
+
+
+def _which_run(tape, x):
+    """Which run answers at 53 bits: "floats", "fallback" (the float run
+    hands over to the tuple run) or "tuples" (no float program)."""
+    if not tape._program():
+        return "tuples"
+    return "fallback" if tape._run_floats(x) is None else "floats"
+
+
+# four native steps around a subexpression, so that its tape has a float
+# program even where the subexpression alone would not pay for one
+_WRAP = "({}) * (x - 1) / (x + 2)"
+
+
+class TestFloatBackend:
+    """At 53 bits a tape runs on doubles first and hands over to its tuple
+    run wherever a double could round differently; either way the value,
+    or the error text, is the tuple run's."""
+
+    CASES = [  # (text, x, the run that answers)
+        ("1e300*x*x*x", "10", "floats"),
+        ("1e300*x*x*x", "1e5", "fallback"),                # overflow
+        ("(1e-200*x)*(1e-200*x)*1e300*1e100", "1e40", "fallback"),  # subnormal
+        ("(1e-200*x)*(1e-200*x)*1e300*1e100", "1", "fallback"),  # 0 product
+        ("1e400*x + x*x - x", "1", "tuples"),            # literal too large
+        ("1e-400 + x*x - x + x", "1", "tuples"),         # literal too small
+        ("x*x - x + 1", _THIRD, "fallback"),             # x has 300 bits
+        ("x*x - x + 1", None, "fallback"),               # no x
+        ("x*x - x + 1", mpf(2) ** 1024, "fallback"),     # x above doubles
+        ("x*x - x + 1", mpf(2) ** -1074, "fallback"),    # x subnormal
+        ("pi * 2 + pi * 3 - 1", None, "floats"),
+        (_WRAP.format("sqrt(-x)"), "0", "floats"),        # sqrt(-0.0)
+        ("(x - 1) / sqrt(-x) + x * x", "0", "fallback"),  # division by 0
+        (_WRAP.format("sqrt(-x)"), "1", "fallback"),      # root of x < 0
+        ("x^2 - x^-1 + x^1 + x^0", "0.3", "floats"),     # native powers
+        (_WRAP.format("x^-1"), "0", "fallback"),
+        (_WRAP.format("x^0"), "0", "floats"),
+        (_WRAP.format("x^3"), "1.1", "floats"),          # powers by kernel
+        (_WRAP.format("x^-2"), "0.3", "floats"),
+        (_WRAP.format("x^-2"), "0", "fallback"),
+        (_WRAP.format("x^0.5"), "3", "floats"),
+        (_WRAP.format("x^0.5"), "-3", "fallback"),
+        (_WRAP.format("x^1099511627776"), "1", "floats"),
+        (_WRAP.format("x^1099511627776"), "1.0000001", "fallback"),
+        (_WRAP.format("sin(x) * cos(x)"), "0.7", "floats"),
+        (_WRAP.format("sin(x) - cos(x)"), "1e300", "floats"),
+    ]
+
+    @pytest.mark.parametrize("text, x, run", CASES)
+    def test_value_and_error_text_are_the_tuple_runs(self, text, x, run):
+        tape = Tape(parse(text))
+        with workprec(53):
+            x = mpf(x) if isinstance(x, str) else x
+            assert _which_run(tape, x) == run
+            assert _outcome(Tape.run, tape, x) == _outcome(_tuple_run, tape, x)
+
+    def test_short_tapes_keep_the_tuple_run(self):
+        # converting x and the result costs about two kernel calls, and
+        # each kernel step run from doubles one more
+        for text in ("x", "pi", "x^3", "2*sin(x)^2", "cos(2.1*x + 0.5)"):
+            assert _which_run(Tape(parse(text)), mpf("0.5")) == "tuples"
+        f = builtin_integrand("asin6")
+        for order in range(5):
+            assert _which_run(f.tape(order), mpf("0.25")) == "floats"
+
+    def test_other_precisions_never_run_on_doubles(self, monkeypatch):
+        def run_floats(tape, x):
+            raise AssertionError("a float run below or above 53 bits")
+
+        monkeypatch.setattr(Tape, "_run_floats", run_floats)
+        for precision in (52, 54, 256):
+            assert eval_expr(parse("x*x - x + 1"), "0.5", precision) == \
+                mpf("0.75")
+
+    def test_the_north_star_table_never_falls_back(self, monkeypatch):
+        runs = {"floats": 0, "fallbacks": 0}
+        run_floats, fall_back = Tape._run_floats, Tape._fall_back
+
+        def counted_floats(tape, x):
+            runs["floats"] += 1
+            return run_floats(tape, x)
+
+        def counted_fall_back(tape, x):
+            runs["fallbacks"] += 1
+            return fall_back(tape, x)
+
+        monkeypatch.setattr(Tape, "_run_floats", counted_floats)
+        monkeypatch.setattr(Tape, "_fall_back", counted_fall_back)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["table", "--integrand", "asin6",
+                         "--panels", "1,2,4"]) == 0
+        assert runs["fallbacks"] == 0
+        assert runs["floats"] >= 3 * 257  # the sign checks alone
 
 
 class TestCheckedPower:

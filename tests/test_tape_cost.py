@@ -61,12 +61,16 @@ def test_small_table_makes_a_pinned_number_of_mpf_calls():
     # mul, div and neg kernels are counted as often as before.  38,797
     # before the integrand memoized f values across composites: the table
     # made 17 f evaluations where it now makes 9, and each asin6 f
-    # evaluation makes 2 counted calls, a Sub and a Div
+    # evaluation makes 2 counted calls, a Sub and a Div.  38,781 before
+    # 53-bit tapes ran on doubles: float steps call no mpf_* kernel, so the
+    # tracer no longer sees them (5,734 after that alone); node positions
+    # and sign-check samples now take mpf_mul_int and mpf_add from
+    # mpmath.libmp too, 2 uncounted calls per point
     tracer = tracing.Tracer()
     with tracer, contextlib.redirect_stdout(io.StringIO()):
         assert main(["table", "--integrand", "asin6",
                      "--panels", "1,2,4"]) == 0
     tracer.end_op()
     counts = tracer.per_op(1)
-    assert counts["mpmath.mpf_calls"] == 38781
+    assert counts["mpmath.mpf_calls"] == 4140
     assert counts["associate.sign_check_samples"] == 3 * 257
