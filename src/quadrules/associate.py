@@ -12,7 +12,10 @@ between X and Y; when the relevant derivative of f keeps one sign on the
 interval, the exact integral does too, so [min(X, Y), max(X, Y)] is a
 guaranteed enclosure.  ``check_assumption_A`` decides that sign condition
 numerically by sampling the symbolic derivative over the integrand's
-interval.
+interval.  Its sample points come from ``quadrules.expr.grid``, on doubles
+at 53 bits wherever they round as the tuple formula does, and its verdict
+is read from the samples' raw ``_mpf_`` tuples: sign bits, and exact
+magnitude comparisons by ``mpmath.libmp`` kernels.
 
 ``COMPANION_PAIRS`` pairs each positive rule of ``RULES`` with the first
 negative rule of its degree, which gives these weights and associates:
@@ -26,11 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cmp_to_key
 
-from mpmath import mp, mpf
-from mpmath.libmp import mpf_add, mpf_mul_int
+from mpmath import mp
+from mpmath.libmp import fzero, mpf_abs, mpf_cmp, mpf_le, mpf_shift
 
-from .expr import DifferentiationError, DomainError, Tape
+from .expr import DifferentiationError, DomainError, Tape, grid
 from .precision import as_mpf, workprec
 from .rules import NEGATIVE, POSITIVE, RULES, RuleSpec, rule_meta
 
@@ -162,6 +166,7 @@ UNKNOWN = "unknown"
 SAMPLES = 257  # equispaced sign-check points, both endpoints included
 
 _eval = Tape.run  # the sign check's one call per sample goes through here
+_BY_MAGNITUDE = cmp_to_key(mpf_cmp)  # orders non-negative tuples exactly
 
 _TAGS = {ALL_POSITIVE: "A+", ALL_NEGATIVE: "A-", IDENTICALLY_ZERO: "A0",
          SIGN_CHANGE: "A!", UNKNOWN: "A?"}
@@ -192,12 +197,12 @@ def check_assumption_A(f, order, precision=53):
     """Sample the order-th derivative of f and classify its sign.
 
     The derivative is taken symbolically and evaluated at ``SAMPLES``
-    equispaced points of ``f.interval``, both endpoints included, at
-    p = max(precision, 53) bits.  Samples whose magnitude is at most 2^(8-p)
-    times the largest sampled magnitude count as zero.  That tolerance is
-    at most 2^-45 of the largest sample, which therefore always clears it;
-    below 53 bits it could swallow a whole lobe of a derivative that
-    changes sign.  Verdicts: all samples
+    equispaced points a + i*step of ``f.interval``, both endpoints
+    included, at p = max(precision, 53) bits.  Samples whose magnitude is
+    at most 2^(8-p) times the largest sampled magnitude count as zero.
+    That tolerance is at most 2^-45 of the largest sample, which therefore
+    always clears it; below 53 bits it could swallow a whole lobe of a
+    derivative that changes sign.  Verdicts: all samples
     zero -> identically_zero; strict positives only -> all_positive (zeros
     allowed); strict negatives only -> all_negative; both strict signs ->
     sign_change, carrying the first subinterval between strictly signed
@@ -207,31 +212,39 @@ def check_assumption_A(f, order, precision=53):
     precision = max(precision, 53)
     with workprec(precision):
         a, b = f.interval.bounds()
-        start, step = a._mpf_, ((b - a) / (SAMPLES - 1))._mpf_
-        # a + i*step on raw tuples, with the kernels the mpf operators call
-        xs = [mp.make_mpf(mpf_add(start, mpf_mul_int(step, i, precision, "n"),
-                                  precision, "n"))
-              for i in range(SAMPLES - 1)] + [b]
+        step = ((b - a) / (SAMPLES - 1))._mpf_
+        xs = grid(a._mpf_, step, range(SAMPLES - 1), precision) + [b._mpf_]
         try:
             tape = f.tape(order)
-            values = [_eval(tape, x) for x in xs]
+            values = [_eval(tape, mp.make_mpf(x))._mpf_ for x in xs]
         except (DomainError, DifferentiationError):
             return AssumptionVerdict(UNKNOWN)
-        if not all(mp.isfinite(v) for v in values):
-            return AssumptionVerdict(UNKNOWN)
+    return _sign_verdict(xs, values, precision)
 
-        scale = max(abs(v) for v in values)
-        if scale == 0:
-            return AssumptionVerdict(IDENTICALLY_ZERO)
-        tol = scale * mpf(2) ** (8 - precision)
 
-        positive = None  # sign of the strictly signed samples so far
-        for i, v in enumerate(values):
-            if abs(v) <= tol:
-                continue
-            if positive is None:
-                positive = v > 0
-            elif positive != (v > 0):
-                return AssumptionVerdict(SIGN_CHANGE, (xs[last], xs[i]))
-            last = i  # index of the last strictly signed sample
-        return AssumptionVerdict(ALL_POSITIVE if positive else ALL_NEGATIVE)
+def _sign_verdict(xs, values, precision):
+    """The verdict on the samples ``values`` of a derivative at the points
+    ``xs``, both lists of ``_mpf_`` tuples, with the zero tolerance of a
+    ``precision``-bit check.  The sign is the tuple's sign bit (mpmath has
+    no negative zero), a tuple with a zero mantissa other than ``fzero``
+    is infinite or NaN, and magnitudes are compared exactly by
+    ``mpmath.libmp`` kernels."""
+    if any(not v[1] and v != fzero for v in values):
+        return AssumptionVerdict(UNKNOWN)
+    magnitudes = [mpf_abs(v) for v in values]
+    scale = max(magnitudes, key=_BY_MAGNITUDE)
+    if scale == fzero:
+        return AssumptionVerdict(IDENTICALLY_ZERO)
+    tol = mpf_shift(scale, 8 - precision)
+
+    negative = None  # sign bit of the strictly signed samples so far
+    for i, (v, magnitude) in enumerate(zip(values, magnitudes)):
+        if mpf_le(magnitude, tol):
+            continue
+        if negative is None:
+            negative = v[0]
+        elif negative != v[0]:
+            return AssumptionVerdict(SIGN_CHANGE, (mp.make_mpf(xs[last]),
+                                                   mp.make_mpf(xs[i])))
+        last = i  # index of the last strictly signed sample
+    return AssumptionVerdict(ALL_NEGATIVE if negative else ALL_POSITIVE)

@@ -16,8 +16,13 @@ midpoints), so h-rounding cannot alias two distinct nodes.  When a rule
 set reads both panel ends, a panel's left end is the previous panel's
 right end, read back from its column, so a shared boundary is evaluated
 once.  Each node position is produced by a single multiplication
-a + k*(h/2), never by repeated addition, on raw ``_mpf_`` tuples with the
-kernels the mpf operators call.
+a + k*(h/2), never by repeated addition, by ``quadrules.expr.grid``: once
+per boundary and once per midpoint, which its f and f'' columns share.
+At 53 bits the grid is computed on doubles, rounding as the tuple formula
+``mpf_add(a, mpf_mul_int(h/2, k))`` does, and the tuple formula itself
+answers at other precisions and wherever a double could round
+differently (an endpoint or h/2 with no exact double, a subnormal or
+overflowing point).
 
 f values also go through the integrand's memo ``f.f_memo(precision)``,
 keyed by the position's ``_mpf_`` tuple, which outlives the call.  In a
@@ -33,12 +38,11 @@ from __future__ import annotations
 from itertools import combinations
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_add, mpf_mul_int, mpf_sum
+from mpmath.libmp import mpf_sum
 
-from .expr import DomainError
+from .expr import DomainError, grid
 from .precision import workprec
-from .rules import (RULE_ORDER, needed_rules, node_value, rule_names,
-                    rule_values)
+from .rules import RULE_ORDER, needed_rules, rule_names, rule_values
 
 
 def _nodes_read(need):
@@ -53,15 +57,18 @@ _NODES_READ = {frozenset(need): _nodes_read(need)
                for need in map(needed_rules, combinations(RULE_ORDER, k))}
 
 
-def _node(f, memo, x, order):
-    """The order-th derivative of f at the tuple x, as a tuple; f values
-    are read from, and stored in, ``memo``."""
-    if order:
-        return node_value(f, mp.make_mpf(x), order)._mpf_
-    value = memo.get(x)
-    if value is None:
-        value = memo[x] = node_value(f, mp.make_mpf(x), 0)._mpf_
-    return value
+def _positions(a, half, js, panels, precision):
+    """{j: the position of node j in each panel} for the node indices
+    ``js``, as tuples; boundaries shared by two panels are computed once."""
+    xs = {}
+    if 1 in js:
+        xs[1] = grid(a, half, range(1, 2 * panels, 2), precision)
+    ends = sorted(js - {1})
+    if ends:
+        bounds = grid(a, half, range(ends[0], 2 * panels - 1 + ends[-1], 2),
+                      precision)
+        xs[0], xs[2] = bounds[:panels], bounds[-panels:]
+    return xs
 
 
 def composite_values(f, interval, rules, panels, precision=53):
@@ -82,19 +89,28 @@ def composite_values(f, interval, rules, panels, precision=53):
     with workprec(precision):
         a, b = interval.bounds()
         h = (b - a) / panels
-        a, half = a._mpf_, (h / 2)._mpf_
+        xs = _positions(a._mpf_, (h / 2)._mpf_, {j for j, _ in columns},
+                        panels, precision)
+        reads = [(xs[j], order, column, right is not None and j == 0)
+                 for (j, order), column in columns.items()]
         memo = f.f_memo(precision)
+        eval_at, derivative_at, make = f.eval_at, f.derivative_at, mp.make_mpf
         for i in range(panels):
-            for (j, order), column in columns.items():
-                if i and right is not None and (j, order) == (0, 0):
+            for points, order, column, shared in reads:
+                if i and shared:
                     column.append(right[i - 1])
                     continue
-                x = mpf_add(a, mpf_mul_int(half, 2 * i + j, precision, "n"),
-                            precision, "n")
+                x = points[i]
                 try:
-                    column.append(_node(f, memo, x, order))
+                    if order:
+                        value = derivative_at(make(x), order)._mpf_
+                    else:
+                        value = memo.get(x)
+                        if value is None:
+                            value = memo[x] = eval_at(make(x))._mpf_
                 except DomainError as err:
                     raise err.located(i + 1, panels) from None
+                column.append(value)
 
         vals = rule_values(need, h, lambda j, order: mpf(
             mpf_sum(columns[j, order], precision, "n")))

@@ -33,7 +33,9 @@ not.  So the float run is an accelerator only: when an input has no
 exact double, a register ends up subnormal, infinite or NaN, a product or
 quotient of nonzero values underflows to 0, or a step raises, the tuple
 run takes over and its value or error is the answer.  Tapes with too few
-native float steps to repay the conversions keep the tuple run.
+native float steps to repay the conversions keep the tuple run.  ``grid``
+computes equispaced evaluation points the same way: on doubles at 53 bits
+where they round as the tuple formula does, by the formula elsewhere.
 """
 
 from __future__ import annotations
@@ -41,15 +43,15 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
 import sys
-from array import array
 from dataclasses import dataclass
 from functools import partial
 
 import mpmath.ctx_mp_python
 from mpmath import mp, mpf
-from mpmath.libmp import (MPZ, fzero, mpf_cos, mpf_pow, mpf_pow_int, mpf_sin,
-                          mpf_sqrt, round_nearest)
+from mpmath.libmp import (MPZ, fzero, mpf_add, mpf_cos, mpf_mul_int, mpf_pow,
+                          mpf_pow_int, mpf_sin, mpf_sqrt, round_nearest)
 
 from .precision import workprec
 
@@ -442,6 +444,40 @@ def _to_tuple(v):
     return (sign, MPZ(n), 1 - d.bit_length(), n.bit_length())
 
 
+def grid(a, step, ks, prec):
+    """The points a + k*step for each k of ``ks``, a range of ascending
+    non-negative ints, as ``_mpf_`` tuples, each rounded as
+    ``mpf_add(a, mpf_mul_int(step, k, prec, "n"), prec, "n")``.
+
+    At 53 bits the points are computed as ``ad + k*hd`` on doubles when a
+    and step have exact doubles and every k is below 2^53, so an exact
+    double too.  Both operations then round once, ties to even, which is
+    ``round_nearest`` while their results stay in the normal range: the
+    product does, since |k*hd| >= |hd| for k >= 1 and a normal hd, unless
+    it overflows.  The points are monotone in k, so the first and the last
+    show any overflow; a subnormal point, or an infinite one, hands the
+    whole grid to the tuple formula.
+    """
+    if prec == 53 and _FLOAT53 and (not ks or ks[-1] < 2 ** 53):
+        try:
+            ad, hd = _to_double(a), _to_double(step)
+        except ValueError:
+            pass
+        else:
+            xs = [ad + k * hd for k in ks]
+            if not xs or (math.isfinite(xs[0]) and math.isfinite(xs[-1])
+                          and min(map(abs, filter(None, xs)),
+                                  default=_DBL_MIN) >= _DBL_MIN):
+                return list(map(_to_tuple, xs))
+    return _grid_tuples(a, step, ks, prec)
+
+
+def _grid_tuples(a, step, ks, prec):
+    """``grid`` by the tuple formula, at any precision."""
+    return [mpf_add(a, mpf_mul_int(step, k, prec, round_nearest), prec,
+                    round_nearest) for k in ks]
+
+
 def _on_tuples(kernel, unary):
     """A float step that runs ``kernel`` at 53 bits on the exact tuples of
     its operands; ValueError when no double equals the result."""
@@ -557,7 +593,8 @@ class Tape:
         """Value at the mpf ``x`` (None for a constant) at the ambient
         precision, as an mpf."""
         prec = mp.prec
-        if prec == 53 and self._program():
+        if prec == 53 and (self._floats if self._floats is not None
+                           else self._program()):
             value = self._run_floats(x)
             if value is not None:
                 return mp.make_mpf(_to_tuple(value))
@@ -589,10 +626,10 @@ class Tape:
         return self._floats
 
     def _float_program(self):
-        """(registers, steps, products) of the float run, or False when a
-        literal has no double or the run would not pay.  Steps are
-        (out, fn, a, b or None), and products lists the (out, a, b) of
-        every Mul and Div."""
+        """(registers, steps, products, packer) of the float run, or False
+        when a literal has no double or the run would not pay.  Steps are
+        (out, fn, a, b or None), products lists the (out, a, b) of every
+        Mul and Div, and packer packs the registers as native doubles."""
         template = self._template(53)
         try:
             regs = [0.0 if t is None else _to_double(t) for t in template]
@@ -621,12 +658,12 @@ class Tape:
         # and scanning the registers cost about two per run
         if len(steps) - kernels <= kernels + 2:
             return False
-        return regs, steps, products
+        return regs, steps, products, struct.Struct(f"{len(regs)}d")
 
     def _run_floats(self, x):
         """The 53-bit value as a double from the float program, or None
         where the tuple run must answer instead."""
-        regs, steps, products = self._floats
+        regs, steps, products, packer = self._floats
         regs = regs.copy()
         if self._var is not None and x is None:
             return None
@@ -641,7 +678,7 @@ class Tape:
         except (ArithmeticError, ValueError):
             return None
         # a quick exponent scan: no register zero, tiny, huge or non-finite
-        if not array("d", regs).tobytes()[_HIGH::8].translate(None, _MIDDLE):
+        if not packer.pack(*regs)[_HIGH::8].translate(None, _MIDDLE):
             return regs[self.result]
         if not math.isfinite(sum(regs)):  # an infinity or a NaN (or huge)
             return None

@@ -206,11 +206,6 @@ def _derive_law(name):
 RULES = {name: _derive_law(name) for name in RULE_ORDER}
 
 
-def node_value(f, x, order=0):
-    """f (order 0) or its order-th derivative at x."""
-    return f.derivative_at(x, order) if order else f.eval_at(x)
-
-
 def simple_rule_values(f, a, b, rules=RULE_ORDER):
     """Values of the requested rules on one interval, at ambient precision.
 
@@ -220,6 +215,7 @@ def simple_rule_values(f, a, b, rules=RULE_ORDER):
     """
     names = rule_names(rules)
     xs = (a, (a + b) / 2, b)
-    vals = rule_values(needed_rules(names), b - a,
-                       lambda j, order: node_value(f, xs[j], order))
+    vals = rule_values(needed_rules(names), b - a, lambda j, order:
+                       f.derivative_at(xs[j], order) if order
+                       else f.eval_at(xs[j]))
     return {name: vals[name] for name in names}

@@ -5,8 +5,9 @@ values come from the direct textbook formulas (Simpson through its
 endpoint form, not the weighted mean), sums are plain sequential loops,
 polynomial integrals are exact rational antiderivatives obtained by
 interpolation, derivatives are checked by central differences,
-expressions are evaluated by a recursive walk of the tree, and correct
-digits are counted by trying every digit count from the cap down.  Each
+expressions are evaluated by a recursive walk of the tree, correct digits
+are counted by trying every digit count from the cap down, and the sign
+check's sample points are built and classified by mpf operators.  Each
 rule's error law is proven from its Peano kernel, with exact rationals
 only; the kernel reads the package's rule formulas, which are what it
 certifies.
@@ -25,9 +26,12 @@ from mpmath import mp, mpf
 
 from quadrules.analysis import (_decimal_magnitude, _reference_value,
                                 _to_digits)
+from quadrules.associate import (ALL_NEGATIVE, ALL_POSITIVE,
+                                 IDENTICALLY_ZERO, SAMPLES, SIGN_CHANGE,
+                                 UNKNOWN, AssumptionVerdict)
 from quadrules.composite import composite_values
-from quadrules.expr import (Add, Cos, Div, DomainError, Mul, Neg, Num,
-                            PiConst, Pow, Sin, Sqrt, Sub, Var)
+from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
+                            Mul, Neg, Num, PiConst, Pow, Sin, Sqrt, Sub, Var)
 from quadrules.precision import as_mpf, workprec
 from quadrules.rules import needed_rules, rule_values, simple_rule_values
 
@@ -331,6 +335,51 @@ def kernel_integral(pieces):
     return sum((c * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
                 for coeffs, (lo, hi) in zip(pieces, KERNEL_PIECES)
                 for j, c in enumerate(coeffs)), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# the sign check on mpf objects: the grid by mpf operators, the verdict by
+# mpf abs, max and comparisons
+
+def check_assumption_A_mpf(f, order, precision=53):
+    """``associate.check_assumption_A`` with its sample grid a + i*step
+    built by mpf operators and its samples classified as mpf objects.  The
+    samples themselves come from the package's tape, which ``tree_eval``
+    checks elsewhere."""
+    precision = max(precision, 53)
+    with workprec(precision):
+        a, b = f.interval.bounds()
+        step = (b - a) / (SAMPLES - 1)
+        xs = [a + step * i for i in range(SAMPLES - 1)] + [b]
+        try:
+            tape = f.tape(order)
+            values = [tape.run(x) for x in xs]
+        except (DomainError, DifferentiationError):
+            return AssumptionVerdict(UNKNOWN)
+        return sign_verdict_mpf(xs, values, precision)
+
+
+def sign_verdict_mpf(xs, values, precision):
+    """The verdict on the mpf samples ``values`` at the mpf points ``xs``,
+    with the zero tolerance of a ``precision``-bit check."""
+    with workprec(precision):
+        if not all(mp.isfinite(v) for v in values):
+            return AssumptionVerdict(UNKNOWN)
+        scale = max(abs(v) for v in values)
+        if scale == 0:
+            return AssumptionVerdict(IDENTICALLY_ZERO)
+        tol = scale * mpf(2) ** (8 - precision)
+
+        positive = None  # sign of the strictly signed samples so far
+        for i, v in enumerate(values):
+            if abs(v) <= tol:
+                continue
+            if positive is None:
+                positive = v > 0
+            elif positive != (v > 0):
+                return AssumptionVerdict(SIGN_CHANGE, (xs[last], xs[i]))
+            last = i  # index of the last strictly signed sample
+        return AssumptionVerdict(ALL_POSITIVE if positive else ALL_NEGATIVE)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +15,17 @@ from quadrules.associate import (ALL_NEGATIVE, ALL_POSITIVE, AssociateWeights,
                                  check_assumption_A, companion_pair,
                                  derive_weights)
 from quadrules.composite import composite_values
-from quadrules.integrand import Integrand, builtin_integrand
+from quadrules.integrand import BUILTIN_NAMES, Integrand, builtin_integrand
 from quadrules.precision import pi_at, workprec
 from quadrules.rules import Interval, RULES
 
-from oracles import (exact_poly_integral, mpf_from_fraction, random_poly_tree,
+from oracles import (check_assumption_A_mpf, exact_poly_integral,
+                     mpf_from_fraction, random_poly_tree, sign_verdict_mpf,
                      ulp)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import random_expression  # noqa: E402
 
 
 class TestDeriveWeights:
@@ -197,6 +204,57 @@ class TestCheckAssumptionA:
         f = Integrand.from_text(text, a, b)
         verdict = check_assumption_A(f, 1)
         assert verdict.kind == UNKNOWN and not verdict.uniform
+
+
+class TestSignVerdictMatchesTheMpfOracle:
+    """The sign check classifies raw tuples; the oracle builds its grid by
+    mpf operators and classifies mpf objects.  Verdict and subinterval
+    agree."""
+
+    @pytest.mark.parametrize("precision", [4, 53, 113, 256])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name, precision):
+        f = builtin_integrand(name)
+        for order in range(1, 7):
+            assert check_assumption_A(f, order, precision) == \
+                check_assumption_A_mpf(f, order, precision)
+
+    def test_mixed_request_integrands(self):
+        rng = random.Random(15)
+        intervals = [(0, 1), (-1, 1), ("0.5", "2"), ("-0.25", "1.25")]
+        for i in range(150):
+            a, b = intervals[i % len(intervals)]
+            f = Integrand.from_text(random_expression(rng), a, b)
+            order = 1 + i % 4
+            assert check_assumption_A(f, order) == \
+                check_assumption_A_mpf(f, order)
+
+    T = mpf(2) ** -45  # the zero tolerance of a 53-bit check at scale 1
+
+    @pytest.mark.parametrize("samples, kind", [
+        ([0, 0, 0], IDENTICALLY_ZERO),
+        ([1, mp.inf, 2], UNKNOWN),
+        ([-1, mp.ninf, 2], UNKNOWN),
+        ([1, mp.nan, 2], UNKNOWN),
+        ([1, T, -T, 1], ALL_POSITIVE),               # at the tolerance
+        ([-1, T, -1], ALL_NEGATIVE),
+        ([1, -T * (1 + mpf(2) ** -52), 1], SIGN_CHANGE),  # just above it
+        ([-1, T, -3, 0], ALL_NEGATIVE),
+        ([0, 0, 3, 0, 0, -2, 5], SIGN_CHANGE),      # the first flip
+        ([0, -T, 0, -1, T * 2, 0], SIGN_CHANGE),
+        ([mpf(2) ** -1100, 0, -(mpf(2) ** -1100)], SIGN_CHANGE),
+    ])
+    @pytest.mark.parametrize("precision", [53, 113])
+    def test_hand_made_samples(self, samples, kind, precision):
+        with workprec(precision):
+            xs = [mpf(i) / 8 for i in range(len(samples))]
+            values = [mpf(v) for v in samples]
+        verdict = associate._sign_verdict(
+            [x._mpf_ for x in xs], [v._mpf_ for v in values], precision)
+        want = sign_verdict_mpf(xs, values, precision)
+        assert verdict == want
+        if precision == 53:
+            assert verdict.kind == kind
 
 
 class TestCompanionContainment:

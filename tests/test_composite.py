@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 from mpmath import mp, mpf
 
-from quadrules import analysis, composite, rules
+from quadrules import analysis, associate, composite, expr, rules
 from quadrules.cli import main
 from quadrules.composite import composite_values
 from quadrules.expr import DomainError
@@ -358,3 +358,33 @@ class TestNodeMemo:
         assert messages[2].endswith("(panel 2 of 4)")
         # the nodes before x = 0 are stored, x = 0 itself is not
         assert sorted(mpf(x) for x in f.f_memo(53)) == [-1, mpf("-0.5")]
+
+
+def test_table_positions_are_computed_once_each_on_doubles(monkeypatch,
+                                                           capsys):
+    built = {"boundaries": 0, "midpoints": 0, "samples": 0, "tuples": 0}
+    grid, grid_tuples = expr.grid, expr._grid_tuples
+
+    def recording(kind):
+        def wrapper(a, step, ks, prec):
+            if kind == "composite":
+                built["midpoints" if ks.start % 2 else "boundaries"] += \
+                    len(ks)
+            else:
+                built["samples"] += len(ks)
+            return grid(a, step, ks, prec)
+        return wrapper
+
+    def counted_tuples(a, step, ks, prec):
+        built["tuples"] += len(ks)
+        return grid_tuples(a, step, ks, prec)
+
+    monkeypatch.setattr(composite, "grid", recording("composite"))
+    monkeypatch.setattr(associate, "grid", recording("sign check"))
+    monkeypatch.setattr(expr, "_grid_tuples", counted_tuples)
+    assert main(["table", "--integrand", "asin6",
+                 "--panels", "2^0..2^10"]) == 0
+    # n panels have n + 1 boundaries and n midpoints, 2,047 panels in all;
+    # each sign check's last sample is b itself
+    assert built == {"boundaries": 2058, "midpoints": 2047,
+                     "samples": 3 * 256, "tuples": 0}

@@ -5,15 +5,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import ComplexResult, mpf_pow, round_nearest
+from mpmath.libmp import (ComplexResult, from_float, fzero, mpf_add,
+                          mpf_mul_int, mpf_pow, round_nearest)
 
+from quadrules import expr
 from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
                             Mul, Neg, Num, ParseError, PiConst, Pow, Sin,
                             Sqrt, Sub, Tape, Var, _checked_power, _negate,
-                            differentiate, eval_expr, parse, to_text)
+                            differentiate, eval_expr, grid, parse, to_text)
+from quadrules.expr import _grid_tuples as grid_tuples
 from quadrules.cli import main
 from quadrules.integrand import builtin_integrand
 from quadrules.precision import workprec
+from quadrules.rules import Interval
 
 from oracles import (central_diff, central_second_diff, random_poly_tree,
                      tree_eval, ulp)
@@ -414,6 +418,75 @@ class TestFloatBackend:
                          "--panels", "1,2,4"]) == 0
         assert runs["fallbacks"] == 0
         assert runs["floats"] >= 3 * 257  # the sign checks alone
+
+
+class TestGrid:
+    """``grid`` equals the tuple formula a + k*step bit for bit, on doubles
+    where those round the same and by the formula where they might not."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+
+        def counted(a, step, ks, prec):
+            calls.append(len(ks))
+            return grid_tuples(a, step, ks, prec)
+
+        monkeypatch.setattr(expr, "_grid_tuples", counted)
+        return calls
+
+    @staticmethod
+    def formula(a, step, ks):
+        return [mpf_add(a, mpf_mul_int(step, k, 53, round_nearest), 53,
+                        round_nearest) for k in ks]
+
+    @pytest.mark.parametrize("a, b, doubles", [
+        ("0", "0.5", True),
+        ("-1", "3", True),           # the points cross 0
+        ("0", "pi", True),
+        ("-pi", "1e-3", True),
+        ("1e-3", "1e300", True),
+        ("1e400", "2e400", False),   # no double equals a
+        ("1e-400", "1e-399", False),
+        ("0", "1e-310", False),      # a subnormal step
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 256, 1000, 2 ** 20])
+    def test_panel_grids_equal_the_tuple_formula(self, fallbacks, a, b,
+                                                 doubles, n):
+        with workprec(53):
+            lo, hi = Interval(a, b).bounds()
+            half = ((hi - lo) / n / 2)._mpf_
+            # every half-step index up to 2n, sampled when n is large
+            stride = 2 * max(1, n // 500)
+            for start in (0, 1):
+                ks = range(start, 2 * n + 1, stride)
+                assert grid(lo._mpf_, half, ks, 53) == \
+                    self.formula(lo._mpf_, half, ks)
+        assert len(fallbacks) == (0 if doubles else 2)
+
+    @pytest.mark.parametrize("a, step, ks", [
+        # -1.5 * 2^-1022 + 2^-1022 is subnormal
+        (from_float(-1.5 * 2.0 ** -1022), from_float(2.0 ** -1022),
+         range(4)),
+        # 2^1023 + 2^1023 overflows a double
+        (from_float(2.0 ** 1023), from_float(2.0 ** 1023), range(3)),
+        # k from 2^53 on has no exact double
+        (from_float(0.5), from_float(2.0 ** -60),
+         range(2 ** 53 - 2, 2 ** 53 + 3)),
+    ])
+    def test_points_doubles_cannot_hold_take_the_tuple_formula(
+            self, fallbacks, a, step, ks):
+        assert grid(a, step, ks, 53) == self.formula(a, step, ks)
+        assert fallbacks == [len(ks)]
+
+    def test_other_precisions_take_the_tuple_formula(self, fallbacks):
+        with workprec(113):
+            step = (mpf(1) / 3)._mpf_
+            ks = range(0, 10)
+            assert grid(fzero, step, ks, 113) == [
+                mpf_add(fzero, mpf_mul_int(step, k, 113, round_nearest), 113,
+                        round_nearest) for k in ks]
+        assert fallbacks == [10]
 
 
 class TestCheckedPower:

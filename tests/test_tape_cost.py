@@ -65,12 +65,15 @@ def test_small_table_makes_a_pinned_number_of_mpf_calls():
     # 53-bit tapes ran on doubles: float steps call no mpf_* kernel, so the
     # tracer no longer sees them (5,734 after that alone); node positions
     # and sign-check samples now take mpf_mul_int and mpf_add from
-    # mpmath.libmp too, 2 uncounted calls per point
+    # mpmath.libmp too, 2 uncounted calls per point.  4,140 while the sign
+    # check classified its samples as mpf objects: their abs, comparisons
+    # and mpf(2) ** k were counted; it now compares raw tuples with
+    # mpmath.libmp kernels
     tracer = tracing.Tracer()
     with tracer, contextlib.redirect_stdout(io.StringIO()):
         assert main(["table", "--integrand", "asin6",
                      "--panels", "1,2,4"]) == 0
     tracer.end_op()
     counts = tracer.per_op(1)
-    assert counts["mpmath.mpf_calls"] == 4140
+    assert counts["mpmath.mpf_calls"] == 277
     assert counts["associate.sign_check_samples"] == 3 * 257
