@@ -122,6 +122,8 @@ def convergence_table(f, rules=("L", "R", "M", "T", "S", "T2"),
              for pair in COMPANION_PAIRS
              if pair.positive.name in names and pair.negative.name in names}
 
+    # materialized once, at the precision signed_error works at
+    ref = reference.value_at(precision + GUARD_BITS)
     rows = []
     for n in n_list:
         try:
@@ -129,8 +131,7 @@ def convergence_table(f, rules=("L", "R", "M", "T", "S", "T2"),
         except (DomainError, DifferentiationError) as err:
             rows.append(TableRow(n, "", {}, dict(flags), note=str(err)))
             continue
-        errors = {r: signed_error(values[r], reference, precision)
-                  for r in names}
+        errors = {r: signed_error(values[r], ref, precision) for r in names}
         rows.append(TableRow(n, order_string(values), errors, dict(flags)))
     return rows
 

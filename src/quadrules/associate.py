@@ -14,8 +14,9 @@ guaranteed enclosure.  ``check_assumption_A`` decides that sign condition
 numerically by sampling the symbolic derivative over the integrand's
 interval.  Its sample points come from ``quadrules.expr.grid``, on doubles
 at 53 bits wherever they round as the tuple formula does, and its verdict
-is read from the samples' raw ``_mpf_`` tuples: sign bits, and exact
-magnitude comparisons by ``mpmath.libmp`` kernels.
+is read from the samples' raw ``_mpf_`` tuples: sign bits, top bits, and
+exact magnitude comparisons by ``mpmath.libmp`` kernels where top bits
+tie.
 
 ``COMPANION_PAIRS`` pairs each positive rule of ``RULES`` with the first
 negative rule of its degree, which gives these weights and associates:
@@ -226,20 +227,25 @@ def _sign_verdict(xs, values, precision):
     """The verdict on the samples ``values`` of a derivative at the points
     ``xs``, both lists of ``_mpf_`` tuples, with the zero tolerance of a
     ``precision``-bit check.  The sign is the tuple's sign bit (mpmath has
-    no negative zero), a tuple with a zero mantissa other than ``fzero``
-    is infinite or NaN, and magnitudes are compared exactly by
+    no negative zero), and a tuple with a zero mantissa other than
+    ``fzero`` is infinite or NaN.  Magnitudes are ordered by their top bit
+    exp + bc first: a sample whose top bit is above the tolerance's is
+    strictly signed and one below it counts as zero, and only samples that
+    share the scale's or the tolerance's top bit are compared exactly, by
     ``mpmath.libmp`` kernels."""
     if any(not v[1] and v != fzero for v in values):
         return AssumptionVerdict(UNKNOWN)
-    magnitudes = [mpf_abs(v) for v in values]
-    scale = max(magnitudes, key=_BY_MAGNITUDE)
-    if scale == fzero:
+    tops = [v[2] + v[3] if v[1] else -math.inf for v in values]
+    top = max(tops)
+    if top == -math.inf:
         return AssumptionVerdict(IDENTICALLY_ZERO)
-    tol = mpf_shift(scale, 8 - precision)
+    scale = max((mpf_abs(v) for v, t in zip(values, tops) if t == top),
+                key=_BY_MAGNITUDE)
+    tol, tol_top = mpf_shift(scale, 8 - precision), top + 8 - precision
 
     negative = None  # sign bit of the strictly signed samples so far
-    for i, (v, magnitude) in enumerate(zip(values, magnitudes)):
-        if mpf_le(magnitude, tol):
+    for i, (v, t) in enumerate(zip(values, tops)):
+        if t < tol_top or t == tol_top and mpf_le(mpf_abs(v), tol):
             continue
         if negative is None:
             negative = v[0]

@@ -20,11 +20,12 @@ Each value is formatted once, into a JSON payload and text lines, and
 text for csv.
 
 Exit status: 0 on success, 1 on usage errors (unknown flag, rule or
-integrand, malformed input, an integrand whose derivative the rule needs
-but cannot be taken) and on a closed stdout, 2 on numeric domain errors
-(the message names the offending node and panel).  Data goes to stdout,
-diagnostics to stderr; output bytes are deterministic for fixed inputs
-and precision.
+integrand, malformed input, an expression nested too deeply for the
+recursive parser, tape builder or printer, an integrand whose derivative
+the rule needs but cannot be taken) and on a closed stdout, 2 on numeric
+domain errors (the message names the offending node and panel).  Data
+goes to stdout, diagnostics to stderr; output bytes are deterministic
+for fixed inputs and precision.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ _FORMATS = ("text", "csv", "json")
 # a 16-panel Simpson rule on sin2 takes about 10 s at 2^16 bits on a 2-CPU
 # host; far larger values ask mpmath for integers it cannot finish or store
 _MAX_BITS = 2 ** 16
-# a 2^16-panel Simpson rule on sin2 takes 1.9 s and 67 MB of peak RSS at
-# 53 bits on a 2-CPU host, both growing linearly in the panel count; the
-# library itself takes any positive count
+# a 2^16-panel Simpson rule on sin2 takes 1.8 s at 53 bits on a 2-CPU
+# host, growing linearly in the panel count, while its peak RSS stays at
+# about 21 MB from 1 to 2^18 panels; the library itself takes any
+# positive count
 _MAX_PANEL_LOG2 = 20
 
 
@@ -364,6 +366,9 @@ def main(argv=None):
     except DomainError as err:
         print(f"quad: domain error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("quad: error: expression nested too deeply", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the reader closed stdout: send the exit-time flush to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)

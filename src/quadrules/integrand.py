@@ -27,12 +27,11 @@ class Integrand:
     ``mpmath.mp.workprec`` or the precision arguments of the rule and
     composite entry points to control it.
 
-    ``f_memo(precision)`` is a memo of f values (order 0 only) that the
-    composite rules share across calls: ``x._mpf_ -> f(x)._mpf_`` at that
-    precision, so a node that a doubling sweep or any other grid reaches
-    again bit for bit is evaluated once.  It grows with the work done and
-    lives as long as the integrand; a point where f raises is never
-    stored.  ``eval_at`` itself does not read it.
+    ``carry(precision)`` holds the exact node-column sums of the last
+    composite at that precision, keyed by its interval's endpoints and
+    panel count, so that a composite over twice as many panels evaluates
+    only its new nodes (see ``quadrules.composite``).  It holds one entry
+    per precision, a few numbers each, whatever the panel count.
     """
 
     expression: Expression
@@ -41,12 +40,12 @@ class Integrand:
     name: str | None = None
     _derivatives: list = field(init=False, repr=False, compare=False)
     _tapes: dict = field(init=False, repr=False, compare=False)
-    _f_values: dict = field(init=False, repr=False, compare=False)
+    _carried: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._derivatives = [self.expression]
         self._tapes = {0: Tape(self.expression)}
-        self._f_values = {}   # precision -> {x._mpf_: f(x)._mpf_}
+        self._carried = {}  # precision -> {(a, b, panels): column sums}
 
     @classmethod
     def from_text(cls, text, a, b, reference=None, name=None):
@@ -72,9 +71,10 @@ class Integrand:
     def derivative_at(self, x, order):
         return self.tape(order).run(x)
 
-    def f_memo(self, precision):
-        """The memo of f values at ``precision``, for callers to fill."""
-        return self._f_values.setdefault(precision, {})
+    def carry(self, precision):
+        """The carried column sums at ``precision``, for the composite to
+        read and replace."""
+        return self._carried.setdefault(precision, {})
 
     def label(self):
         name = f"{self.name}: " if self.name else ""

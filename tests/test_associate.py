@@ -243,6 +243,11 @@ class TestSignVerdictMatchesTheMpfOracle:
         ([0, 0, 3, 0, 0, -2, 5], SIGN_CHANGE),      # the first flip
         ([0, -T, 0, -1, T * 2, 0], SIGN_CHANGE),
         ([mpf(2) ** -1100, 0, -(mpf(2) ** -1100)], SIGN_CHANGE),
+        # the scale's top bit shared, the tolerance's top bit shared
+        ([1, "1.5", -T * 1.5, "1.25"], ALL_POSITIVE),
+        ([1, "1.5", -T * 1.75, "1.25"], SIGN_CHANGE),
+        ([-1, "-1.5", T * 1.25, -T], ALL_NEGATIVE),
+        ([-1, "-1.5", T * 1.5 * (1 + mpf(2) ** -52)], SIGN_CHANGE),
     ])
     @pytest.mark.parametrize("precision", [53, 113])
     def test_hand_made_samples(self, samples, kind, precision):

@@ -220,7 +220,7 @@ class TestBracket:
 
     @pytest.mark.xfail(strict=True, reason=(
         "bracket takes [min, max] of the rounded composite values without "
-        "widening them for rounding error; ROADMAP item 4 (outward-rounded "
+        "widening them for rounding error; ROADMAP item 3 (outward-rounded "
         "brackets) fixes it"))
     def test_low_precision_bracket_contains_the_reference(self, capsys):
         # at 6 bits M_3 and T_3 both round to 3.1875, below pi, so the
@@ -491,3 +491,21 @@ def test_closed_stdout_ends_without_a_traceback(unbuffered):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", [
+    # the recursive parser gives out first
+    "(" * 198 + "x" + ")" * 198,
+    # it parses, but the tape builder recurses down the left-leaning sum
+    " + ".join(["sin(x)"] * 994),
+], ids=["198_parentheses", "994_term_sum"])
+def test_deep_nesting_is_one_line_usage_error(text):
+    # a quad process, at the interpreter's own recursion limit
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrules.cli", "integrate", "--integrand",
+         text, "--a", "0", "--b", "1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (1, "", "quad: error: expression nested too deeply\n")

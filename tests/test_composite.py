@@ -40,8 +40,8 @@ class CountingIntegrand:
         self.fpp_calls += 1
         return self.inner.derivative_at(x, order)
 
-    def f_memo(self, precision):
-        return self.inner.f_memo(precision)
+    def carry(self, precision):
+        return self.inner.carry(precision)
 
 
 class TestExampleOneComposite:
@@ -131,19 +131,20 @@ class TestNodeSharing:
         assert counting.f_calls == n + 1
         assert counting.fpp_calls == 0
 
-    def test_a_call_holds_its_columns_and_memo_and_nothing_more(self):
-        # a 2^14-panel trapezoid composite on asin6 peaked at about 440
-        # bytes per panel while a dict held every node of the call; its
-        # column and f memo alone peak at about 314
+    def test_a_call_holds_one_chunk_whatever_the_panel_count(self):
+        # while a call held its node columns whole and the integrand an f
+        # memo, a trapezoid composite on asin6 peaked at about 314 bytes
+        # per panel, 20 MB at 2^16 panels; the columns are now added in
+        # chunks of panels and nothing outlives the call but a few sums
         f = builtin_integrand("asin6")
-        panels = 2 ** 14
+        composite_values(f, f.interval, "T", 2)  # compile f's programs
         tracemalloc.start()
         try:
-            composite_values(f, f.interval, "T", panels)
+            composite_values(f, f.interval, "T", 2 ** 16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / panels < 370
+        assert peak < 256 * 1024
 
 
 def test_mean_composite_commutation():
@@ -275,8 +276,9 @@ def test_extended_precision_uses_requested_bits():
 
 
 class TestNodeMemo:
-    """f values are memoized per integrand and precision across composites:
-    a node that a later grid reaches bit for bit is evaluated once."""
+    """An integrand carries the exact column sums of its last composite
+    per precision, so a composite over twice as many panels on the same
+    interval evaluates only its new nodes."""
 
     @pytest.fixture
     def evals(self, monkeypatch):
@@ -298,10 +300,13 @@ class TestNodeMemo:
 
     @pytest.mark.parametrize("panels, f_evals, fpp_evals", [
         # 2^10 panels have 2,049 distinct nodes, and every coarser level's
-        # nodes are among them; 4,105 evaluations without the memo
+        # nodes are among them; 4,105 evaluations without the carry
         ("2^0..2^10", 2049, 2047),
-        # 6 and 12 panels reach every node of 1, 3 and 6 again; 59 without
-        ("1,3,5,6,12", 33, 27),
+        # only 12 follows half its count: 3 + 7 + 11 + 13 evaluations for
+        # 1, 3, 5 and 6 panels, 12 new midpoints for 12, 59 without the
+        # carry (33 with an f memo, which also caught the nodes that 6
+        # shares with 3 and 12 with 3)
+        ("1,3,5,6,12", 46, 27),
     ])
     def test_table_evaluates_each_distinct_f_node_once(
             self, evals, capsys, panels, f_evals, fpp_evals):
@@ -310,16 +315,41 @@ class TestNodeMemo:
         # f'' is read only at midpoints, which no coarser grid shares
         assert evals == {"f": f_evals, "fpp": fpp_evals}
 
-    def test_a_second_call_evaluates_nothing_new(self, evals):
+    def test_an_endpoint_sweep_evaluates_old_midpoints_as_boundaries(
+            self, evals, capsys):
+        # L and R read no midpoints, so each level evaluates the previous
+        # level's midpoints as its new boundaries: 2 + 1 + 2 + ... + 512
+        assert main(["table", "--integrand", "asin6", "--rules", "L,R",
+                     "--panels", "2^0..2^10"]) == 0
+        assert evals == {"f": 1025, "fpp": 0}
+
+    def test_only_twice_the_carried_panel_count_reuses_nodes(self, evals):
         f = builtin_integrand("atan2")
         first = composite_values(f, f.interval, ("T",), 8)
         assert evals["f"] == 9
+        # the same count again carries nothing: all 9 nodes again
         assert composite_values(f, f.interval, ("T",), 8) == first
-        composite_values(f, f.interval, ("L", "R"), 4)
-        assert evals["f"] == 9
-        # another precision has its own memo
-        composite_values(f, f.interval, ("T",), 8, 64)
         assert evals["f"] == 18
+        # 16 panels evaluate their 8 new boundaries
+        composite_values(f, f.interval, ("L", "R"), 16)
+        assert evals["f"] == 26
+        # 32 panels with M read 16 new boundaries and 32 midpoints; 64
+        # panels read only their midpoints
+        composite_values(f, f.interval, ("S",), 32)
+        assert evals["f"] == 74
+        composite_values(f, f.interval, ("M", "T"), 64)
+        assert evals["f"] == 138
+        # another precision carries its own sums
+        composite_values(f, f.interval, ("T",), 128, 64)
+        assert evals["f"] == 267
+        # at 53 bits, T over 128 panels evaluates nothing: its boundaries
+        # are the boundaries and midpoints of 64 panels
+        composite_values(f, f.interval, ("T",), 128)
+        assert evals["f"] == 267
+        # an L-only level cannot serve a level that reads right ends
+        composite_values(f, f.interval, ("L",), 2)
+        composite_values(f, f.interval, ("R",), 4)
+        assert evals["f"] == 267 + 2 + 4
 
     @pytest.mark.parametrize("precision", [53, 256])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -346,6 +376,23 @@ class TestNodeMemo:
             assert row.errors == {r: analysis.signed_error(
                 want[r], reference, precision) for r in RULE_ORDER}
 
+    @pytest.mark.parametrize("precision", [53, 256])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("names", [RULE_ORDER, ("L", "R")], ids=",".join)
+    @pytest.mark.parametrize("n_list", [[2 ** k for k in range(11)],
+                                        [1, 3, 5, 6, 12]],
+                             ids=["2^0..2^10", "1,3,5,6,12"])
+    def test_carried_sweeps_match_fresh_composites_bit_for_bit(
+            self, n_list, names, name, precision):
+        f = builtin_integrand(name)
+        for n in n_list:
+            carried = composite_values(f, f.interval, names, n, precision)
+            fresh = builtin_integrand(name)
+            want = composite_values(fresh, fresh.interval, names, n,
+                                    precision)
+            assert {r: v._mpf_ for r, v in carried.items()} == \
+                {r: v._mpf_ for r, v in want.items()}, n
+
     def test_a_domain_error_is_not_stored(self):
         f = Integrand.from_text("1/x", -1, 1)
         messages = []
@@ -356,8 +403,44 @@ class TestNodeMemo:
         assert messages[0] == messages[1] == messages[3]
         assert messages[0].endswith("(panel 1 of 2)")
         assert messages[2].endswith("(panel 2 of 4)")
-        # the nodes before x = 0 are stored, x = 0 itself is not
-        assert sorted(mpf(x) for x in f.f_memo(53)) == [-1, mpf("-0.5")]
+        # no call passed, so nothing is carried
+        assert f.carry(53) == {}
+
+    @pytest.mark.parametrize("names, pole, panel_of_4, panel_of_8", [
+        # x = 3/4 is a new boundary of 4 panels: the right end of panel 3
+        # when right ends are read, else the left end of panel 4
+        (("T",), "0.75", 3, 6), (("L",), "0.75", 4, 7), (("R",), "0.75", 3, 6),
+        # x = 3/8 is a midpoint of 4 panels and a boundary of 8
+        (("S",), "0.375", 2, 3),
+    ], ids=["T", "L", "R", "S"])
+    def test_a_domain_error_on_a_carried_level_stores_no_carry(
+            self, names, pole, panel_of_4, panel_of_8):
+        # 1 and 2 panels pass and carry their sums; 4 panels raise on a
+        # new node, so 8 panels have no carry and raise where a fresh
+        # composite does
+        text = f"1/(x-{pole})"
+
+        def messages(f, counts):
+            out = []
+            for panels in counts:
+                try:
+                    composite_values(f, f.interval, names, panels)
+                except DomainError as err:
+                    out.append(str(err))
+                else:
+                    out.append(None)
+            return out
+
+        f = Integrand.from_text(text, 0, 1)
+        got = messages(f, (1, 2, 4, 4, 8))
+        assert got == [messages(Integrand.from_text(text, 0, 1), (n,))[0]
+                       for n in (1, 2, 4, 4, 8)]
+        assert got[:2] == [None, None]
+        assert got[2] == got[3]
+        assert got[2].endswith(f"at x = {pole} (panel {panel_of_4} of 4)")
+        assert got[4].endswith(f"at x = {pole} (panel {panel_of_8} of 8)")
+        # the carry still holds the 2-panel level
+        assert list(f.carry(53)) == [(mpf(0)._mpf_, mpf(1)._mpf_, 2)]
 
 
 def test_table_positions_are_computed_once_each_on_doubles(monkeypatch,
@@ -384,7 +467,8 @@ def test_table_positions_are_computed_once_each_on_doubles(monkeypatch,
     monkeypatch.setattr(expr, "_grid_tuples", counted_tuples)
     assert main(["table", "--integrand", "asin6",
                  "--panels", "2^0..2^10"]) == 0
-    # n panels have n + 1 boundaries and n midpoints, 2,047 panels in all;
-    # each sign check's last sample is b itself
-    assert built == {"boundaries": 2058, "midpoints": 2047,
+    # the first level computes its 2 boundaries, and every level its
+    # midpoints, 2,047 in all: each later level's boundaries are carried
+    # sums; each sign check's last sample is b itself
+    assert built == {"boundaries": 2, "midpoints": 2047,
                      "samples": 3 * 256, "tuples": 0}

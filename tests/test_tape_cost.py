@@ -68,12 +68,14 @@ def test_small_table_makes_a_pinned_number_of_mpf_calls():
     # mpmath.libmp too, 2 uncounted calls per point.  4,140 while the sign
     # check classified its samples as mpf objects: their abs, comparisons
     # and mpf(2) ** k were counted; it now compares raw tuples with
-    # mpmath.libmp kernels
+    # mpmath.libmp kernels.  277 while the table materialized its
+    # reference once per rule and row (3 x 6 times here), each pi taking
+    # 2 counted calls; it is now materialized once per table
     tracer = tracing.Tracer()
     with tracer, contextlib.redirect_stdout(io.StringIO()):
         assert main(["table", "--integrand", "asin6",
                      "--panels", "1,2,4"]) == 0
     tracer.end_op()
     counts = tracer.per_op(1)
-    assert counts["mpmath.mpf_calls"] == 277
+    assert counts["mpmath.mpf_calls"] == 243
     assert counts["associate.sign_check_samples"] == 3 * 257
