@@ -166,7 +166,7 @@ UNKNOWN = "unknown"
 
 SAMPLES = 257  # equispaced sign-check points, both endpoints included
 
-_eval = Tape.run  # the sign check's one call per sample goes through here
+_eval = Tape._run  # the sign check's one call per sample goes through here
 _BY_MAGNITUDE = cmp_to_key(mpf_cmp)  # orders non-negative tuples exactly
 
 _TAGS = {ALL_POSITIVE: "A+", ALL_NEGATIVE: "A-", IDENTICALLY_ZERO: "A0",
@@ -217,7 +217,7 @@ def check_assumption_A(f, order, precision=53):
         xs = grid(a._mpf_, step, range(SAMPLES - 1), precision) + [b._mpf_]
         try:
             tape = f.tape(order)
-            values = [_eval(tape, mp.make_mpf(x))._mpf_ for x in xs]
+            values = [_eval(tape, x) for x in xs]
         except (DomainError, DifferentiationError):
             return AssumptionVerdict(UNKNOWN)
     return _sign_verdict(xs, values, precision)

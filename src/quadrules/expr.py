@@ -22,8 +22,11 @@ shared between threads and serialized through their printed form.
 Evaluation has one path, ``Tape``: a tree compiled once into flat steps
 with one register per structurally distinct node, literals materialized
 once per precision, and bit-identical to a recursive walk of the tree.
-The steps call ``mpmath.libmp`` kernels on raw ``_mpf_`` tuples, and only
-the result is wrapped as an mpf.
+The steps call ``mpmath.libmp`` kernels on raw ``_mpf_`` tuples; the
+public ``Tape.run`` wraps x and the result as mpfs, and the package's hot
+loops call ``Tape._run`` on the tuples themselves.  Sine and cosine refuse
+arguments of 2^(2^17) or more, whose reduction by pi would take seconds
+to minutes, with a ``DomainError``.
 
 At 53 bits the same steps first run on Python floats.  IEEE 754 requires
 +, -, *, / and sqrt on binary64 to round correctly, ties to even, which is
@@ -36,6 +39,18 @@ run takes over and its value or error is the answer.  Tapes with too few
 native float steps to repay the conversions keep the tuple run.  ``grid``
 computes equispaced evaluation points the same way: on doubles at 53 bits
 where they round as the tuple formula does, by the formula elsewhere.
+
+A tape's float program first runs interpreted, one step per loop turn.
+At its 300th float run, about when compiled runs would have saved what
+compiling costs, ``_compile`` generates and compiles one straight-line
+Python function for it: registers become locals, native steps plain
+operators, x converts from its tuple inline, and kernel steps call the
+same functions.  It performs the same IEEE 754 operations on the same
+operands in the same order, so every register holds the same double, and
+it applies the same exponent scan and exact checks and catches the same
+exceptions, so it answers with the interpreted loop's double or hands the
+point to the tuple run where that loop would.  Values, error text and
+fallback decisions do not depend on which of the two ran.
 """
 
 from __future__ import annotations
@@ -396,6 +411,30 @@ def _checked_sqrt(u, prec, rnd):
     return mpf_sqrt(u, prec, rnd)
 
 
+# sin and cos reduce their argument by pi at its full magnitude.  On a
+# 2-CPU host the first mpf_sin of a process near 2^(2^17), which computes
+# pi's bits too, takes 0.17 s at 53 bits and 0.65 s at 65,536 (0.03 s and
+# 0.36 s with pi's bits at hand); near 2^(2^18) it takes 0.68 s and 1.14 s.
+# Larger arguments are refused, so every accepted one reduces within a
+# second.
+_TRIG_TOP = 2 ** 17
+
+
+def _reducing(kernel, name):
+    """``kernel`` (mpf_sin or mpf_cos), refusing arguments of magnitude
+    2^(2^17) or more: their top bit exp + bc exceeds _TRIG_TOP.
+    Infinities and NaN pass, their exponent fields are negative."""
+    def checked(u, prec, rnd):
+        if u[2] + u[3] > _TRIG_TOP:
+            raise DomainError(f"{name} argument beyond 2^{_TRIG_TOP}")
+        return kernel(u, prec, rnd)
+    return checked
+
+
+_checked_sin = _reducing(mpf_sin, "sine")
+_checked_cos = _reducing(mpf_cos, "cosine")
+
+
 def _nonzero(u, prec, rnd):
     if u == fzero:
         raise DomainError("division by zero")
@@ -487,14 +526,81 @@ def _on_tuples(kernel, unary):
                                           round_nearest))
 
 
-# float steps by node type; a zero denominator makes truediv raise, and
-# math.sqrt raises on a negative value, so the tuple run reports both
-_FLOAT_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-              Div: operator.truediv, Neg: operator.neg, Sqrt: math.sqrt}
+# float steps by node type, each a function for the interpreted loop and
+# its source text for the compiled one; a zero denominator makes truediv
+# raise, and math.sqrt raises on a negative value, so the tuple run
+# reports both
+_FLOAT_OPS = {Add: (operator.add, "{} + {}"), Sub: (operator.sub, "{} - {}"),
+              Mul: (operator.mul, "{} * {}"),
+              Div: (operator.truediv, "{} / {}"), Neg: (operator.neg, "-{}"),
+              Sqrt: (math.sqrt, "sqrt({})")}
 # u^n for the exponents where mpf_pow_int is one correctly rounded
 # operation (u*u, 1/u) or exact; u^2 runs as a Mul of u with itself
-_FLOAT_POWERS = {-1: partial(operator.truediv, 1.0), 1: operator.pos,
-                 0: lambda u: 1.0}
+_FLOAT_POWERS = {-1: (partial(operator.truediv, 1.0), "1.0 / {}"),
+                 1: (operator.pos, "+{}"), 0: (lambda u: 1.0, "1.0")}
+_SOURCE = dict([*_FLOAT_OPS.values(), *_FLOAT_POWERS.values()])
+
+# A tape's float program is compiled to one Python function at its
+# _COMPILE_AFTER-th interpreted float run, about when the time compiled
+# runs would have saved equals the time compiling takes (ski rental).
+# Timed with perf_counter on a 2-CPU host, over 511 points for each of the
+# built-in integrands' tapes f to f'''' (3 to 110 float steps): a compile
+# takes 0.36 to 2.2 ms, about 0.3 ms plus 17 us a step, a compiled run is
+# 0.7 to 8 us faster than an interpreted one, and the compile repays
+# itself after 250 to 530 runs, near 300 whatever the tape's length.  A
+# composite of a few hundred panels gets there; a 257-sample sign check
+# alone stays interpreted.
+_COMPILE_AFTER = 300
+
+
+def _normal(regs, products):
+    """Whether the registers of a float run that the exponent scan flagged
+    are all zero or normal, and no product or quotient of nonzero values
+    underflowed to 0."""
+    if not math.isfinite(sum(regs)):  # an infinity or a NaN (or huge)
+        return False
+    if min(filter(None, map(abs, regs)), default=1.0) <= _DBL_MIN:
+        return False  # a subnormal
+    return not any(not regs[out] and regs[a] and regs[b]
+                   for out, a, b in products)
+
+
+def _compile(program, var, result):
+    """The float program of a tape as one generated function of an
+    ``_mpf_`` tuple x, answering as ``Tape._run_floats`` does.  Registers
+    are locals, native steps are operators, and kernel steps call the same
+    ``_on_tuples`` closures, in the interpreted loop's order; x converts
+    by ``_to_double``'s rule, and the same exponent scan and exact checks
+    decide between the result and None."""
+    regs, steps, products, packer = program
+    namespace = {"ldexp": math.ldexp, "fzero": fzero, "sqrt": math.sqrt,
+                 "pack": packer.pack, "MIDDLE": _MIDDLE, "normal": _normal,
+                 "products": products}
+    lines = ["def run(x):"]
+    written = {var} | {out for out, _, _, _ in steps}
+    lines += [f" r{r} = {v!r}" for r, v in enumerate(regs)
+              if r not in written]
+    if var is not None:
+        lines += [" if x is None:", "  return None",
+                  " sign, man, exp, bc = x",
+                  " if man and bc <= 53 and -1022 <= exp + bc - 1 < 1024:",
+                  f"  r{var} = ldexp(-man if sign else man, exp)",
+                  " elif x == fzero:", f"  r{var} = 0.0",
+                  " else:", "  return None"]
+    lines.append(" try:")
+    for i, (out, fn, a, b) in enumerate(steps):
+        text = _SOURCE.get(fn)
+        if text is None:
+            namespace[f"k{i}"] = fn
+            text = f"k{i}({{}})" if b is None else f"k{i}({{}}, {{}})"
+        lines.append(f"  r{out} = " + text.format(f"r{a}", f"r{b}"))
+    every = ", ".join(f"r{r}" for r in range(len(regs)))
+    lines += [" except (ArithmeticError, ValueError):", "  return None",
+              f" if not pack({every})[{_HIGH}::8].translate(None, MIDDLE)"
+              f" or normal([{every}], products):",
+              f"  return r{result}"]
+    exec(compile("\n".join(lines), "<float program>", "exec"), namespace)
+    return namespace["run"]
 
 
 class Tape:
@@ -506,7 +612,9 @@ class Tape:
     recursive walk, operands left to right except that a division checks
     its denominator first, so values are bit-identical to the walk's and
     the first domain error is the one it would raise.  ``has_x`` tells
-    whether the variable x occurs.
+    whether the variable x occurs.  ``run`` takes and returns mpfs; the
+    package's own hot loops call ``_run``, which takes and returns raw
+    tuples.
 
     At 53 bits ``run`` first tries the steps on doubles: add, sub, mul,
     div, neg, sqrt and the powers u^2, u^-1, u^1 and u^0 natively, every
@@ -519,6 +627,14 @@ class Tape:
     product or quotient of nonzero values is 0, or a float step raises.
     A tape with too few native steps to repay the conversions, such as
     ``2*sin(x)^2``, keeps the tuple run.
+
+    The float program runs interpreted, one step at a time, until the
+    tape has made ``_COMPILE_AFTER`` float runs; then ``_compile`` turns
+    it into one straight-line Python function, which performs the same
+    float operations in the same order and applies the same checks, so
+    its answers are the interpreted loop's.  A loop over a whole column
+    of points at once could call that function per point, or inline its
+    body around the column.
     """
 
     def __init__(self, e):
@@ -527,13 +643,15 @@ class Tape:
         self._literals = []   # (register, Num or PiConst node)
         self._by_prec = {}    # mp.prec -> registers with literals filled
         self._floats = None   # the float program; False if there is none
+        self._runs = 0        # interpreted float runs so far
+        self._compiled = None  # the float program as a function, once built
         self._var = None
         ops = mpmath.ctx_mp_python  # where perfbench's tracer counts calls
         # kernels by node type, called k(u, prec, rnd) or k(u, v, prec, rnd)
         self._kernels = {
             Var: _bound, Add: ops.mpf_add, Sub: ops.mpf_sub,
             Mul: ops.mpf_mul, Div: ops.mpf_div, Neg: ops.mpf_neg,
-            Pow: _checked_power, Sin: mpf_sin, Cos: mpf_cos,
+            Pow: _checked_power, Sin: _checked_sin, Cos: _checked_cos,
             Sqrt: _checked_sqrt}
         self.result = self._visit(e, {}, {})
         self.has_x = self._var is not None
@@ -592,12 +710,17 @@ class Tape:
     def run(self, x):
         """Value at the mpf ``x`` (None for a constant) at the ambient
         precision, as an mpf."""
+        return mp.make_mpf(self._run(None if x is None else x._mpf_))
+
+    def _run(self, x):
+        """``run`` on raw tuples: the value at the ``_mpf_`` tuple ``x``
+        (None for a constant), as an ``_mpf_`` tuple."""
         prec = mp.prec
         if prec == 53 and (self._floats if self._floats is not None
                            else self._program()):
-            value = self._run_floats(x)
+            value = (self._compiled or self._run_floats)(x)
             if value is not None:
-                return mp.make_mpf(_to_tuple(value))
+                return _to_tuple(value)
             return self._fall_back(x)
         return self._run_tuples(x, prec)
 
@@ -608,7 +731,7 @@ class Tape:
     def _run_tuples(self, x, prec):
         regs = self._template(prec).copy()
         if self._var is not None:
-            regs[self._var] = None if x is None else x._mpf_
+            regs[self._var] = x
         try:
             for out, kernel, a, b, e in self.steps:
                 if b is None:
@@ -616,8 +739,9 @@ class Tape:
                 else:
                     regs[out] = kernel(regs[a], regs[b], prec, round_nearest)
         except DomainError as err:
-            raise DomainError(err.reason, e, x) from None
-        return mp.make_mpf(regs[self.result])
+            raise DomainError(err.reason, e, None if x is None else
+                              mp.make_mpf(x)) from None
+        return regs[self.result]
 
     def _program(self):
         """The float program, built on first use; False if there is none."""
@@ -640,13 +764,13 @@ class Tape:
             t = type(e)
             if kernel is _nonzero or t is Var:  # x is filled in by the run
                 continue
-            fn = _FLOAT_OPS.get(t)
+            fn, _ = _FLOAT_OPS.get(t, (None, None))
             if t is Pow and template[b] is not None and \
                     regs[b] in (2, -1, 1, 0):
                 if regs[b] == 2:
                     t, fn, b = Mul, operator.mul, a
                 else:
-                    fn, b = _FLOAT_POWERS[regs[b]], None
+                    fn, b = _FLOAT_POWERS[regs[b]][0], None
             if fn is None:
                 fn = _on_tuples(kernel, b is None)
                 kernels += 1
@@ -661,15 +785,19 @@ class Tape:
         return regs, steps, products, struct.Struct(f"{len(regs)}d")
 
     def _run_floats(self, x):
-        """The 53-bit value as a double from the float program, or None
-        where the tuple run must answer instead."""
+        """The 53-bit value at the tuple ``x`` as a double from the
+        interpreted float program, or None where the tuple run must answer
+        instead.  Compiles the program at the ``_COMPILE_AFTER``-th run."""
         regs, steps, products, packer = self._floats
+        self._runs += 1
+        if self._runs == _COMPILE_AFTER:
+            self._compiled = _compile(self._floats, self._var, self.result)
         regs = regs.copy()
         if self._var is not None and x is None:
             return None
         try:
             if self._var is not None:
-                regs[self._var] = _to_double(x._mpf_)
+                regs[self._var] = _to_double(x)
             for out, fn, a, b in steps:
                 if b is None:
                     regs[out] = fn(regs[a])
@@ -678,16 +806,10 @@ class Tape:
         except (ArithmeticError, ValueError):
             return None
         # a quick exponent scan: no register zero, tiny, huge or non-finite
-        if not packer.pack(*regs)[_HIGH::8].translate(None, _MIDDLE):
+        if not packer.pack(*regs)[_HIGH::8].translate(None, _MIDDLE) or \
+                _normal(regs, products):
             return regs[self.result]
-        if not math.isfinite(sum(regs)):  # an infinity or a NaN (or huge)
-            return None
-        if min(filter(None, map(abs, regs)), default=1.0) <= _DBL_MIN:
-            return None  # a subnormal
-        for out, a, b in products:
-            if not regs[out] and regs[a] and regs[b]:  # underflow to 0
-                return None
-        return regs[self.result]
+        return None
 
 
 def eval_expr(e, x, precision=53):

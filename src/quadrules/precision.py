@@ -46,6 +46,14 @@ def decimal_digits(bits):
     return int(math.floor(bits * math.log10(2)))
 
 
+# mp.nstr finds a value's power of ten by arithmetic on its binary
+# exponent at the exponent's own bit length.  On a 2-CPU host a value near
+# 2^(2^64) or 2^(-2^64) prints in 0.3 ms at 53 bits and 0.2 s at 65,536,
+# one near 2^(2^1024) in 20 ms and 2.3 s, one near 2^(2^4096) in 0.9 s and
+# 11 s.  Values whose binary exponent has more bits than this are refused.
+_EXPONENT_BITS = 64
+
+
 def format_real(x, bits=53):
     """Decimal text for ``x``.
 
@@ -53,9 +61,15 @@ def format_real(x, bits=53):
     the shortest round-tripping double text in the double's normal range,
     and 17 significant digits outside it.  Above 53 bits a fixed significant-
     digit count of ``decimal_digits(bits) - 2`` is printed, which is
-    deliberately two digits short of exact round-trip.
+    deliberately two digits short of exact round-trip.  A value whose
+    binary exponent is 2^64 or more in magnitude raises DomainError.
     """
     x = as_mpf(x)
+    _, man, exp, bc = x._mpf_
+    if man and abs(exp + bc).bit_length() > _EXPONENT_BITS:
+        from .expr import DomainError  # expr imports this module
+        raise DomainError(f"cannot print a value whose binary exponent is "
+                          f"2^{_EXPONENT_BITS} or more in magnitude")
     if bits > 53:
         return mp.nstr(x, max(decimal_digits(bits) - 2, 3))
     if fits_double(x):

@@ -185,8 +185,8 @@ class TestCheckAssumptionA:
     def test_endpoints_are_sampled(self, monkeypatch):
         seen, evaluate = [], associate._eval
 
-        def recording_eval(e, x):
-            seen.append(x)
+        def recording_eval(e, x):  # x is a raw _mpf_ tuple
+            seen.append(mp.make_mpf(x))
             return evaluate(e, x)
 
         monkeypatch.setattr(associate, "_eval", recording_eval)

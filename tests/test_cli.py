@@ -509,3 +509,23 @@ def test_deep_nesting_is_one_line_usage_error(text):
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (1, "", "quad: error: expression nested too deeply\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    # a sine reduces 10^(10^6)/2 by pi to about 3.3 million bits
+    ("sin(10^10^6*x)", "sine argument beyond 2^131072 in "
+                       "sin(10 ^ 10 ^ 6 * x) at x = 0.5 (panel 1 of 1)"),
+    # 0.5^(10^(10^4)) has a 33,220-bit exponent, which mp.nstr would
+    # turn into a power of ten
+    ("x^(10^10^4)", "cannot print a value whose binary exponent is 2^64 "
+                    "or more in magnitude"),
+], ids=["trig_argument", "printed_exponent"])
+def test_astronomical_magnitudes_are_one_line_domain_errors(text, message):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrules.cli", "integrate", "--integrand",
+         text, "--a", "0", "--b", "1", "--rule", "M", "--panels", "1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", f"quad: domain error: {message}\n")

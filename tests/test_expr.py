@@ -277,13 +277,14 @@ class TestTape:
               mpf(2) ** -1074)
 
     def assert_matches_tree_walk(self, tree):
-        tape = Tape(tree)
+        tapes = Tape(tree), _compiled_tape(tree)
         for precision in (4, 53, 256):
             with workprec(precision):
                 for x in self.POINTS:
                     x = mpf(x) if isinstance(x, str) else x
-                    assert _outcome(Tape.run, tape, x) == \
-                        _outcome(tree_eval, tree, x)
+                    want = _outcome(tree_eval, tree, x)
+                    for tape in tapes:
+                        assert _outcome(Tape.run, tape, x) == want
 
     def test_x_keeps_its_bits_and_negation_rounds_them(self):
         with workprec(53):
@@ -314,6 +315,17 @@ class TestTape:
         with workprec(53):
             assert _outcome(tree_eval, e, mpf(1)) == f"DomainError: {want}"
 
+    def test_trig_arguments_from_2_to_the_2_to_the_17_are_refused(self):
+        # the largest accepted argument's top bit is 2^17
+        with workprec(53):
+            assert eval_expr(parse("cos(x)"), mpf(2) ** 131071) == \
+                mp.cos(mpf(2) ** 131071)
+            for text, name in (("sin(x)", "sine"), ("cos(x)", "cosine")):
+                with pytest.raises(DomainError) as exc:
+                    eval_expr(parse(text), -mpf(2) ** 131072)
+                assert str(exc.value).startswith(
+                    f"{name} argument beyond 2^131072 in {text} at x = ")
+
     def test_builtin_derivatives_match_the_tree_walk(self):
         # deep derivative DAGs: asin6's order 4 is 4,036 tree nodes
         for name in ("sin2", "asin6", "atan2"):
@@ -323,7 +335,22 @@ class TestTape:
 
 
 def _tuple_run(tape, x):
-    return tape._run_tuples(x, 53)
+    return mp.make_mpf(tape._run_tuples(_raw(x), 53))
+
+
+def _raw(x):
+    return None if x is None else x._mpf_
+
+
+def _compiled_tape(tree):
+    """A tape of ``tree`` whose float program, if it has one, runs
+    compiled from its first float run on."""
+    tape = Tape(tree)
+    with workprec(53):
+        if tape._program():
+            tape._compiled = expr._compile(tape._floats, tape._var,
+                                           tape.result)
+    return tape
 
 
 def _which_run(tape, x):
@@ -331,7 +358,7 @@ def _which_run(tape, x):
     hands over to the tuple run) or "tuples" (no float program)."""
     if not tape._program():
         return "tuples"
-    return "fallback" if tape._run_floats(x) is None else "floats"
+    return "fallback" if tape._run_floats(_raw(x)) is None else "floats"
 
 
 # four native steps around a subexpression, so that its tape has a float
@@ -375,11 +402,21 @@ class TestFloatBackend:
 
     @pytest.mark.parametrize("text, x, run", CASES)
     def test_value_and_error_text_are_the_tuple_runs(self, text, x, run):
-        tape = Tape(parse(text))
+        tape, compiled = Tape(parse(text)), _compiled_tape(parse(text))
         with workprec(53):
             x = mpf(x) if isinstance(x, str) else x
             assert _which_run(tape, x) == run
-            assert _outcome(Tape.run, tape, x) == _outcome(_tuple_run, tape, x)
+            want = _outcome(_tuple_run, tape, x)
+            assert _outcome(Tape.run, tape, x) == want
+            assert _outcome(Tape.run, compiled, x) == want
+            if run != "tuples":
+                # the same double, -0.0 included, or the same hand-over
+                interpreted, generated = (
+                    v if v is None else v.hex()
+                    for v in (tape._run_floats(_raw(x)),
+                              compiled._compiled(_raw(x))))
+                assert interpreted == generated
+                assert (generated is None) == (run == "fallback")
 
     def test_short_tapes_keep_the_tuple_run(self):
         # converting x and the result costs about two kernel calls, and
@@ -399,25 +436,43 @@ class TestFloatBackend:
             assert eval_expr(parse("x*x - x + 1"), "0.5", precision) == \
                 mpf("0.75")
 
-    def test_the_north_star_table_never_falls_back(self, monkeypatch):
-        runs = {"floats": 0, "fallbacks": 0}
-        run_floats, fall_back = Tape._run_floats, Tape._fall_back
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """The step counts of the float programs compiled from now on."""
+        steps, generate = [], expr._compile
 
-        def counted_floats(tape, x):
-            runs["floats"] += 1
-            return run_floats(tape, x)
+        def counted(program, var, result):
+            steps.append(len(program[1]))
+            return generate(program, var, result)
+
+        monkeypatch.setattr(expr, "_compile", counted)
+        return steps
+
+    def test_the_north_star_table_never_falls_back(self, monkeypatch,
+                                                  compiles):
+        fallbacks, fall_back = [], Tape._fall_back
 
         def counted_fall_back(tape, x):
-            runs["fallbacks"] += 1
+            fallbacks.append(x)
             return fall_back(tape, x)
 
-        monkeypatch.setattr(Tape, "_run_floats", counted_floats)
         monkeypatch.setattr(Tape, "_fall_back", counted_fall_back)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["table", "--integrand", "asin6",
-                         "--panels", "1,2,4"]) == 0
-        assert runs["fallbacks"] == 0
-        assert runs["floats"] >= 3 * 257  # the sign checks alone
+                         "--panels", "2^0..2^10"]) == 0
+        assert fallbacks == []
+        # f'' (257 samples, then 2,047 midpoints) and f (2,049 nodes)
+        # compile, in that order; f' and f'''' run only in their 257-sample
+        # sign checks
+        assert compiles == [24, 4]
+
+    def test_tapes_below_the_threshold_stay_interpreted(self, compiles):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["integrate", "--integrand", "asin6", "--rule", "S",
+                         "--panels", "16"]) == 0
+            assert main(["bracket", "--integrand", "atan2", "--pair", "T2,S",
+                         "--panels", "64"]) == 0
+        assert compiles == []
 
 
 class TestGrid:

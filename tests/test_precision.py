@@ -1,6 +1,8 @@
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
+from quadrules.expr import DomainError
 from quadrules.precision import format_real, workprec
 
 
@@ -29,3 +31,16 @@ def test_doubles_print_shortest_round_trip_text(value):
     text = format_real(value)
     assert text == repr(float(value))
     assert _at53(text) == value
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_binary_exponents_from_2_to_the_64_are_refused(bits):
+    # the top bit exp + bc of 3 * 2^exp is exp + 2
+    def top(t):
+        return mp.make_mpf(from_man_exp(3, t - 2))
+
+    for t in (2 ** 64 - 1, 1 - 2 ** 64):
+        assert "e" in format_real(top(t), bits)
+    for t in (2 ** 64, -2 ** 64, 2 ** 200):
+        with pytest.raises(DomainError, match="2\\^64 or more"):
+            format_real(top(t), bits)
