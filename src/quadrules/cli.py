@@ -23,7 +23,8 @@ Exit status: 0 on success, 1 on usage errors (unknown flag, rule or
 integrand, malformed input, an expression nested too deeply for the
 recursive parser, tape builder or printer, an integrand whose derivative
 the rule needs but cannot be taken) and on a closed stdout, 2 on numeric
-domain errors (the message names the offending node and panel).  Data
+domain errors (the message names the offending node and panel) and on
+interval endpoints that round to a >= b at the working precision.  Data
 goes to stdout, diagnostics to stderr; output bytes are deterministic
 for fixed inputs and precision.
 """
@@ -47,14 +48,11 @@ from .associate import SAMPLES, associate_value, bracket, \
 from .composite import composite_values
 from .expr import DifferentiationError, DomainError, ParseError, parse
 from .integrand import BUILTIN_NAMES, Integrand, builtin_integrand
-from .precision import fits_double, format_real, pi_at
+from .precision import MAX_BITS, fits_double, format_real, pi_at
 from .rules import (QUOTED_DEGREES, Interval, UnknownRuleError,
                     rule_names)
 
 _FORMATS = ("text", "csv", "json")
-# a 16-panel Simpson rule on sin2 takes about 10 s at 2^16 bits on a 2-CPU
-# host; far larger values ask mpmath for integers it cannot finish or store
-_MAX_BITS = 2 ** 16
 # a 2^16-panel Simpson rule on sin2 takes 1.8 s at 53 bits on a 2-CPU
 # host, growing linearly in the panel count, while its peak RSS stays at
 # about 21 MB from 1 to 2^18 panels; the library itself takes any
@@ -76,9 +74,9 @@ def _precision(text):
         bits = int(text)
     except ValueError:
         bits = None
-    if bits is None or not 4 <= bits <= _MAX_BITS:
+    if bits is None or not 4 <= bits <= MAX_BITS:
         raise argparse.ArgumentTypeError(
-            f"precision must be an integer from 4 to {_MAX_BITS} bits, "
+            f"precision must be an integer from 4 to {MAX_BITS} bits, "
             f"got {text!r}")
     return bits
 
@@ -124,7 +122,7 @@ def build_parser():
     for p in subs.choices.values():
         p.add_argument("--prec", type=_precision, default=53,
                        help=f"working precision in bits, 4 to "
-                            f"{_MAX_BITS} (default 53)")
+                            f"{MAX_BITS} (default 53)")
         p.add_argument("--format", choices=_FORMATS, default="text",
                        help="output format: text, csv or json "
                             "(default text)")

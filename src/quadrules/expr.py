@@ -14,7 +14,9 @@ The input language is one-variable infix arithmetic::
 an integer or decimal literal; integers stay exact, decimal literals are
 converted at whatever working precision is active when the tree is
 evaluated, so one tree serves every precision.  Whitespace is ignored.
-Syntax errors report the byte offset of the offending token.
+Syntax errors report the byte offset of the offending token.  Each infix
+and unary node class declares its symbol and precedence once, on a shared
+base; the parser's tables, the printer and the tape read them there.
 
 Trees are immutable (frozen dataclasses, structural equality) and
 ``parse(to_text(e))`` reproduces ``e`` exactly, so expressions can be
@@ -26,7 +28,8 @@ The steps call ``mpmath.libmp`` kernels on raw ``_mpf_`` tuples; the
 public ``Tape.run`` wraps x and the result as mpfs, and the package's hot
 loops call ``Tape._run`` on the tuples themselves.  Sine and cosine refuse
 arguments of 2^(2^17) or more, whose reduction by pi would take seconds
-to minutes, with a ``DomainError``.
+to minutes, and powers refuse integer exponents of 2^128 or more unless
+the base is a power of two or zero, each with a ``DomainError``.
 
 At 53 bits the same steps first run on Python floats.  IEEE 754 requires
 +, -, *, / and sqrt on binary64 to round correctly, ties to even, which is
@@ -136,28 +139,36 @@ class Var(Expression):
     pass
 
 
+# precedence levels used for parsing and minimal parenthesization
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 9
+
+
 @dataclass(frozen=True)
-class Add(Expression):
+class _Infix(Expression):
+    """A binary operator node; each subclass declares its ``symbol`` and
+    its precedence ``prec``.  All four associate to the left."""
     left: Expression
     right: Expression
 
 
 @dataclass(frozen=True)
-class Sub(Expression):
-    left: Expression
-    right: Expression
+class Add(_Infix):
+    symbol, prec = "+", _PREC_ADD
 
 
 @dataclass(frozen=True)
-class Mul(Expression):
-    left: Expression
-    right: Expression
+class Sub(_Infix):
+    symbol, prec = "-", _PREC_ADD
 
 
 @dataclass(frozen=True)
-class Div(Expression):
-    left: Expression
-    right: Expression
+class Mul(_Infix):
+    symbol, prec = "*", _PREC_MUL
+
+
+@dataclass(frozen=True)
+class Div(_Infix):
+    symbol, prec = "/", _PREC_MUL
 
 
 @dataclass(frozen=True)
@@ -167,68 +178,67 @@ class Pow(Expression):
 
 
 @dataclass(frozen=True)
-class Neg(Expression):
+class _Unary(Expression):
+    """A node of one argument: negation, or a function that binds like an
+    atom and whose ``symbol`` is its name."""
     arg: Expression
+    prec = _PREC_ATOM
 
 
 @dataclass(frozen=True)
-class Sin(Expression):
-    arg: Expression
+class Neg(_Unary):
+    symbol, prec = "-", _PREC_NEG
 
 
 @dataclass(frozen=True)
-class Cos(Expression):
-    arg: Expression
+class Sin(_Unary):
+    symbol = "sin"
 
 
 @dataclass(frozen=True)
-class Sqrt(Expression):
-    arg: Expression
+class Cos(_Unary):
+    symbol = "cos"
+
+
+@dataclass(frozen=True)
+class Sqrt(_Unary):
+    symbol = "sqrt"
 
 
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
-_NUM_RE = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-                     r"|\d+(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_INT_RE = re.compile(r"\d+\Z")
+# one token per match, the alternatives tried in order: whitespace, a
+# number, an identifier, an operator, and any other character, which is
+# rejected; \s and \d match what str.isspace() and str.isdecimal() accept
+_TOKEN = re.compile(r"(?P<space>\s+)"
+                    r"|(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?"
+                    r"|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+                    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+                    r"|(?P<op>[-+*/^()])|(?P<other>.)", re.DOTALL)
 
-_FUNCTIONS = {"sin": Sin, "cos": Cos, "sqrt": Sqrt}
-
-
-def _byte_offset(text, index):
-    return len(text[:index].encode("utf-8"))
+# the infix node classes by precedence, then by symbol
+_INFIX = {prec: {c.symbol: c for c in (Add, Sub, Mul, Div) if c.prec == prec}
+          for prec in (_PREC_ADD, _PREC_MUL)}
+_FUNCTIONS = {c.symbol: c for c in (Sin, Cos, Sqrt)}
 
 
 def _tokenize(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        off = _byte_offset(text, i)
-        m = _NUM_RE.match(text, i)
-        if m:
-            lexeme = m.group()
-            value = int(lexeme) if _INT_RE.match(lexeme) else lexeme
-            tokens.append(("num", value, off))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(("ident", m.group(), off))
-            i = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, off))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", off)
-    tokens.append(("eof", "", _byte_offset(text, n)))
+    """(kind, value, byte offset) tokens of ``text``, ending in "eof"."""
+    tokens, off = [], 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "num":
+            tokens.append((kind, int(lexeme) if lexeme.isdecimal()
+                           else lexeme, off))
+        elif kind == "ident":
+            tokens.append((kind, lexeme, off))
+        elif kind == "op":
+            tokens.append((lexeme, lexeme, off))
+        elif kind == "other":
+            raise ParseError(f"unexpected character {lexeme!r}", off)
+        off += len(lexeme.encode("utf-8"))
+    tokens.append(("eof", "", off))
     return tokens
 
 
@@ -250,7 +260,6 @@ class _Parser:
         if tok[0] != kind:
             got = "end of input" if tok[0] == "eof" else repr(tok[1])
             raise ParseError(f"expected {what}, got {got}", tok[2])
-        return tok
 
     def parse(self):
         if self.peek()[0] == "eof":
@@ -261,57 +270,44 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return e
 
-    def expr(self):
-        e = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+    def expr(self, prec=_PREC_ADD):
+        """Operands joined left to right by the infix operators of ``prec``,
+        each operand parsed at the next level; past the infix levels, a
+        negation or a power."""
+        ops = _INFIX.get(prec)
+        if ops is None:
+            if self.peek()[0] == "-":
+                self.advance()
+                return _negate(self.expr(prec))
+            return self.power()
+        e = self.expr(prec + 1)
+        while self.peek()[0] in ops:
+            e = ops[self.advance()[0]](e, self.expr(prec + 1))
         return e
-
-    def term(self):
-        e = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            rhs = self.unary()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
-        return e
-
-    def unary(self):
-        if self.peek()[0] == "-":
-            self.advance()
-            return _negate(self.unary())
-        return self.power()
 
     def power(self):
         base = self.atom()
         if self.peek()[0] == "^":
             self.advance()
-            return Pow(base, self.unary())
+            return Pow(base, self.expr(_PREC_NEG))
         return base
 
     def atom(self):
-        tok = self.advance()
-        kind, value, off = tok
+        kind, value, off = self.advance()
         if kind == "num":
             return Num(value)
-        if kind == "ident":
-            if value == "pi":
-                return PiConst()
-            if value == "x":
-                return Var()
-            if value in _FUNCTIONS:
-                self.expect("(", f"'(' after {value}")
-                arg = self.expr()
-                self.expect(")", "')'")
-                return _FUNCTIONS[value](arg)
+        if kind == "ident" and value not in _FUNCTIONS:
+            if value in ("pi", "x"):
+                return PiConst() if value == "pi" else Var()
             raise ParseError(f"unknown identifier {value!r}", off)
-        if kind == "(":
-            e = self.expr()
-            self.expect(")", "')'")
-            return e
-        got = "end of input" if kind == "eof" else repr(value)
-        raise ParseError(f"expected expression, got {got}", off)
+        if kind == "ident":
+            self.expect("(", f"'(' after {value}")
+        elif kind != "(":
+            got = "end of input" if kind == "eof" else repr(value)
+            raise ParseError(f"expected expression, got {got}", off)
+        e = self.expr()
+        self.expect(")", "')'")
+        return _FUNCTIONS[value](e) if kind == "ident" else e
 
 
 def parse(text):
@@ -324,17 +320,9 @@ def parse(text):
 # ---------------------------------------------------------------------------
 # printing: canonical parenthesized infix, inverse of parse()
 
-# precedence levels used for minimal parenthesization
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 9
-
-
 def _prec(e):
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
+    if isinstance(e, (_Infix, _Unary)):
+        return e.prec
     if isinstance(e, Num) and _num_is_negative(e.value):
         return _PREC_NEG  # prints with a leading minus, parse like a Neg
     if isinstance(e, Pow):
@@ -352,30 +340,20 @@ def _fmt(e, ctx):
 
 
 def _fmt_inner(e):
+    if isinstance(e, _Infix):
+        return f"{_fmt(e.left, e.prec)} {e.symbol} {_fmt(e.right, e.prec + 1)}"
+    if isinstance(e, Neg):
+        return f"{e.symbol}{_fmt(e.arg, e.prec)}"
+    if isinstance(e, _Unary):  # a function
+        return f"{e.symbol}({_fmt(e.arg, 0)})"
+    if isinstance(e, Pow):
+        return f"{_fmt(e.base, _PREC_ATOM)} ^ {_fmt(e.exponent, _PREC_NEG)}"
     if isinstance(e, Num):
         return str(e.value)
     if isinstance(e, PiConst):
         return "pi"
     if isinstance(e, Var):
         return "x"
-    if isinstance(e, Add):
-        return f"{_fmt(e.left, _PREC_ADD)} + {_fmt(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_fmt(e.left, _PREC_ADD)} - {_fmt(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_fmt(e.left, _PREC_MUL)} * {_fmt(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_fmt(e.left, _PREC_MUL)} / {_fmt(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Neg):
-        return f"-{_fmt(e.arg, _PREC_NEG)}"
-    if isinstance(e, Pow):
-        return f"{_fmt(e.base, _PREC_ATOM)} ^ {_fmt(e.exponent, _PREC_NEG)}"
-    if isinstance(e, Sin):
-        return f"sin({_fmt(e.arg, 0)})"
-    if isinstance(e, Cos):
-        return f"cos({_fmt(e.arg, 0)})"
-    if isinstance(e, Sqrt):
-        return f"sqrt({_fmt(e.arg, 0)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -390,10 +368,23 @@ def to_text(e):
 # "is negative" reads the sign bit: mpmath has no negative zero, and the
 # bit agrees with mpf_lt(u, fzero) on every tuple, fninf and fnan included
 
+# mpf_pow_int squares once per bit of an integer exponent, at about
+# prec + 4 * (its bit length) bits.  On a 2-CPU host 1.5 or 4/3 to a b-bit
+# exponent takes 0.05 s at 53 bits for b = 1,024 (0.34 s for 2,048, 1.9 s
+# for 4,096), and at 65,536 bits 0.21 s for b = 64, 0.57 s for 128 and
+# 1.1 s for 256.  Exponents of 2^128 or more are refused, so every accepted
+# power takes under a second, except on a base whose powers mpf_pow_int
+# returns at once: a power of two (mantissa 1, +-1 included), zero, an
+# infinity or NaN (bc below 2).
+_POW_BITS = 128
+
+
 def _checked_power(u, v, prec, rnd):
-    sign, man, exp, _ = v
+    sign, man, exp, bc = v
     if exp >= 0:
         # an integer exponent (fzero too), dispatched as mpf_pow does
+        if exp + bc > _POW_BITS and u[3] > 1:
+            raise DomainError(f"integer exponent of 2^{_POW_BITS} or more")
         n = -(man << exp) if sign else man << exp
         if n < 0 and u == fzero:
             raise DomainError("zero raised to a negative power")
@@ -672,13 +663,13 @@ class Tape:
             key = (t, a, b)
             if key in registers:  # checked where the equal node was built
                 del self.steps[mark]
-        elif t in (Add, Sub, Mul, Pow):
+        elif isinstance(e, (_Infix, Pow)):
             left, right = (e.base, e.exponent) if t is Pow else \
                 (e.left, e.right)
             a = self._visit(left, seen, registers)
             b = self._visit(right, seen, registers)
             key = (t, a, b)
-        elif t in (Neg, Sin, Cos, Sqrt):
+        elif isinstance(e, _Unary):
             a = self._visit(e.arg, seen, registers)
             key = (t, a)
         else:

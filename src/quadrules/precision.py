@@ -16,6 +16,11 @@ from mpmath import mp, mpf
 
 # the normal range of a double: 2^-1022 <= |x| < 2^1024
 _DOUBLE_MIN, _DOUBLE_OVER = mpf(2) ** -1022, mpf(2) ** 1024
+# The CLI's cap on --prec, and the highest precision at which an Interval
+# tries to tell its endpoints apart.  A 16-panel Simpson rule on sin2 takes
+# about 10 s at 2^16 bits on a 2-CPU host; far larger values ask mpmath
+# for integers it cannot finish or store.
+MAX_BITS = 2 ** 16
 
 
 def workprec(bits):

@@ -36,8 +36,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Expression, Num, Tape, parse
-from .precision import workprec
+from mpmath import mp
+from mpmath.libmp import mpf_lt
+
+from .expr import DomainError, Expression, Num, Tape, parse
+from .precision import MAX_BITS, workprec
 
 RULE_ORDER = ("L", "R", "M", "T", "S", "T2", "Q")
 
@@ -87,6 +90,11 @@ class Interval:
     Endpoints are stored as constant expressions (ints, decimal strings and
     parsed text are coerced), so they can be materialized exactly at any
     working precision; ``bounds()`` evaluates them at the ambient one.
+    Rounding keeps the order of two values, so endpoints that round apart
+    at some precision are ordered there: the constructor compares them at
+    64 bits and, while they round equal, at twice as many up to
+    ``MAX_BITS``.  Endpoints that still round equal are rejected, and
+    ``bounds()`` refuses a precision at which they do.
     """
 
     a: Expression
@@ -99,14 +107,26 @@ class Interval:
         # the endpoint tapes, compiled once; not fields, so == and repr
         # ignore them
         object.__setattr__(self, "_tapes", (a_tape, b_tape))
-        with workprec(64):
-            lo, hi = self.bounds()
-            if not lo < hi:
-                raise ValueError(f"interval requires a < b, got [{lo}, {hi}]")
+        bits = 64
+        while True:
+            with workprec(bits):
+                lo, hi = a_tape.run(None), b_tape.run(None)
+            if lo < hi:
+                return
+            if lo > hi or bits >= MAX_BITS:
+                break
+            bits *= 2
+        equal = "" if lo > hi else f", equal to {bits} bits"
+        raise ValueError(f"interval requires a < b, got {self}{equal}")
 
     def bounds(self):
-        a_tape, b_tape = self._tapes
-        return a_tape.run(None), b_tape.run(None)
+        """The endpoints at the ambient precision, as mpfs.  Raises
+        DomainError where they round to a >= b."""
+        a, b = (tape._run(None) for tape in self._tapes)
+        if not mpf_lt(a, b):
+            raise DomainError(f"the endpoints of {self} round to a >= b at "
+                              f"{mp.prec}-bit precision")
+        return mp.make_mpf(a), mp.make_mpf(b)
 
     def __str__(self):
         return f"[{self.a}, {self.b}]"

@@ -121,6 +121,11 @@ def tree_eval(e, x):
             raise DomainError("zero raised to a negative power", e, x)
         if base < 0 and not mp.isint(expo):
             raise DomainError("fractional power of a negative base", e, x)
+        # the package's bound on integer exponents, lifted for bases whose
+        # significand is one bit: powers of two, +-1
+        if mp.isint(expo) and abs(expo) >= 2 ** 128 and \
+                base._mpf_[3] > 1:
+            raise DomainError("integer exponent of 2^128 or more", e, x)
         return base ** expo
     if isinstance(e, Neg):
         return -tree_eval(e.arg, x)

@@ -519,7 +519,10 @@ def test_deep_nesting_is_one_line_usage_error(text):
     # turn into a power of ten
     ("x^(10^10^4)", "cannot print a value whose binary exponent is 2^64 "
                     "or more in magnitude"),
-], ids=["trig_argument", "printed_exponent"])
+    # 1.5^(10^(10^4)) would square 33,220 times at over 130,000 bits
+    ("(1+x)^(10^10^4)", "integer exponent of 2^128 or more in "
+                        "(1 + x) ^ 10 ^ 10 ^ 4 at x = 0.5 (panel 1 of 1)"),
+], ids=["trig_argument", "printed_exponent", "integer_power"])
 def test_astronomical_magnitudes_are_one_line_domain_errors(text, message):
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -529,3 +532,36 @@ def test_astronomical_magnitudes_are_one_line_domain_errors(text, message):
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (2, "", f"quad: domain error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    # 1 + 10^-20 rounds to 1 at 64 bits, not at 128
+    (("integrate", "--b", "1.00000000000000000001", "--prec", "256"), 0,
+     "integrand x on [1, 1.00000000000000000001]\n"
+     "rule M with 1 panel(s) at 256-bit precision\n"
+     "value = 0.00000000000000000001000000000000000000004999999999999999999"
+     "99999999999999999950269480158432013\n", ""),
+    # 1 + 10^-19 rounds to 1 at 53 bits, where it once integrated to 0.0
+    (("integrate", "--b", "1.0000000000000000001"), 2, "",
+     "quad: domain error: the endpoints of [1, 1.0000000000000000001] "
+     "round to a >= b at 53-bit precision\n"),
+    (("bracket", "--b", "1.0000000000000000001", "--pair", "L,R"), 2, "",
+     "quad: domain error: the endpoints of [1, 1.0000000000000000001] "
+     "round to a >= b at 53-bit precision\n"),
+    (("integrate", "--b", "1"), 1, "",
+     "quad: error: bad interval: interval requires a < b, got [1, 1], "
+     "equal to 65536 bits\n"),
+], ids=["apart_at_256_bits", "equal_at_53_bits", "bracket_at_53_bits",
+        "equal_at_every_precision"])
+def test_endpoints_are_compared_at_the_working_precision(argv, code, stdout,
+                                                         stderr):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    command, *flags = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrules.cli", command, "--integrand", "x",
+         "--a", "1", *flags, *(("--rule", "M") if command == "integrate"
+                              else ())],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (code, stdout, stderr)

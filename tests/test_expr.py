@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +77,53 @@ class TestParse:
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
             parse("x + $")
+
+    def test_offsets_count_utf8_bytes(self):
+        # a no-break space takes 2 bytes, an ideographic space 3 and
+        # an e with acute accent 2
+        with pytest.raises(ParseError) as exc:
+            parse("x\u00a0+\u3000y")
+        assert str(exc.value) == \
+            "syntax error at byte offset 7: unknown identifier 'y'"
+        with pytest.raises(ParseError) as exc:
+            parse("\u00e9")
+        assert exc.value.offset == 0
+        with pytest.raises(ParseError) as exc:
+            parse("\u3000x + \u00e9 + 1")
+        assert str(exc.value) == \
+            "syntax error at byte offset 7: unexpected character '\u00e9'"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(
+        st.sampled_from("+-*/^().eE_ xpisnc0123456789"),
+        st.sampled_from("\u00e9\u03c0\u20ac\U0001d569$"),  # 2 to 4 bytes, $
+        st.sampled_from("\u0661\u0968\uff19\U0001d7d9"),  # Unicode digits
+        st.sampled_from("\t\n\u00a0\u2003\u3000\x1c\x85"),  # and spaces
+        st.characters(exclude_categories=("Cs",))), max_size=30))
+    def test_token_offsets_point_at_their_lexemes(self, text):
+        data = text.encode("utf-8")
+        try:
+            tokens = expr._tokenize(text)
+        except ParseError as err:
+            # the rejected character starts at the offset
+            rest = data[err.offset:].decode("utf-8")
+            assert str(err).endswith(f"unexpected character {rest[0]!r}")
+            assert not rest[0].isspace() and not rest[0].isdecimal()
+            return
+        end = 0  # byte offset past the previous lexeme
+        for kind, value, off in tokens:
+            # only whitespace lies between lexemes
+            assert off >= end and not data[end:off].decode("utf-8").strip()
+            rest = data[off:].decode("utf-8")
+            if kind == "num" and isinstance(value, int):
+                digits = re.match(r"\d+", rest).group()
+                assert int(digits) == value
+                lexeme = digits
+            else:
+                lexeme = value
+            assert rest.startswith(lexeme)
+            end = off + len(lexeme.encode("utf-8"))
+        assert tokens[-1] == ("eof", "", len(data))
 
 
 def _expression_trees():
@@ -580,6 +628,23 @@ class TestCheckedPower:
                             x._mpf_, v, precision, round_nearest)
         assert messages == {"zero raised to a negative power",
                             "fractional power of a negative base"}
+
+    def test_integer_exponents_from_2_to_the_128_are_refused(self):
+        # except on bases whose powers mpf_pow_int returns at once
+        with workprec(256):
+            top = mpf(2) ** 128
+            base = mpf("1.5")._mpf_
+            assert _checked_power(base, (top - 1)._mpf_, 256, round_nearest) \
+                == mpf_pow(base, (top - 1)._mpf_, 256, round_nearest)
+            for n in (top, -top, 3 * top, -(mpf(10) ** 10000)):
+                with pytest.raises(DomainError, match=(
+                        "^integer exponent of 2\\^128 or more$")):
+                    _checked_power(base, n._mpf_, 256, round_nearest)
+                for u in (mpf(0), mpf(1), mpf(-1), mpf("0.5"), mpf(-4)):
+                    if u or n > 0:
+                        assert _checked_power(u._mpf_, n._mpf_, 256,
+                                              round_nearest) == \
+                            mpf_pow(u._mpf_, n._mpf_, 256, round_nearest)
 
     def test_raises_only_where_mpf_pow_cannot_answer(self):
         with workprec(53):

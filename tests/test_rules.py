@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 from quadrules.composite import composite_values
+from quadrules.expr import DomainError
 from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.precision import pi_at, workprec
 from quadrules.rules import (Interval, NEGATIVE, POSITIVE, RULE_ORDER,
@@ -133,6 +134,21 @@ class TestInterval:
     def test_rejects_variable_endpoints(self):
         with pytest.raises(ValueError):
             Interval("x", 1)
+
+    def test_endpoints_apart_beyond_64_bits_are_told_apart(self):
+        # equal at 64 bits; at 53, bounds() refuses them
+        iv = Interval("1", "1 + 2^-100")
+        with workprec(128):
+            a, b = iv.bounds()
+        assert b - a == mpf(2) ** -100
+        with workprec(53), pytest.raises(DomainError, match=(
+                r"^the endpoints of \[1, 1 \+ 2 \^ -100\] round to "
+                r"a >= b at 53-bit precision$")):
+            iv.bounds()
+        with pytest.raises(ValueError, match="equal to 65536 bits"):
+            Interval("1", "1 + 2^-70000")
+        with pytest.raises(ValueError, match=r"got \[1 \+ 2 \^ -100, 1\]$"):
+            Interval("1 + 2^-100", "1")
 
 
 @pytest.fixture(scope="module")
