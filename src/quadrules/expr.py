@@ -68,8 +68,9 @@ from functools import partial
 
 import mpmath.ctx_mp_python
 from mpmath import mp, mpf
-from mpmath.libmp import (MPZ, fzero, mpf_add, mpf_cos, mpf_mul_int, mpf_pow,
-                          mpf_pow_int, mpf_sin, mpf_sqrt, round_nearest)
+from mpmath.libmp import (MPZ, fone, fzero, mpf_add, mpf_cos, mpf_mul_int,
+                          mpf_pow, mpf_pow_int, mpf_sin, mpf_sqrt,
+                          round_nearest)
 
 from .precision import workprec
 
@@ -375,7 +376,13 @@ def to_text(e):
 # 1.1 s for 256.  Exponents of 2^128 or more are refused, so every accepted
 # power takes under a second, except on a base whose powers mpf_pow_int
 # returns at once: a power of two (mantissa 1, +-1 included), zero, an
-# infinity or NaN (bc below 2).
+# infinity or NaN (bc below 2).  mpf_pow takes a fractional exponent n/2
+# as sqrt(u)^n, by mpf_pow_int on a root that is no power of two, and any
+# other as exp(v*log u), whose argument is as large as v.  At 65,536 bits
+# 1.5, 2 or 0.5 to 2^256 + 0.5 takes 0.26 to 0.43 s, 2 or 0.5 to 2^4096 +
+# 0.5 6.3 to 6.7 s, and to the largest accepted exponent, 2^128 - 0.5, 0.4
+# to 0.56 s.  So fractional exponents of 2^128 or more are refused too,
+# on powers of two as well; only a base of 0 or 1 returns at once.
 _POW_BITS = 128
 
 
@@ -393,6 +400,8 @@ def _checked_power(u, v, prec, rnd):
         raise DomainError("zero raised to a negative power")
     if u[0]:  # v is a fraction, inf or nan here
         raise DomainError("fractional power of a negative base")
+    if exp + bc > _POW_BITS and u not in (fzero, fone):
+        raise DomainError(f"fractional exponent of 2^{_POW_BITS} or more")
     return mpf_pow(u, v, prec, rnd)
 
 
@@ -475,8 +484,8 @@ def _to_tuple(v):
 
 
 def grid(a, step, ks, prec):
-    """The points a + k*step for each k of ``ks``, a range of ascending
-    non-negative ints, as ``_mpf_`` tuples, each rounded as
+    """The points a + k*step for each k of ``ks``, any sequence of
+    ascending non-negative ints, as ``_mpf_`` tuples, each rounded as
     ``mpf_add(a, mpf_mul_int(step, k, prec, "n"), prec, "n")``.
 
     At 53 bits the points are computed as ``ad + k*hd`` on doubles when a

@@ -27,7 +27,8 @@ class Integrand:
     ``mpmath.mp.workprec`` or the precision arguments of the rule and
     composite entry points to control it.
 
-    ``carry(precision)`` holds the exact node-column sums of the last
+    ``carry(precision)`` holds the exact sums by node kind (f(a), f(b),
+    f at the inner boundaries, f and f'' at the midpoints) of the last
     composite at that precision, keyed by its interval's endpoints and
     panel count, so that a composite over twice as many panels evaluates
     only its new nodes (see ``quadrules.composite``).  It holds one entry
@@ -45,7 +46,7 @@ class Integrand:
     def __post_init__(self):
         self._derivatives = [self.expression]
         self._tapes = {0: Tape(self.expression)}
-        self._carried = {}  # precision -> {(a, b, panels): column sums}
+        self._carried = {}  # precision -> {(a, b, panels): node sums}
 
     @classmethod
     def from_text(cls, text, a, b, reference=None, name=None):
@@ -72,7 +73,7 @@ class Integrand:
         return self.tape(order).run(x)
 
     def carry(self, precision):
-        """The carried column sums at ``precision``, for the composite to
+        """The carried node sums at ``precision``, for the composite to
         read and replace."""
         return self._carried.setdefault(precision, {})
 

@@ -126,6 +126,10 @@ def tree_eval(e, x):
         if mp.isint(expo) and abs(expo) >= 2 ** 128 and \
                 base._mpf_[3] > 1:
             raise DomainError("integer exponent of 2^128 or more", e, x)
+        # and on fractional ones, lifted for the bases 0 and 1 only
+        if mp.isfinite(expo) and not mp.isint(expo) and \
+                abs(expo) >= 2 ** 128 and base not in (0, 1):
+            raise DomainError("fractional exponent of 2^128 or more", e, x)
         return base ** expo
     if isinstance(e, Neg):
         return -tree_eval(e.arg, x)

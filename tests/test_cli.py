@@ -511,24 +511,36 @@ def test_deep_nesting_is_one_line_usage_error(text):
         (1, "", "quad: error: expression nested too deeply\n")
 
 
-@pytest.mark.parametrize("text, message", [
+@pytest.mark.parametrize("text, prec, message", [
     # a sine reduces 10^(10^6)/2 by pi to about 3.3 million bits
-    ("sin(10^10^6*x)", "sine argument beyond 2^131072 in "
-                       "sin(10 ^ 10 ^ 6 * x) at x = 0.5 (panel 1 of 1)"),
+    ("sin(10^10^6*x)", "53", "sine argument beyond 2^131072 in "
+                             "sin(10 ^ 10 ^ 6 * x) at x = 0.5 (panel 1 of 1)"),
     # 0.5^(10^(10^4)) has a 33,220-bit exponent, which mp.nstr would
     # turn into a power of ten
-    ("x^(10^10^4)", "cannot print a value whose binary exponent is 2^64 "
-                    "or more in magnitude"),
+    ("x^(10^10^4)", "53", "cannot print a value whose binary exponent is "
+                          "2^64 or more in magnitude"),
     # 1.5^(10^(10^4)) would square 33,220 times at over 130,000 bits
-    ("(1+x)^(10^10^4)", "integer exponent of 2^128 or more in "
-                        "(1 + x) ^ 10 ^ 10 ^ 4 at x = 0.5 (panel 1 of 1)"),
-], ids=["trig_argument", "printed_exponent", "integer_power"])
-def test_astronomical_magnitudes_are_one_line_domain_errors(text, message):
+    ("(1+x)^(10^10^4)", "53", "integer exponent of 2^128 or more in "
+                              "(1 + x) ^ 10 ^ 10 ^ 4 at x = 0.5 "
+                              "(panel 1 of 1)"),
+    # at 53 bits 10^(10^4) + 0.5 rounds to an integer; at 65,536 bits it
+    # keeps its half, and mpf_pow would square 33,220 times as well
+    ("(1+x)^(10^10^4+0.5)", "53", "integer exponent of 2^128 or more in "
+                                  "(1 + x) ^ (10 ^ 10 ^ 4 + 0.5) at x = 0.5 "
+                                  "(panel 1 of 1)"),
+    ("(1+x)^(10^10^4+0.5)", "65536", "fractional exponent of 2^128 or more "
+                                     "in (1 + x) ^ (10 ^ 10 ^ 4 + 0.5) at "
+                                     "x = 0.5 (panel 1 of 1)"),
+], ids=["trig_argument", "printed_exponent", "integer_power",
+        "fractional_power_53", "fractional_power_65536"])
+def test_astronomical_magnitudes_are_one_line_domain_errors(text, prec,
+                                                            message):
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "quadrules.cli", "integrate", "--integrand",
-         text, "--a", "0", "--b", "1", "--rule", "M", "--panels", "1"],
+         text, "--a", "0", "--b", "1", "--rule", "M", "--panels", "1",
+         "--prec", prec],
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (2, "", f"quad: domain error: {message}\n")

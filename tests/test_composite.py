@@ -266,6 +266,20 @@ def test_domain_error_names_panel_and_node():
     assert str(exc.value).endswith("at x = 1.0 (panel 4 of 4)")
 
 
+@pytest.mark.parametrize("names, where", [
+    # nodes are evaluated in ascending x: S reads the midpoint 0.25
+    # before the boundary 0.5, which is panel 1's right end when right
+    # ends are read and otherwise panel 2's left end
+    (("S",), "0.25 (panel 1 of 2)"), (("T",), "0.5 (panel 1 of 2)"),
+    (("L",), "0.5 (panel 2 of 2)"),
+], ids=["S", "T", "L"])
+def test_a_domain_error_names_the_leftmost_failing_node(names, where):
+    f = Integrand.from_text("sqrt(0.2 - x)", 0, 1)
+    with pytest.raises(DomainError) as exc:
+        composite_values(f, f.interval, names, 2)
+    assert str(exc.value).endswith(f"at x = {where}")
+
+
 def test_extended_precision_uses_requested_bits():
     f = builtin_integrand("atan2")
     v128 = composite_value("S", f, 8, 128)
@@ -276,7 +290,7 @@ def test_extended_precision_uses_requested_bits():
 
 
 class TestNodeMemo:
-    """An integrand carries the exact column sums of its last composite
+    """An integrand carries the exact node sums of its last composite
     per precision, so a composite over twice as many panels on the same
     interval evaluates only its new nodes."""
 
@@ -451,8 +465,8 @@ def test_table_positions_are_computed_once_each_on_doubles(monkeypatch,
     def recording(kind):
         def wrapper(a, step, ks, prec):
             if kind == "composite":
-                built["midpoints" if ks.start % 2 else "boundaries"] += \
-                    len(ks)
+                for k in ks:
+                    built["midpoints" if k % 2 else "boundaries"] += 1
             else:
                 built["samples"] += len(ks)
             return grid(a, step, ks, prec)

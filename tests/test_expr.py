@@ -646,6 +646,28 @@ class TestCheckedPower:
                                               round_nearest) == \
                             mpf_pow(u._mpf_, n._mpf_, 256, round_nearest)
 
+    def test_fractional_exponents_from_2_to_the_128_are_refused(self):
+        # on powers of two as well: only 0 and 1 are answered at once
+        with workprec(256):
+            top = mpf(2) ** 128
+            for n in (top - mpf("0.5"), -top + mpf("0.25")):
+                for u in (mpf(0), mpf(1), mpf("1.5"), mpf(2), mpf("0.5")):
+                    if u or n > 0:
+                        assert _checked_power(u._mpf_, n._mpf_, 256,
+                                              round_nearest) == \
+                            mpf_pow(u._mpf_, n._mpf_, 256, round_nearest)
+            for n in (top + mpf("0.5"), -top - mpf("0.5"),
+                      3 * top + mpf("0.75")):
+                for u in (mpf("1.5"), mpf(2), mpf("0.5")):
+                    with pytest.raises(DomainError, match=(
+                            "^fractional exponent of 2\\^128 or more$")):
+                        _checked_power(u._mpf_, n._mpf_, 256, round_nearest)
+                assert _checked_power(mpf(1)._mpf_, n._mpf_, 256,
+                                      round_nearest) == mpf(1)._mpf_
+                if n > 0:
+                    assert _checked_power(fzero, n._mpf_, 256,
+                                          round_nearest) == fzero
+
     def test_raises_only_where_mpf_pow_cannot_answer(self):
         with workprec(53):
             for u, v in ((mpf(0), mpf(-1)), (mpf(0), mpf("-1.5")),
