@@ -113,9 +113,13 @@ def convergence_table(f, rules=("L", "R", "M", "T", "S", "T2"),
     reference = Reference.for_integrand(f)
     if reference is None:
         raise ValueError("no reference value: the integrand has none")
-    n_list = sorted(set(int(n) for n in n_list))
-    if not n_list or n_list[0] < 1:
-        raise ValueError("panel counts must be positive")
+    n_list = list(n_list)
+    if not n_list:
+        raise ValueError("no panel counts")
+    for n in n_list:
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"panel counts must be integers >= 1, got {n!r}")
+    n_list = sorted(set(n_list))
 
     flags = {f"{pair.positive.name},{pair.negative.name}":
              check_assumption_A(f, pair.derivative_order, precision).tag

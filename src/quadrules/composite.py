@@ -33,26 +33,13 @@ stores no carry.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from mpmath import mp
 from mpmath.libmp import mpf_pos, mpf_sum, round_nearest
 
 from .expr import DomainError, grid
 from .precision import workprec
-from .rules import RULE_ORDER, needed_rules, rule_names, rule_values
+from .rules import nodes_read, rule_names, rule_values
 
-
-def _nodes_read(need):
-    read = []
-    rule_values(need, 0, lambda *node: read.append(node) or 0)
-    return tuple(read)
-
-
-# the (j, order) nodes each closed rule set reads, in fetch order
-_NODES_READ = {frozenset(need): _nodes_read(need)
-               for k in range(1, len(RULE_ORDER) + 1)
-               for need in map(needed_rules, combinations(RULE_ORDER, k))}
 
 # the exact sums by node kind that each kernel node adds
 _SUMS = {(0, 0): ("f(a)", "f(inner)"), (2, 0): ("f(inner)", "f(b)"),
@@ -71,10 +58,10 @@ def composite_values(f, interval, rules, panels, precision=53):
     reads it (numbered from 1, like the panel total).
     """
     names = rule_names(rules)
-    if panels < 1:
-        raise ValueError(f"panel count must be >= 1, got {panels}")
-    need = needed_rules(names)
-    nodes = _NODES_READ[frozenset(need)]
+    if not isinstance(panels, int) or panels < 1:
+        raise ValueError(f"panel count must be an integer >= 1, got "
+                         f"{panels!r}")
+    nodes = nodes_read(frozenset(names))
     sums = {kind: [] for node in nodes for kind in _SUMS[node]}
     mid_reads = [(order, sums[_SUMS[j, order][0]]) for j, order in nodes
                  if j == 1]
@@ -131,7 +118,6 @@ def composite_values(f, interval, rules, panels, precision=53):
         sums = {kind: column[0] for kind, column in sums.items()}
         carry.clear()
         carry[key + (panels,)] = sums
-        vals = rule_values(need, h, lambda *node: make(mpf_pos(
+        return rule_values(names, h, lambda *node: make(mpf_pos(
             mpf_sum([sums[kind] for kind in _SUMS[node]], 0), precision,
             round_nearest)))
-        return {name: vals[name] for name in names}

@@ -15,22 +15,21 @@ for some xi in [a, b], with a fixed sign and integer denominator d:
     T2    3       +           1920    M + (b-a)^3/24 f''((a+b)/2)
     Q     5       -           806400  (2 T2 + 3 S) / 5
 
-S and Q are evaluated through those weighted means (reusing M, T, T2, S)
-rather than through expanded node formulas; the direct endpoint Simpson
-form (b-a)/6 (f(a) + 4 f(mid) + f(b)) is algebraically identical and is
-kept to the test suite as a cross-check.
+Each rule is one entry of the formula table ``_FORMULAS``; S, T2 and Q
+read M, T, T2 and S from it rather than expanded node formulas (the
+endpoint Simpson form (b-a)/6 (f(a) + 4 f(mid) + f(b)) is kept to the
+test suite as a cross-check).  ``rule_values`` fetches the nodes the
+requested rules reach, each once, and evaluates them in any number type:
+``simple_rule_values`` calls it on one interval, the composite once on
+node sums over all panels, and ``RULES`` with exact rationals.
 
-Each formula is written once, in ``rule_values``, which fetches exactly
-the nodes its formulas read through a node reader and works in any number
-type.  ``simple_rule_values`` calls it on one interval, the composite once
-on node sums over all panels, and ``RULES`` with exact rationals.
-
-``RULES`` is derived from ``rule_values`` at import (see ``_derive_law``),
-and the test suite proves each law from the rule's Peano kernel.
+``RULES`` is derived from the table at import (see ``_derive_law``), and
+the test suite proves each law from the rule's Peano kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,7 +41,20 @@ from mpmath.libmp import mpf_lt
 from .expr import DomainError, Expression, Num, Tape, parse
 from .precision import MAX_BITS, workprec
 
-RULE_ORDER = ("L", "R", "M", "T", "S", "T2", "Q")
+# One entry per rule, in display order: a formula of the width w, of node
+# values f(j, order) (see ``rule_values``) and of other rules' values
+# v(name).
+_FORMULAS = {
+    "L": lambda w, f, v: w * f(0, 0),
+    "R": lambda w, f, v: w * f(2, 0),
+    "M": lambda w, f, v: w * f(1, 0),
+    "T": lambda w, f, v: w / 2 * (f(0, 0) + f(2, 0)),
+    "S": lambda w, f, v: (2 * v("M") + v("T")) / 3,
+    "T2": lambda w, f, v: v("M") + w ** 3 / 24 * f(1, 2),
+    "Q": lambda w, f, v: (2 * v("T2") + 3 * v("S")) / 5,
+}
+
+RULE_ORDER = tuple(_FORMULAS)
 
 POSITIVE, NEGATIVE = "positive", "negative"
 
@@ -148,52 +160,41 @@ def _as_constant(value):
     return e, tape
 
 
-# the rules each weighted mean is built from
-_CHAIN = {"S": ("M", "T"), "Q": ("T2", "S"), "T2": ("M",)}
+def _evaluate(names, w, f):
+    """The rules ``names`` from the node reader ``f``, each rule once."""
+    vals = {}
+
+    def v(name):
+        if name not in vals:
+            vals[name] = _FORMULAS[name](w, f, v)
+        return vals[name]
+
+    return {name: v(name) for name in names}
 
 
-def needed_rules(names):
-    """The rules ``names`` plus every rule their weighted means reuse."""
-    need = set(names)
-    stack = list(need)
-    while stack:
-        for dep in _CHAIN.get(stack.pop(), ()):
-            if dep not in need:
-                need.add(dep)
-                stack.append(dep)
-    return need
+@functools.cache
+def nodes_read(names):
+    """The (j, order) nodes that the rules in the frozenset ``names``
+    reach, each once, in the order in which the whole table first reads
+    them: f(a), f(b), f(m), f''(m)."""
+    table, reached = [], set()
+    _evaluate(RULE_ORDER, 0, lambda *node: table.append(node) or 0)
+    _evaluate(names, 0, lambda *node: reached.add(node) or 0)
+    return tuple(node for node in dict.fromkeys(table) if node in reached)
 
 
-def rule_values(need, w, node):
-    """Values of the rules in ``need`` (closed under ``needed_rules``) on
-    one interval of width ``w``: the single home of every rule formula.
+def rule_values(names, w, node):
+    """Values of the rules ``names`` on one interval of width ``w``.
 
     ``node(j, order)`` is f (order 0) or f'' (order 2) at node j: 0 is
-    the left end, 1 the midpoint, 2 the right end.  Only nodes the rules
-    read are fetched, in the order f(a), f(b), f(m), f''(m).  The
+    the left end, 1 the midpoint, 2 the right end.  The nodes the rules
+    reach are fetched first, each once, in the order f(a), f(b), f(m),
+    f''(m); each rule is then evaluated once from ``_FORMULAS``.  The
     arithmetic is generic: mpmath floats give the rounded values at the
     ambient precision, Fractions (with a Fraction width) exact ones.
     """
-    fa = node(0, 0) if "L" in need or "T" in need else None
-    fb = node(2, 0) if "R" in need or "T" in need else None
-    fm = node(1, 0) if "M" in need else None
-    fpp = node(1, 2) if "T2" in need else None
-    vals = {}
-    if "L" in need:
-        vals["L"] = w * fa
-    if "R" in need:
-        vals["R"] = w * fb
-    if "M" in need:
-        vals["M"] = w * fm
-    if "T" in need:
-        vals["T"] = w / 2 * (fa + fb)
-    if "S" in need:
-        vals["S"] = (2 * vals["M"] + vals["T"]) / 3
-    if "T2" in need:
-        vals["T2"] = vals["M"] + w ** 3 / 24 * fpp
-    if "Q" in need:
-        vals["Q"] = (2 * vals["T2"] + 3 * vals["S"]) / 5
-    return vals
+    fetched = {n: node(*n) for n in nodes_read(frozenset(names))}
+    return _evaluate(names, w, lambda *n: fetched[n])
 
 
 def _monomial_rule_value(name, k):
@@ -204,7 +205,7 @@ def _monomial_rule_value(name, k):
         x = xs[j]
         return k * (k - 1) * x ** (k - 2) if order else x ** k
 
-    return rule_values(needed_rules((name,)), Fraction(1), node)[name]
+    return rule_values((name,), Fraction(1), node)[name]
 
 
 def _derive_law(name):
@@ -235,7 +236,6 @@ def simple_rule_values(f, a, b, rules=RULE_ORDER):
     """
     names = rule_names(rules)
     xs = (a, (a + b) / 2, b)
-    vals = rule_values(needed_rules(names), b - a, lambda j, order:
+    return rule_values(names, b - a, lambda j, order:
                        f.derivative_at(xs[j], order) if order
                        else f.eval_at(xs[j]))
-    return {name: vals[name] for name in names}

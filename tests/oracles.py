@@ -12,6 +12,8 @@ rule's error law is proven from its Peano kernel, with exact rationals
 only; the kernel reads the package's rule formulas, which are what it
 certifies.
 Tolerances are counted in ulps by ``ulp``.
+The rule kernel is also written out the long way, as the reference for
+the package's formula table.
 The last section holds two one-rule shorthands over the package's own
 entry points; they are conveniences, not oracles.
 """
@@ -33,7 +35,7 @@ from quadrules.composite import composite_values
 from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
                             Mul, Neg, Num, PiConst, Pow, Sin, Sqrt, Sub, Var)
 from quadrules.precision import as_mpf, workprec
-from quadrules.rules import needed_rules, rule_values, simple_rule_values
+from quadrules.rules import rule_values, simple_rule_values
 
 
 def brute_composite(fcall, a, b, n, names, fpp=None):
@@ -251,6 +253,48 @@ def mpf_from_fraction(fr, bits):
 
 
 # ---------------------------------------------------------------------------
+# the rule kernel written out
+#
+# Each rule's weighted-mean inputs are listed and closed over, the nodes
+# the closure reads are fetched in the order f(a), f(b), f(m), f''(m),
+# and every formula is guarded by the closure.
+
+BUILT_FROM = {"S": ("M", "T"), "Q": ("T2", "S"), "T2": ("M",)}
+
+
+def reference_rule_values(names, w, node):
+    """The rules ``names`` on one interval of width ``w``, from the node
+    reader ``node(j, order)`` of ``quadrules.rules.rule_values``."""
+    closed = set(names)
+    stack = list(closed)
+    while stack:
+        for dep in BUILT_FROM.get(stack.pop(), ()):
+            if dep not in closed:
+                closed.add(dep)
+                stack.append(dep)
+    fa = node(0, 0) if "L" in closed or "T" in closed else None
+    fb = node(2, 0) if "R" in closed or "T" in closed else None
+    fm = node(1, 0) if "M" in closed else None
+    fpp = node(1, 2) if "T2" in closed else None
+    vals = {}
+    if "L" in closed:
+        vals["L"] = w * fa
+    if "R" in closed:
+        vals["R"] = w * fb
+    if "M" in closed:
+        vals["M"] = w * fm
+    if "T" in closed:
+        vals["T"] = w / 2 * (fa + fb)
+    if "S" in closed:
+        vals["S"] = (2 * vals["M"] + vals["T"]) / 3
+    if "T2" in closed:
+        vals["T2"] = vals["M"] + w ** 3 / 24 * fpp
+    if "Q" in closed:
+        vals["Q"] = (2 * vals["T2"] + 3 * vals["S"]) / 5
+    return {name: vals[name] for name in names}
+
+
+# ---------------------------------------------------------------------------
 # error laws from Peano kernels, exactly
 #
 # A rule of degree m on [0, 1] has the error E(f) = integral(K f^(m+1))
@@ -266,7 +310,7 @@ def exact_rule_value(name, b, f, fpp):
     """Exact value of the package's rule ``name`` on [0, b] for the f and
     f'' given as functions of a rational x."""
     xs = (Fraction(0), b / 2, b)
-    return rule_values(needed_rules((name,)), b,
+    return rule_values((name,), b,
                        lambda j, order: fpp(xs[j]) if order else f(xs[j]))[name]
 
 

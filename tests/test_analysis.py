@@ -176,6 +176,15 @@ class TestConvergenceTable:
         with pytest.raises(TypeError, match="bug in the integrand"):
             convergence_table(f, rules=("L", "R"), n_list=(1,))
 
+    @pytest.mark.parametrize("n_list, message", [
+        ([2.5, 4], r"integers >= 1, got 2\.5$"),
+        ([4, 0], r"integers >= 1, got 0$"),
+        ([], r"^no panel counts$"),
+    ])
+    def test_rejects_bad_panel_counts(self, n_list, message):
+        with pytest.raises(ValueError, match=message):
+            convergence_table(builtin_integrand("asin6"), ("L", "R"), n_list)
+
     def test_requires_reference(self):
         f = Integrand.from_text("x", 0, 1)  # no closed form attached
         with pytest.raises(ValueError):

@@ -128,6 +128,20 @@ class TestIntegrate:
         assert code == 0 and err == ""
         assert "value = -2.0833333333333335\n" in out
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "mpf_sum(..., 0) drops a term more than 10^6 bits below the running "
+        "sum, so the node sums are not exact (ROADMAP Known defects)"))
+    def test_node_sum_keeps_a_term_far_below_the_others(self, capsys):
+        # the inner left ends read 2^1125000, 1 and -2^1125000; their exact
+        # sum is 1, so L over 4 panels is 1/4
+        for prec in ("53", "113"):
+            code, out, _ = run(capsys, "integrate", "--integrand",
+                               "(14*x - 32*x^3)/3 * 2^(18000000*(x-0.5)^2)",
+                               "--a", "0", "--b", "1", "--rule", "L",
+                               "--panels", "4", "--prec", prec)
+            assert code == 0
+            assert "value = 0.25\n" in out, prec
+
     def test_huge_interval_prints_a_finite_value(self, capsys):
         code, out, _ = run(capsys, "integrate", "--integrand", "sin(x)",
                            "--a", "0", "--b", "1e400")

@@ -105,13 +105,14 @@ def test_matches_brute_force_oracle():
             assert abs(got[name] - expected[name]) <= 64 * ulp(scale, 53)
 
 
-@pytest.mark.parametrize("rules, panels, error", [
-    (("M",), 0, ValueError),
-    (("XYZ",), 1, UnknownRuleError),
-], ids=["zero_panels", "unknown_rule"])
-def test_rejects_bad_requests(rules, panels, error):
+@pytest.mark.parametrize("rules, panels, error, message", [
+    (("M",), 0, ValueError, r"integer >= 1, got 0$"),
+    (("M",), 2.5, ValueError, r"integer >= 1, got 2\.5$"),
+    (("XYZ",), 1, UnknownRuleError, r"^unknown rule 'XYZ'"),
+], ids=["zero_panels", "non_integer_panels", "unknown_rule"])
+def test_rejects_bad_requests(rules, panels, error, message):
     f = builtin_integrand("sin2")
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         composite_values(f, f.interval, rules, panels)
 
 

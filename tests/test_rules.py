@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -11,11 +12,12 @@ from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.precision import pi_at, workprec
 from quadrules.rules import (Interval, NEGATIVE, POSITIVE, RULE_ORDER,
                              RULES, UnknownRuleError, rule_meta,
-                             simple_rule_values)
+                             rule_values, simple_rule_values)
 
 from oracles import (exact_poly_integral, exact_rule_value, kernel_integral,
                      kernel_sign, mpf_from_fraction, peano_kernel,
-                     random_poly_tree, simple_value, ulp)
+                     random_poly_tree, reference_rule_values, simple_value,
+                     ulp)
 
 
 class TestMetadata:
@@ -116,6 +118,54 @@ class TestNodeReads:
         n = 4
         composite_values(f, f.interval, (rule,), n)
         assert f.reads == [(mpf(i + offset) / n, 0) for i in range(n)]
+
+
+class TestFormulaTable:
+    # the formula table against the kernel written out (oracles), on every
+    # non-empty rule subset: the same values, bit for bit, and the same
+    # node reads in the same order
+    SUBSETS = [names for k in range(1, len(RULE_ORDER) + 1)
+               for names in combinations(RULE_ORDER, k)]
+    NODES = ((0, 0), (2, 0), (1, 0), (1, 2))
+
+    @staticmethod
+    def run(kernel, names, w, values):
+        reads = []
+
+        def node(j, order):
+            reads.append((j, order))
+            return values[j, order]
+
+        return kernel(names, w, node), reads
+
+    def check(self, w, values, key=lambda value: value):
+        for names in self.SUBSETS:
+            got, got_reads = self.run(rule_values, names, w, values)
+            want, want_reads = self.run(reference_rule_values, names, w,
+                                        values)
+            assert list(got) == list(names)
+            assert {k: key(v) for k, v in got.items()} == {
+                k: key(v) for k, v in want.items()}, names
+            assert got_reads == want_reads, names
+
+    def test_exact_on_fractions(self):
+        rng = random.Random(20)
+        for _ in range(5):
+            self.check(Fraction(rng.randint(1, 99), rng.randint(1, 99)),
+                       {n: Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                        for n in self.NODES})
+
+    @pytest.mark.parametrize("precision", [53, 256])
+    def test_bit_identical_on_mpfs(self, precision):
+        # node values of mixed signs from 2^-300 to 2^300 in magnitude, so
+        # that sums round
+        rng = random.Random(precision)
+        with workprec(precision):
+            for _ in range(20):
+                self.check(mpf(rng.random()) * 2 ** rng.randint(-20, 20),
+                           {n: mpf(rng.uniform(-1, 1)) * 2 ** rng.randint(
+                               -300, 300) for n in self.NODES},
+                           key=lambda value: value._mpf_)
 
 
 class TestInterval:
