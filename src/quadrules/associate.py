@@ -36,7 +36,7 @@ from mpmath import mp
 from mpmath.libmp import fzero, mpf_abs, mpf_cmp, mpf_le, mpf_shift
 
 from .expr import DifferentiationError, DomainError, Tape, grid
-from .precision import as_mpf, workprec
+from .precision import as_mpf, point_text, workprec
 from .rules import NEGATIVE, POSITIVE, RULES, RuleSpec, rule_meta
 
 
@@ -190,7 +190,8 @@ class AssumptionVerdict:
     def __str__(self):
         if self.kind == SIGN_CHANGE and self.subinterval is not None:
             lo, hi = self.subinterval
-            return f"{self.tag} (sign change in [{lo}, {hi}])"
+            return (f"{self.tag} (sign change in [{point_text(lo)}, "
+                    f"{point_text(hi)}])")
         return f"{self.tag} ({self.kind})"
 
 

@@ -3,7 +3,7 @@
 [a, b] is split into n panels of width h = (b-a)/n.  A composite rule is
 linear in its node values, so it is one call of the rule kernel
 ``quadrules.rules.rule_values`` with width h on node sums, built from
-exact sums (``mpf_sum(..., 0)``) by node kind: f(a), f(b), f at the inner
+exact sums (``_exact_sum``) by node kind: f(a), f(b), f at the inner
 boundaries, and f and f'' at the midpoints.  Kernel node 0 (the left
 ends) reads f(a) plus the inner sum, node 2 (the right ends) the inner
 sum plus f(b), and node 1 a midpoint sum; each rounds once, at the end,
@@ -34,7 +34,7 @@ stores no carry.
 from __future__ import annotations
 
 from mpmath import mp
-from mpmath.libmp import mpf_pos, mpf_sum, round_nearest
+from mpmath.libmp import from_man_exp, mpf_pos, mpf_sum, round_nearest
 
 from .expr import DomainError, grid
 from .precision import workprec
@@ -46,6 +46,45 @@ _SUMS = {(0, 0): ("f(a)", "f(inner)"), (2, 0): ("f(inner)", "f(b)"),
          (1, 0): ("f(mid)",), (1, 2): ("f''(mid)",)}
 
 _CHUNK = 512  # panels whose node values are held at once
+
+# the widest span of binary exponents an exact sum accepts, which bounds
+# its integer at about 4 Mbit
+_SUM_BITS = 2 ** 22
+
+
+def _exact_sum(terms):
+    """The exact sum of the ``_mpf_`` tuples ``terms``: the loop of
+    ``mpf_sum(terms, 0)`` without its drop of a term more than 10^6 bits
+    below the others.  Infinities and NaN go to ``mpf_sum``.  Raises
+    DomainError when the terms added since the sum was last zero span more
+    than 2^22 bits, from the lowest bit of one to the highest of another."""
+    man = exp = top = 0  # the sum is man * 2^exp; top is its terms' top bit
+    for sign, tman, texp, tbc in terms:
+        if not tman:
+            if texp:  # an infinity or NaN
+                return mpf_sum(terms, 0)
+            continue
+        if sign:
+            tman = -tman
+        if not man:
+            man, exp, top = tman, texp, texp + tbc
+        elif texp < exp:
+            if top - texp > _SUM_BITS:
+                break
+            man = (man << (exp - texp)) + tman
+            exp = texp
+        else:
+            if texp + tbc > top:
+                top = texp + tbc
+                if top - exp > _SUM_BITS:
+                    break
+            man += tman << (texp - exp)
+    else:
+        # strip the trailing zeros at once; from_man_exp takes 8 a turn
+        zeros = (man & -man).bit_length() - 1 if man else 0
+        return from_man_exp(man >> zeros, exp + zeros)
+    raise DomainError("cannot add node values whose binary exponents lie "
+                      "more than 2^22 apart")
 
 
 def composite_values(f, interval, rules, panels, precision=53):
@@ -113,11 +152,11 @@ def composite_values(f, interval, rules, panels, precision=53):
                 raise err.located(m if m and right and not odd else m + 1,
                                   panels) from None
             for column in sums.values():
-                column[:] = [mpf_sum(column, 0)]
+                column[:] = [_exact_sum(column)]
 
         sums = {kind: column[0] for kind, column in sums.items()}
         carry.clear()
         carry[key + (panels,)] = sums
         return rule_values(names, h, lambda *node: make(mpf_pos(
-            mpf_sum([sums[kind] for kind in _SUMS[node]], 0), precision,
+            _exact_sum([sums[kind] for kind in _SUMS[node]]), precision,
             round_nearest)))

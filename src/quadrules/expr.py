@@ -14,9 +14,9 @@ The input language is one-variable infix arithmetic::
 an integer or decimal literal; integers stay exact, decimal literals are
 converted at whatever working precision is active when the tree is
 evaluated, so one tree serves every precision.  Whitespace is ignored.
-Syntax errors report the byte offset of the offending token.  Each infix
-and unary node class declares its symbol and precedence once, on a shared
-base; the parser's tables, the printer and the tape read them there.
+Syntax errors report the byte offset of the offending token.  Each node
+class declares its symbol, precedence and evaluation once (``Expression``
+says how); the parser's tables, the printer and the tape read them there.
 
 Trees are immutable (frozen dataclasses, structural equality) and
 ``parse(to_text(e))`` reproduces ``e`` exactly, so expressions can be
@@ -72,7 +72,7 @@ from mpmath.libmp import (MPZ, fone, fzero, mpf_add, mpf_cos, mpf_mul_int,
                           mpf_pow, mpf_pow_int, mpf_sin, mpf_sqrt,
                           round_nearest)
 
-from .precision import workprec
+from .precision import point_text, workprec
 
 
 class ParseError(ValueError):
@@ -101,7 +101,7 @@ class DomainError(ArithmeticError):
         if node is not None:
             parts.append(f"in {to_text(node)}")
         if x is not None:
-            parts.append(f"at x = {x}")
+            parts.append(f"at x = {point_text(x)}")
         if panel is not None:
             of = f" of {panels}" if panels is not None else ""
             parts.append(f"(panel {panel}{of})")
@@ -116,256 +116,8 @@ class DifferentiationError(ValueError):
     """The derivative is not expressible in this node vocabulary."""
 
 
-class Expression:
-    """Base class for all nodes; subclasses are frozen dataclasses."""
-
-    def __str__(self):
-        return to_text(self)
-
-
-@dataclass(frozen=True)
-class Num(Expression):
-    # int for integer literals (exact), str for decimal literals (converted
-    # at evaluation precision).  May be negative: unary minus folds in.
-    value: object
-
-
-@dataclass(frozen=True)
-class PiConst(Expression):
-    pass
-
-
-@dataclass(frozen=True)
-class Var(Expression):
-    pass
-
-
-# precedence levels used for parsing and minimal parenthesization
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 9
-
-
-@dataclass(frozen=True)
-class _Infix(Expression):
-    """A binary operator node; each subclass declares its ``symbol`` and
-    its precedence ``prec``.  All four associate to the left."""
-    left: Expression
-    right: Expression
-
-
-@dataclass(frozen=True)
-class Add(_Infix):
-    symbol, prec = "+", _PREC_ADD
-
-
-@dataclass(frozen=True)
-class Sub(_Infix):
-    symbol, prec = "-", _PREC_ADD
-
-
-@dataclass(frozen=True)
-class Mul(_Infix):
-    symbol, prec = "*", _PREC_MUL
-
-
-@dataclass(frozen=True)
-class Div(_Infix):
-    symbol, prec = "/", _PREC_MUL
-
-
-@dataclass(frozen=True)
-class Pow(Expression):
-    base: Expression
-    exponent: Expression
-
-
-@dataclass(frozen=True)
-class _Unary(Expression):
-    """A node of one argument: negation, or a function that binds like an
-    atom and whose ``symbol`` is its name."""
-    arg: Expression
-    prec = _PREC_ATOM
-
-
-@dataclass(frozen=True)
-class Neg(_Unary):
-    symbol, prec = "-", _PREC_NEG
-
-
-@dataclass(frozen=True)
-class Sin(_Unary):
-    symbol = "sin"
-
-
-@dataclass(frozen=True)
-class Cos(_Unary):
-    symbol = "cos"
-
-
-@dataclass(frozen=True)
-class Sqrt(_Unary):
-    symbol = "sqrt"
-
-
 # ---------------------------------------------------------------------------
-# tokenizer / parser
-
-# one token per match, the alternatives tried in order: whitespace, a
-# number, an identifier, an operator, and any other character, which is
-# rejected; \s and \d match what str.isspace() and str.isdecimal() accept
-_TOKEN = re.compile(r"(?P<space>\s+)"
-                    r"|(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?"
-                    r"|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-                    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<op>[-+*/^()])|(?P<other>.)", re.DOTALL)
-
-# the infix node classes by precedence, then by symbol
-_INFIX = {prec: {c.symbol: c for c in (Add, Sub, Mul, Div) if c.prec == prec}
-          for prec in (_PREC_ADD, _PREC_MUL)}
-_FUNCTIONS = {c.symbol: c for c in (Sin, Cos, Sqrt)}
-
-
-def _tokenize(text):
-    """(kind, value, byte offset) tokens of ``text``, ending in "eof"."""
-    tokens, off = [], 0
-    for m in _TOKEN.finditer(text):
-        kind, lexeme = m.lastgroup, m.group()
-        if kind == "num":
-            tokens.append((kind, int(lexeme) if lexeme.isdecimal()
-                           else lexeme, off))
-        elif kind == "ident":
-            tokens.append((kind, lexeme, off))
-        elif kind == "op":
-            tokens.append((lexeme, lexeme, off))
-        elif kind == "other":
-            raise ParseError(f"unexpected character {lexeme!r}", off)
-        off += len(lexeme.encode("utf-8"))
-    tokens.append(("eof", "", off))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, what):
-        tok = self.advance()
-        if tok[0] != kind:
-            got = "end of input" if tok[0] == "eof" else repr(tok[1])
-            raise ParseError(f"expected {what}, got {got}", tok[2])
-
-    def parse(self):
-        if self.peek()[0] == "eof":
-            raise ParseError("empty input", self.peek()[2])
-        e = self.expr()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return e
-
-    def expr(self, prec=_PREC_ADD):
-        """Operands joined left to right by the infix operators of ``prec``,
-        each operand parsed at the next level; past the infix levels, a
-        negation or a power."""
-        ops = _INFIX.get(prec)
-        if ops is None:
-            if self.peek()[0] == "-":
-                self.advance()
-                return _negate(self.expr(prec))
-            return self.power()
-        e = self.expr(prec + 1)
-        while self.peek()[0] in ops:
-            e = ops[self.advance()[0]](e, self.expr(prec + 1))
-        return e
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            return Pow(base, self.expr(_PREC_NEG))
-        return base
-
-    def atom(self):
-        kind, value, off = self.advance()
-        if kind == "num":
-            return Num(value)
-        if kind == "ident" and value not in _FUNCTIONS:
-            if value in ("pi", "x"):
-                return PiConst() if value == "pi" else Var()
-            raise ParseError(f"unknown identifier {value!r}", off)
-        if kind == "ident":
-            self.expect("(", f"'(' after {value}")
-        elif kind != "(":
-            got = "end of input" if kind == "eof" else repr(value)
-            raise ParseError(f"expected expression, got {got}", off)
-        e = self.expr()
-        self.expect(")", "')'")
-        return _FUNCTIONS[value](e) if kind == "ident" else e
-
-
-def parse(text):
-    """Parse expression text to a tree.  Raises ParseError on bad input."""
-    if not isinstance(text, str):
-        raise TypeError("expression source must be a string")
-    return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# printing: canonical parenthesized infix, inverse of parse()
-
-def _prec(e):
-    if isinstance(e, (_Infix, _Unary)):
-        return e.prec
-    if isinstance(e, Num) and _num_is_negative(e.value):
-        return _PREC_NEG  # prints with a leading minus, parse like a Neg
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def _num_is_negative(value):
-    return value < 0 if isinstance(value, int) else value.startswith("-")
-
-
-def _fmt(e, ctx):
-    text = _fmt_inner(e)
-    return f"({text})" if _prec(e) < ctx else text
-
-
-def _fmt_inner(e):
-    if isinstance(e, _Infix):
-        return f"{_fmt(e.left, e.prec)} {e.symbol} {_fmt(e.right, e.prec + 1)}"
-    if isinstance(e, Neg):
-        return f"{e.symbol}{_fmt(e.arg, e.prec)}"
-    if isinstance(e, _Unary):  # a function
-        return f"{e.symbol}({_fmt(e.arg, 0)})"
-    if isinstance(e, Pow):
-        return f"{_fmt(e.base, _PREC_ATOM)} ^ {_fmt(e.exponent, _PREC_NEG)}"
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, PiConst):
-        return "pi"
-    if isinstance(e, Var):
-        return "x"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def to_text(e):
-    """Canonical infix text; parse(to_text(e)) is structurally equal to e."""
-    return _fmt(e, 0)
-
-
-# ---------------------------------------------------------------------------
-# evaluation: a flat tape of mpmath.libmp kernels over raw _mpf_ tuples
-
+# domain-checked tuple kernels, which the node classes below declare;
 # "is negative" reads the sign bit: mpmath has no negative zero, and the
 # bit agrees with mpf_lt(u, fzero) on every tuple, fninf and fnan included
 
@@ -447,6 +199,269 @@ def _bound(u, prec, rnd):
     return u
 
 
+# precedence levels used for parsing and minimal parenthesization
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 9
+
+
+class Expression:
+    """Base class for all nodes; subclasses are frozen dataclasses.
+
+    Each node class declares once what the parser, printer and tape read:
+    its ``symbol`` (operator or name), precedence ``prec``, tuple
+    ``kernel`` and ``native`` float step.  A kernel is called k(u, prec,
+    rnd) or k(u, v, prec, rnd) on raw ``_mpf_`` tuples; a string names an
+    ``mpmath.ctx_mp_python`` function, looked up when a tape is built, as
+    perfbench's tracer counts calls there.  Literals have no kernel.  A
+    native step is a function on doubles with its source text, for the
+    interpreted and the compiled float run; truediv raises on a zero
+    denominator and math.sqrt on a negative value, so the tuple run
+    reports both.
+    """
+    prec, kernel, native = _PREC_ATOM, None, None
+
+    def __str__(self):
+        return to_text(self)
+
+
+@dataclass(frozen=True)
+class Num(Expression):
+    # int for integer literals (exact), str for decimal literals (converted
+    # at evaluation precision).  May be negative: unary minus folds in.
+    value: object
+
+
+@dataclass(frozen=True)
+class PiConst(Expression):
+    symbol = "pi"
+
+
+@dataclass(frozen=True)
+class Var(Expression):
+    symbol, kernel = "x", _bound
+
+
+@dataclass(frozen=True)
+class _Infix(Expression):
+    """A binary operator node.  All four associate to the left."""
+    left: Expression
+    right: Expression
+
+
+@dataclass(frozen=True)
+class Add(_Infix):
+    symbol, prec, kernel = "+", _PREC_ADD, "mpf_add"
+    native = operator.add, "{} + {}"
+
+
+@dataclass(frozen=True)
+class Sub(_Infix):
+    symbol, prec, kernel = "-", _PREC_ADD, "mpf_sub"
+    native = operator.sub, "{} - {}"
+
+
+@dataclass(frozen=True)
+class Mul(_Infix):
+    symbol, prec, kernel = "*", _PREC_MUL, "mpf_mul"
+    native = operator.mul, "{} * {}"
+
+
+@dataclass(frozen=True)
+class Div(_Infix):
+    symbol, prec, kernel = "/", _PREC_MUL, "mpf_div"
+    native = operator.truediv, "{} / {}"
+
+
+@dataclass(frozen=True)
+class Pow(Expression):
+    base: Expression
+    exponent: Expression
+    prec, kernel = _PREC_POW, _checked_power
+
+
+@dataclass(frozen=True)
+class _Unary(Expression):
+    """A node of one argument: negation, or a function that binds like an
+    atom and whose ``symbol`` is its name."""
+    arg: Expression
+
+
+@dataclass(frozen=True)
+class Neg(_Unary):
+    symbol, prec, kernel = "-", _PREC_NEG, "mpf_neg"
+    native = operator.neg, "-{}"
+
+
+@dataclass(frozen=True)
+class Sin(_Unary):
+    symbol, kernel = "sin", _checked_sin
+
+
+@dataclass(frozen=True)
+class Cos(_Unary):
+    symbol, kernel = "cos", _checked_cos
+
+
+@dataclass(frozen=True)
+class Sqrt(_Unary):
+    symbol, kernel = "sqrt", _checked_sqrt
+    native = math.sqrt, "sqrt({})"
+
+
+# ---------------------------------------------------------------------------
+# tokenizer / parser
+
+# one token per match, the alternatives tried in order: whitespace, a
+# number, an identifier, an operator, and any other character, which is
+# rejected; \s and \d match what str.isspace() and str.isdecimal() accept
+_TOKEN = re.compile(r"(?P<space>\s+)"
+                    r"|(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?"
+                    r"|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+                    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+                    r"|(?P<op>[-+*/^()])|(?P<other>.)", re.DOTALL)
+
+# the infix node classes by precedence, then by symbol
+_INFIX = {prec: {c.symbol: c for c in (Add, Sub, Mul, Div) if c.prec == prec}
+          for prec in (_PREC_ADD, _PREC_MUL)}
+_FUNCTIONS = {c.symbol: c for c in (Sin, Cos, Sqrt)}
+_NAMES = {c.symbol: c for c in (PiConst, Var)}
+
+
+def _tokenize(text):
+    """(kind, value, byte offset) tokens of ``text``, ending in "eof"."""
+    tokens, off = [], 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "num":
+            tokens.append((kind, int(lexeme) if lexeme.isdecimal()
+                           else lexeme, off))
+        elif kind == "ident":
+            tokens.append((kind, lexeme, off))
+        elif kind == "op":
+            tokens.append((lexeme, lexeme, off))
+        elif kind == "other":
+            raise ParseError(f"unexpected character {lexeme!r}", off)
+        off += len(lexeme.encode("utf-8"))
+    tokens.append(("eof", "", off))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.advance()
+        if tok[0] != kind:
+            got = "end of input" if tok[0] == "eof" else repr(tok[1])
+            raise ParseError(f"expected {what}, got {got}", tok[2])
+
+    def parse(self):
+        if self.peek()[0] == "eof":
+            raise ParseError("empty input", self.peek()[2])
+        e = self.expr()
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        return e
+
+    def expr(self, prec=_PREC_ADD):
+        """Operands joined left to right by the infix operators of ``prec``,
+        each operand parsed at the next level; past the infix levels, a
+        negation or a power."""
+        ops = _INFIX.get(prec)
+        if ops is None:
+            if self.peek()[0] == "-":
+                self.advance()
+                return _negate(self.expr(prec))
+            return self.power()
+        e = self.expr(prec + 1)
+        while self.peek()[0] in ops:
+            e = ops[self.advance()[0]](e, self.expr(prec + 1))
+        return e
+
+    def power(self):
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.advance()
+            return Pow(base, self.expr(_PREC_NEG))
+        return base
+
+    def atom(self):
+        kind, value, off = self.advance()
+        if kind == "num":
+            return Num(value)
+        if kind == "ident" and value not in _FUNCTIONS:
+            if value in _NAMES:
+                return _NAMES[value]()
+            raise ParseError(f"unknown identifier {value!r}", off)
+        if kind == "ident":
+            self.expect("(", f"'(' after {value}")
+        elif kind != "(":
+            got = "end of input" if kind == "eof" else repr(value)
+            raise ParseError(f"expected expression, got {got}", off)
+        e = self.expr()
+        self.expect(")", "')'")
+        return _FUNCTIONS[value](e) if kind == "ident" else e
+
+
+def parse(text):
+    """Parse expression text to a tree.  Raises ParseError on bad input."""
+    if not isinstance(text, str):
+        raise TypeError("expression source must be a string")
+    return _Parser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# printing: canonical parenthesized infix, inverse of parse()
+
+def _prec(e):
+    if isinstance(e, Num) and _num_is_negative(e.value):
+        return _PREC_NEG  # prints with a leading minus, parse like a Neg
+    return e.prec
+
+
+def _num_is_negative(value):
+    return value < 0 if isinstance(value, int) else value.startswith("-")
+
+
+def _fmt(e, ctx):
+    text = _fmt_inner(e)
+    return f"({text})" if _prec(e) < ctx else text
+
+
+def _fmt_inner(e):
+    if isinstance(e, _Infix):
+        return f"{_fmt(e.left, e.prec)} {e.symbol} {_fmt(e.right, e.prec + 1)}"
+    if isinstance(e, Neg):
+        return f"{e.symbol}{_fmt(e.arg, e.prec)}"
+    if isinstance(e, _Unary):  # a function
+        return f"{e.symbol}({_fmt(e.arg, 0)})"
+    if isinstance(e, Pow):
+        return f"{_fmt(e.base, _PREC_ATOM)} ^ {_fmt(e.exponent, _PREC_NEG)}"
+    if isinstance(e, Num):
+        return str(e.value)
+    if isinstance(e, (PiConst, Var)):
+        return e.symbol
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def to_text(e):
+    """Canonical infix text; parse(to_text(e)) is structurally equal to e."""
+    return _fmt(e, 0)
+
+
+# ---------------------------------------------------------------------------
+# evaluation: a flat tape of mpmath.libmp kernels over raw _mpf_ tuples
+
 # the float run needs binary64 doubles, which CPython floats are on every
 # IEEE-754 host
 _FLOAT53 = sys.float_info.radix == 2 and sys.float_info.mant_dig == 53
@@ -526,19 +541,10 @@ def _on_tuples(kernel, unary):
                                           round_nearest))
 
 
-# float steps by node type, each a function for the interpreted loop and
-# its source text for the compiled one; a zero denominator makes truediv
-# raise, and math.sqrt raises on a negative value, so the tuple run
-# reports both
-_FLOAT_OPS = {Add: (operator.add, "{} + {}"), Sub: (operator.sub, "{} - {}"),
-              Mul: (operator.mul, "{} * {}"),
-              Div: (operator.truediv, "{} / {}"), Neg: (operator.neg, "-{}"),
-              Sqrt: (math.sqrt, "sqrt({})")}
-# u^n for the exponents where mpf_pow_int is one correctly rounded
-# operation (u*u, 1/u) or exact; u^2 runs as a Mul of u with itself
+# native steps for u^n at the exponents where mpf_pow_int is one correctly
+# rounded operation (u*u, 1/u) or exact; u^2 runs as a Mul of u with itself
 _FLOAT_POWERS = {-1: (partial(operator.truediv, 1.0), "1.0 / {}"),
                  1: (operator.pos, "+{}"), 0: (lambda u: 1.0, "1.0")}
-_SOURCE = dict([*_FLOAT_OPS.values(), *_FLOAT_POWERS.values()])
 
 # A tape's float program is compiled to one Python function at its
 # _COMPILE_AFTER-th interpreted float run, about when the time compiled
@@ -568,16 +574,16 @@ def _normal(regs, products):
 def _compile(program, var, result):
     """The float program of a tape as one generated function of an
     ``_mpf_`` tuple x, answering as ``Tape._run_floats`` does.  Registers
-    are locals, native steps are operators, and kernel steps call the same
-    ``_on_tuples`` closures, in the interpreted loop's order; x converts
-    by ``_to_double``'s rule, and the same exponent scan and exact checks
-    decide between the result and None."""
+    are locals, native steps their declared source text, and kernel steps
+    call the same ``_on_tuples`` closures, in the interpreted loop's order;
+    x converts by ``_to_double``'s rule, and the same exponent scan and
+    exact checks decide between the result and None."""
     regs, steps, products, packer = program
     namespace = {"ldexp": math.ldexp, "fzero": fzero, "sqrt": math.sqrt,
                  "pack": packer.pack, "MIDDLE": _MIDDLE, "normal": _normal,
                  "products": products}
     lines = ["def run(x):"]
-    written = {var} | {out for out, _, _, _ in steps}
+    written = {var} | {step[0] for step in steps}
     lines += [f" r{r} = {v!r}" for r, v in enumerate(regs)
               if r not in written]
     if var is not None:
@@ -588,8 +594,7 @@ def _compile(program, var, result):
                   " elif x == fzero:", f"  r{var} = 0.0",
                   " else:", "  return None"]
     lines.append(" try:")
-    for i, (out, fn, a, b) in enumerate(steps):
-        text = _SOURCE.get(fn)
+    for i, (out, fn, a, b, text) in enumerate(steps):
         if text is None:
             namespace[f"k{i}"] = fn
             text = f"k{i}({{}})" if b is None else f"k{i}({{}}, {{}})"
@@ -632,9 +637,8 @@ class Tape:
     tape has made ``_COMPILE_AFTER`` float runs; then ``_compile`` turns
     it into one straight-line Python function, which performs the same
     float operations in the same order and applies the same checks, so
-    its answers are the interpreted loop's.  A loop over a whole column
-    of points at once could call that function per point, or inline its
-    body around the column.
+    its answers are the interpreted loop's.  Both runs read their steps
+    from the node classes' ``kernel`` and ``native`` declarations.
     """
 
     def __init__(self, e):
@@ -646,13 +650,6 @@ class Tape:
         self._runs = 0        # interpreted float runs so far
         self._compiled = None  # the float program as a function, once built
         self._var = None
-        ops = mpmath.ctx_mp_python  # where perfbench's tracer counts calls
-        # kernels by node type, called k(u, prec, rnd) or k(u, v, prec, rnd)
-        self._kernels = {
-            Var: _bound, Add: ops.mpf_add, Sub: ops.mpf_sub,
-            Mul: ops.mpf_mul, Div: ops.mpf_div, Neg: ops.mpf_neg,
-            Pow: _checked_power, Sin: _checked_sin, Cos: _checked_cos,
-            Sqrt: _checked_sqrt}
         self.result = self._visit(e, {}, {})
         self.has_x = self._var is not None
 
@@ -660,11 +657,14 @@ class Tape:
         r = seen.get(id(e))
         if r is not None:
             return r
+        if not isinstance(e, Expression):
+            raise TypeError(f"not an expression node: {e!r}")
         t = type(e)
+        kernel = t.kernel
         a = b = None
-        if t in (Num, PiConst, Var):
-            key = (t, e.value) if t is Num else (t,)
-        elif t is Div:
+        if kernel is None:  # a literal, filled in per precision
+            key = (t, *[getattr(e, f) for f in t.__match_args__])
+        elif t is Div:  # the denominator is evaluated and checked first
             b = self._visit(e.right, seen, registers)
             mark = len(self.steps)
             self.steps.append((b, _nonzero, b, None, e))
@@ -672,27 +672,25 @@ class Tape:
             key = (t, a, b)
             if key in registers:  # checked where the equal node was built
                 del self.steps[mark]
-        elif isinstance(e, (_Infix, Pow)):
-            left, right = (e.base, e.exponent) if t is Pow else \
-                (e.left, e.right)
-            a = self._visit(left, seen, registers)
-            b = self._visit(right, seen, registers)
+        else:  # no, one or two operands; a comprehension doubles build time
+            names = t.__match_args__
+            if names:
+                a = self._visit(getattr(e, names[0]), seen, registers)
+                if len(names) == 2:
+                    b = self._visit(getattr(e, names[1]), seen, registers)
             key = (t, a, b)
-        elif isinstance(e, _Unary):
-            a = self._visit(e.arg, seen, registers)
-            key = (t, a)
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
         r = registers.get(key)
         if r is None:
             r = registers[key] = len(self.nodes)
             self.nodes.append(e)
-            if t is Num or t is PiConst:
+            if kernel is None:
                 self._literals.append((r, e))
             else:
-                if t is Var:
+                if t is Var:  # its kernel checks the x in its own register
                     self._var = a = r
-                self.steps.append((r, self._kernels[t], a, b, e))
+                if isinstance(kernel, str):
+                    kernel = getattr(mpmath.ctx_mp_python, kernel)
+                self.steps.append((r, kernel, a, b, e))
         seen[id(e)] = r
         return r
 
@@ -752,8 +750,9 @@ class Tape:
     def _float_program(self):
         """(registers, steps, products, packer) of the float run, or False
         when a literal has no double or the run would not pay.  Steps are
-        (out, fn, a, b or None), products lists the (out, a, b) of every
-        Mul and Div, and packer packs the registers as native doubles."""
+        (out, fn, a, b or None, source text or None for a kernel step),
+        products lists the (out, a, b) of every Mul and Div, and packer
+        packs the registers as native doubles."""
         template = self._template(53)
         try:
             regs = [0.0 if t is None else _to_double(t) for t in template]
@@ -764,19 +763,19 @@ class Tape:
             t = type(e)
             if kernel is _nonzero or t is Var:  # x is filled in by the run
                 continue
-            fn, _ = _FLOAT_OPS.get(t, (None, None))
+            native = t.native
             if t is Pow and template[b] is not None and \
                     regs[b] in (2, -1, 1, 0):
                 if regs[b] == 2:
-                    t, fn, b = Mul, operator.mul, a
+                    t, native, b = Mul, Mul.native, a
                 else:
-                    fn, b = _FLOAT_POWERS[regs[b]][0], None
-            if fn is None:
-                fn = _on_tuples(kernel, b is None)
+                    native, b = _FLOAT_POWERS[regs[b]], None
+            if native is None:
+                native = _on_tuples(kernel, b is None), None
                 kernels += 1
-            if t in (Mul, Div):
+            if t is Mul or t is Div:
                 products.append((out, a, b))
-            steps.append((out, fn, a, b))
+            steps.append((out, native[0], a, b, native[1]))
         # each native step saves about one kernel call and each kernel step
         # costs about one more in conversions; converting x and the result
         # and scanning the registers cost about two per run
@@ -798,7 +797,7 @@ class Tape:
         try:
             if self._var is not None:
                 regs[self._var] = _to_double(x)
-            for out, fn, a, b in steps:
+            for out, fn, a, b, _ in steps:
                 if b is None:
                     regs[out] = fn(regs[a])
                 else:

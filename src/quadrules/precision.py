@@ -82,6 +82,21 @@ def format_real(x, bits=53):
     return mp.nstr(x, 17)
 
 
+def point_text(x):
+    """``str(x)``, for messages, when x's binary exponent is below 2^64 in
+    magnitude, as in ``format_real``.  Beyond that, where ``str`` takes
+    seconds, its sign and the binary logarithm of its exponent to six
+    digits, as in ``about 2^(2^10000)``."""
+    sign, man, exp, bc = as_mpf(x)._mpf_
+    if not man or abs(exp + bc).bit_length() <= _EXPONENT_BITS:
+        return str(x)
+    top = exp + bc - 1  # |x| lies in [2^top, 2^(top + 1))
+    shift = abs(top).bit_length() - 53
+    log = math.log2(abs(top) >> shift) + shift
+    return (f"about {'-' if sign else ''}2^({'-' if top < 0 else ''}"
+            f"2^{log:.6g})")
+
+
 def fits_double(x):
     """True when ``float(x)`` keeps x's magnitude: x is zero, non-finite,
     or in the double's normal range."""

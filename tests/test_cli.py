@@ -128,9 +128,6 @@ class TestIntegrate:
         assert code == 0 and err == ""
         assert "value = -2.0833333333333335\n" in out
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "mpf_sum(..., 0) drops a term more than 10^6 bits below the running "
-        "sum, so the node sums are not exact (ROADMAP Known defects)"))
     def test_node_sum_keeps_a_term_far_below_the_others(self, capsys):
         # the inner left ends read 2^1125000, 1 and -2^1125000; their exact
         # sum is 1, so L over 4 panels is 1/4
@@ -141,6 +138,25 @@ class TestIntegrate:
                                "--panels", "4", "--prec", prec)
             assert code == 0
             assert "value = 0.25\n" in out, prec
+
+    def test_node_sum_refuses_exponents_far_apart(self, capsys):
+        # L reads 1, 2^5000000, 2^10000000 and 2^15000000, whose exact sum
+        # is an integer of 15 million bits
+        code, out, err = run(capsys, "integrate", "--integrand",
+                             "2^(20000000*x)", "--a", "0", "--b", "1",
+                             "--rule", "L", "--panels", "4")
+        assert (code, out, err) == (
+            2, "", "quad: domain error: cannot add node values whose binary "
+                   "exponents lie more than 2^22 apart\n")
+
+    def test_domain_error_prints_a_huge_point_briefly(self, capsys):
+        # the midpoint is about 2^(2^10000); str() would take seconds to
+        # print its 3,000 digits, and located() would print them again
+        code, out, err = run(capsys, "integrate", "--integrand", "sqrt(-x)",
+                             "--a", "1", "--b", "2^(2^10000)", "--rule", "M")
+        assert (code, out, err) == (
+            2, "", "quad: domain error: square root of a negative value in "
+                   "sqrt(-x) at x = about 2^(2^10000) (panel 1 of 1)\n")
 
     def test_huge_interval_prints_a_finite_value(self, capsys):
         code, out, _ = run(capsys, "integrate", "--integrand", "sin(x)",

@@ -3,7 +3,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
 from quadrules.expr import DomainError
-from quadrules.precision import format_real, workprec
+from quadrules.precision import format_real, point_text, workprec
 
 
 def _at53(text):
@@ -44,3 +44,18 @@ def test_binary_exponents_from_2_to_the_64_are_refused(bits):
     for t in (2 ** 64, -2 ** 64, 2 ** 200):
         with pytest.raises(DomainError, match="2\\^64 or more"):
             format_real(top(t), bits)
+
+
+def test_point_text_bounds_the_exponents_format_real_refuses():
+    # the top bit exp + bc of 3 * 2^exp is exp + 2, and |x| lies in
+    # [2^(top - 1), 2^top)
+    def top(t, sign=1):
+        return sign * mp.make_mpf(from_man_exp(3, t - 2))
+
+    for t in (2 ** 64 - 1, 1 - 2 ** 64, 5, 0):
+        assert point_text(top(t)) == str(top(t))
+    for x in (mpf(0), mp.inf, -mp.inf, mp.nan):
+        assert point_text(x) == str(x)
+    assert point_text(top(2 ** 64 + 1)) == "about 2^(2^64)"
+    assert point_text(top(2 ** 10000 + 1, -1)) == "about -2^(2^10000)"
+    assert point_text(top(1 - 2 ** 70)) == "about 2^(-2^70)"

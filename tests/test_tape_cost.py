@@ -16,9 +16,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import tracing  # noqa: E402
+from mpmath import mpf  # noqa: E402
 from quadrules.cli import main  # noqa: E402
-from quadrules.expr import Expression  # noqa: E402
+from quadrules.expr import (Add, Div, Expression, Mul, Neg, Sub,  # noqa: E402
+                            Tape, parse)
 from quadrules.integrand import builtin_integrand  # noqa: E402
+from quadrules.precision import workprec  # noqa: E402
 
 
 def test_asin6_tapes_hold_one_register_per_distinct_node():
@@ -79,3 +82,26 @@ def test_small_table_makes_a_pinned_number_of_mpf_calls():
     counts = tracer.per_op(1)
     assert counts["mpmath.mpf_calls"] == 243
     assert counts["associate.sign_check_samples"] == 3 * 257
+
+
+def test_tape_kernels_are_looked_up_when_the_tape_is_built():
+    # Add, Sub, Mul, Div and Neg declare their mpmath.ctx_mp_python kernels
+    # by name, so a tape built under the tracer counts one call per step;
+    # Pow, Sin, Cos and Sqrt call mpmath.libmp and count none.  A tape
+    # built before the tracer keeps the kernels it found.
+    e = parse("-(x + 1) * (x - 2) / 3 + 2 ^ x + sin(x) - cos(x) * sqrt(x)")
+    early = Tape(e)
+    with workprec(113), tracing.Tracer() as tracer:
+        x = mpf(1) / 3
+        late = Tape(e)
+        counted = sum(type(node) in (Add, Sub, Mul, Div, Neg)
+                      for node in late.nodes)
+        calls, values = [], []
+        for tape in (early, late):
+            tape.run(x)  # the first run also materializes the literals
+            before = tracer.per_op(1)["mpmath.mpf_calls"]
+            values.append(tape.run(x))
+            calls.append(tracer.per_op(1)["mpmath.mpf_calls"] - before)
+    assert counted == 9
+    assert calls == [0, counted]
+    assert values[0] == values[1]
