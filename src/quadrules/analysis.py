@@ -12,11 +12,8 @@ exact rational rule values on x^k, so it carries no tolerance.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
-from dataclasses import dataclass, field
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, ROUND_HALF_UP,
                      Context, Decimal)
 
@@ -24,7 +21,8 @@ from mpmath import mp
 
 from .associate import COMPANION_PAIRS, check_assumption_A
 from .composite import composite_values
-from .expr import DifferentiationError, DomainError, Expression, eval_expr
+from .expr import (DifferentiationError, DomainError, Expression, Record,
+                   eval_expr)
 from .precision import as_mpf, format_real, workprec
 from .rules import RULE_ORDER, rule_meta, rule_names
 
@@ -32,8 +30,7 @@ from .rules import RULE_ORDER, rule_meta, rule_names
 GUARD_BITS = 32
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(Record):
     """The exact value of an integral as a constant expression, which can
     be materialized at any precision.  Where a reference is accepted, a
     plain number is too."""
@@ -91,13 +88,19 @@ def observed_order(err_n, err_2n):
         return mp.log(abs(as_mpf(err_n)) / abs(as_mpf(err_2n)), 2)
 
 
-@dataclass
-class TableRow:
+class TableRow(Record, frozen=False):
     panels: int
     order: str
-    errors: dict = field(default_factory=dict)    # rule name -> signed error
-    assumptions: dict = field(default_factory=dict)  # "X,Y" -> verdict tag
-    note: str | None = None                       # diagnostic for aborted rows
+    errors: dict = None        # rule name -> signed error ({} when omitted)
+    assumptions: dict = None   # "X,Y" -> verdict tag ({} when omitted)
+    note: str | None = None    # diagnostic for aborted rows
+
+    def __post_init__(self):
+        # a fresh dict per row, never one shared default
+        if self.errors is None:
+            self.errors = {}
+        if self.assumptions is None:
+            self.assumptions = {}
 
 
 def convergence_table(f, rules=("L", "R", "M", "T", "S", "T2"),
@@ -245,6 +248,7 @@ def _decimal_magnitude(x):
 # error prints as text that reads back to the same value
 
 def table_to_csv(rows, rules, precision=53):
+    import csv  # only csv output needs it, so quad starts without it
     names = rule_names(rules)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -261,6 +265,7 @@ def table_to_csv(rows, rules, precision=53):
 
 
 def table_to_json(rows, rules, precision=53):
+    import json  # only json output needs it, so quad starts without it
     names = rule_names(rules)
     payload = {
         "rules": list(names),

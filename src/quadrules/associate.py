@@ -29,19 +29,17 @@ negative rule of its degree, which gives these weights and associates:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cmp_to_key
 
 from mpmath import mp
 from mpmath.libmp import fzero, mpf_abs, mpf_cmp, mpf_le, mpf_shift
 
-from .expr import DifferentiationError, DomainError, Tape, grid
+from .expr import DifferentiationError, DomainError, Record, Tape, grid
 from .precision import as_mpf, point_text, workprec
 from .rules import NEGATIVE, POSITIVE, RULES, RuleSpec, rule_meta
 
 
-@dataclass(frozen=True)
-class CompanionPair:
+class CompanionPair(Record):
     positive: RuleSpec
     negative: RuleSpec
 
@@ -83,8 +81,7 @@ def companion_pair(x_rule, y_rule):
     return None
 
 
-@dataclass(frozen=True)
-class AssociateWeights:
+class AssociateWeights(Record):
     c1: int
     c2: int
 
@@ -125,8 +122,7 @@ def associate_value(x_val, y_val, weights):
     return min(max(v, lo), hi)
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(Record):
     lo: object
     hi: object
 
@@ -173,8 +169,7 @@ _TAGS = {ALL_POSITIVE: "A+", ALL_NEGATIVE: "A-", IDENTICALLY_ZERO: "A0",
          SIGN_CHANGE: "A!", UNKNOWN: "A?"}
 
 
-@dataclass(frozen=True)
-class AssumptionVerdict:
+class AssumptionVerdict(Record):
     kind: str
     subinterval: tuple | None = None  # (x_lo, x_hi) bracketing the first flip
 

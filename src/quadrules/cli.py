@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -210,8 +209,11 @@ def _single_panels(text):
 
 def _emit(args, payload, lines):
     """Print the JSON payload, or the text lines for text and csv."""
-    print(json.dumps(payload, indent=2) if args.format == "json"
-          else "\n".join(lines))
+    if args.format == "json":
+        import json  # only json output needs it, so quad starts without it
+        print(json.dumps(payload, indent=2))
+    else:
+        print("\n".join(lines))
 
 
 def _rule_value(args, f, panels):

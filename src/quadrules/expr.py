@@ -18,9 +18,10 @@ Syntax errors report the byte offset of the offending token.  Each node
 class declares its symbol, precedence and evaluation once (``Expression``
 says how); the parser's tables, the printer and the tape read them there.
 
-Trees are immutable (frozen dataclasses, structural equality) and
-``parse(to_text(e))`` reproduces ``e`` exactly, so expressions can be
-shared between threads and serialized through their printed form.
+Trees are immutable (frozen ``Record`` subclasses, this module's small
+record base, with structural equality) and ``parse(to_text(e))``
+reproduces ``e`` exactly, so expressions can be shared between threads and
+serialized through their printed form.
 Evaluation has one path, ``Tape``: a tree compiled once into flat steps
 with one register per structurally distinct node, literals materialized
 once per precision, and bit-identical to a recursive walk of the tree.
@@ -63,7 +64,6 @@ import operator
 import re
 import struct
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 import mpmath.ctx_mp_python
@@ -199,12 +199,94 @@ def _bound(u, prec, rnd):
     return u
 
 
+# ---------------------------------------------------------------------------
+# records: the package's value classes, without the cost of dataclasses
+
+class _DataclassFields:
+    """``dataclasses.fields`` support for records: the Field objects of a
+    dataclass with the record's field names, made on first access per
+    class, so that only their readers import dataclasses."""
+
+    def __get__(self, record, cls):
+        import dataclasses
+        fields = dataclasses.make_dataclass(
+            cls.__name__, cls.__match_args__).__dataclass_fields__
+        cls.__dataclass_fields__ = fields  # the class's own, from now on
+        return fields
+
+
+class Record:
+    """Base of the package's records, a small stand-in for dataclasses.
+
+    A record's fields are its class's annotated names, after those of its
+    bases, and ``__match_args__`` lists them; a class attribute of the same
+    name is a field's default.  ``__init__`` takes the fields by position
+    or name and then calls ``__post_init__``.  Two records are equal when
+    they are of one class with equal field tuples, and one prints as
+    ``Name(field=value, ...)``.  Records are frozen and hash by their
+    fields, unless the class says ``frozen=False``: then they are mutable
+    and unhashable.
+    """
+    __match_args__ = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls, frozen=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls).get("__annotations__", {})
+        cls.__match_args__ += tuple(name for name in own
+                                    if name not in cls.__match_args__)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self.__match_args__
+        values = dict(zip(names, args))
+        if len(args) > len(names) or values.keys() & kwargs.keys() or \
+                not kwargs.keys() <= set(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}")
+        values.update(kwargs)
+        for name in names:
+            if name not in values:
+                if not hasattr(cls, name):
+                    raise TypeError(f"{cls.__name__}() needs {name!r}")
+                values[name] = getattr(cls, name)
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        text = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__match_args__)
+        return f"{type(self).__qualname__}({text})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # precedence levels used for parsing and minimal parenthesization
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 9
 
 
-class Expression:
-    """Base class for all nodes; subclasses are frozen dataclasses.
+class Expression(Record):
+    """Base class for all nodes; every node is a frozen ``Record``.
 
     Each node class declares once what the parser, printer and tape read:
     its ``symbol`` (operator or name), precedence ``prec``, tuple
@@ -216,92 +298,136 @@ class Expression:
     interpreted and the compiled float run; truediv raises on a zero
     denominator and math.sqrt on a negative value, so the tuple run
     reports both.
+
+    Nodes compare and hash by structure, as records do, but walk a tree
+    with an explicit stack rather than by recursion, so any tree that can
+    be built can be compared; a subtree shared by reference is walked
+    once.  The node shapes set their fields in their own ``__init__``,
+    which is faster than the generic one.
     """
     prec, kernel, native = _PREC_ATOM, None, None
+
+    def __init__(self):
+        pass  # pi and x have no fields
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if type(a) is not type(b):
+                return False
+            seen.add((id(a), id(b)))
+            for name in a.__match_args__:
+                u, v = getattr(a, name), getattr(b, name)
+                if isinstance(u, Expression) and isinstance(v, Expression):
+                    stack.append((u, v))
+                elif u is not v and not u == v:
+                    return False
+        return True
+
+    def __hash__(self):
+        # post-order: a node is hashed once, after its operands
+        hashes, stack = {}, [(self, False)]  # id(node) -> hash
+        while stack:
+            node, ready = stack.pop()
+            values = [getattr(node, name) for name in node.__match_args__]
+            if ready:
+                hashes[id(node)] = hash((type(node), *[
+                    hashes[id(v)] if isinstance(v, Expression) else v
+                    for v in values]))
+            elif id(node) not in hashes:
+                stack.append((node, True))
+                stack += [(v, False) for v in values
+                          if isinstance(v, Expression)]
+        return hashes[id(self)]
 
     def __str__(self):
         return to_text(self)
 
 
-@dataclass(frozen=True)
 class Num(Expression):
     # int for integer literals (exact), str for decimal literals (converted
     # at evaluation precision).  May be negative: unary minus folds in.
     value: object
 
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
+
 class PiConst(Expression):
     symbol = "pi"
 
 
-@dataclass(frozen=True)
 class Var(Expression):
     symbol, kernel = "x", _bound
 
 
-@dataclass(frozen=True)
 class _Infix(Expression):
     """A binary operator node.  All four associate to the left."""
     left: Expression
     right: Expression
 
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
+
 class Add(_Infix):
     symbol, prec, kernel = "+", _PREC_ADD, "mpf_add"
     native = operator.add, "{} + {}"
 
 
-@dataclass(frozen=True)
 class Sub(_Infix):
     symbol, prec, kernel = "-", _PREC_ADD, "mpf_sub"
     native = operator.sub, "{} - {}"
 
 
-@dataclass(frozen=True)
 class Mul(_Infix):
     symbol, prec, kernel = "*", _PREC_MUL, "mpf_mul"
     native = operator.mul, "{} * {}"
 
 
-@dataclass(frozen=True)
 class Div(_Infix):
     symbol, prec, kernel = "/", _PREC_MUL, "mpf_div"
     native = operator.truediv, "{} / {}"
 
 
-@dataclass(frozen=True)
 class Pow(Expression):
     base: Expression
     exponent: Expression
     prec, kernel = _PREC_POW, _checked_power
 
+    def __init__(self, base, exponent):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
-@dataclass(frozen=True)
+
 class _Unary(Expression):
     """A node of one argument: negation, or a function that binds like an
     atom and whose ``symbol`` is its name."""
     arg: Expression
 
+    def __init__(self, arg):
+        object.__setattr__(self, "arg", arg)
 
-@dataclass(frozen=True)
+
 class Neg(_Unary):
     symbol, prec, kernel = "-", _PREC_NEG, "mpf_neg"
     native = operator.neg, "-{}"
 
 
-@dataclass(frozen=True)
 class Sin(_Unary):
     symbol, kernel = "sin", _checked_sin
 
 
-@dataclass(frozen=True)
 class Cos(_Unary):
     symbol, kernel = "cos", _checked_cos
 
 
-@dataclass(frozen=True)
 class Sqrt(_Unary):
     symbol, kernel = "sqrt", _checked_sqrt
     native = math.sqrt, "sqrt({})"

@@ -9,15 +9,12 @@ Three built-in integrands are provided, all with the closed-form value pi:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .expr import (Expression, Num, PiConst, Tape, differentiate, parse,
-                   to_text)
+from .expr import (Expression, Num, PiConst, Record, Tape, differentiate,
+                   parse, to_text)
 from .rules import Interval
 
 
-@dataclass
-class Integrand:
+class Integrand(Record, frozen=False):
     """A function to integrate, with lazily cached symbolic derivatives
     and one evaluation tape per derivative order.
 
@@ -39,11 +36,9 @@ class Integrand:
     interval: Interval
     reference: Expression | None = None
     name: str | None = None
-    _derivatives: list = field(init=False, repr=False, compare=False)
-    _tapes: dict = field(init=False, repr=False, compare=False)
-    _carried: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # caches, not fields: == and repr ignore them
         self._derivatives = [self.expression]
         self._tapes = {0: Tape(self.expression)}
         self._carried = {}  # precision -> {(a, b, panels): node sums}

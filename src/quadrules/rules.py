@@ -32,13 +32,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
 from mpmath.libmp import mpf_lt
 
-from .expr import DomainError, Expression, Num, Tape, parse
+from .expr import DomainError, Expression, Num, Record, Tape, parse
 from .precision import MAX_BITS, workprec
 
 # One entry per rule, in display order: a formula of the width w, of node
@@ -59,8 +58,7 @@ RULE_ORDER = tuple(_FORMULAS)
 POSITIVE, NEGATIVE = "positive", "negative"
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(Record):
     """Identity and error law of one simple rule."""
 
     name: str
@@ -95,8 +93,7 @@ def rule_names(rules):
     return tuple(rule_meta(r).name for r in rules)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """An integration interval with a < b strictly.
 
     Endpoints are stored as constant expressions (ints, decimal strings and

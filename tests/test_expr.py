@@ -164,6 +164,40 @@ class TestPrintRoundTrip:
         assert to_text(Pow(Neg(Var()), Num(2))) == "(-x) ^ 2"
 
 
+class TestStructuralEquality:
+    # == and hash walk an explicit stack, so no depth is too deep for them
+
+    @staticmethod
+    def _assert_twins(tree, twin, other):
+        assert tree is not twin
+        assert tree == twin and hash(tree) == hash(twin)
+        assert tree != other and hash(tree) != hash(other)
+        assert not tree == other and not tree != twin
+
+    def test_a_900_term_sum(self):
+        text = "+".join(["sin(x)"] * 900)
+        # the first term is the deepest leaf of the left-leaning sum
+        self._assert_twins(parse(text), parse(text),
+                           parse("sin(2)" + text[len("sin(x)"):]))
+
+    def test_a_tree_5000_deep(self):
+        def chain(leaf):
+            e = leaf
+            for k in range(5000):
+                e = Add(e, Num(k)) if k % 2 else Neg(e)
+            return e
+
+        self._assert_twins(chain(Var()), chain(Var()), chain(Num(7)))
+
+    def test_shared_subtrees_are_compared_once(self):
+        # asin6's order-6 derivative is 3,220 objects, and a tree of far
+        # more nodes when each shared subtree counts once per occurrence
+        f, g = builtin_integrand("asin6"), builtin_integrand("asin6")
+        d6, other = f.derivative_expr(6), g.derivative_expr(6)
+        assert d6 == other and hash(d6) == hash(other)
+        assert d6 != g.derivative_expr(5)
+
+
 class TestDifferentiate:
     def test_identity(self):
         assert differentiate(Var()) == Num(1)

@@ -1,0 +1,154 @@
+"""The record contract: the package's value classes behave as the frozen
+(and two mutable) dataclasses they replace, without importing dataclasses.
+
+``expr.Record`` gives the 23 records their fields, ``__init__``, ``==``,
+hash, repr and frozenness.  ``dataclasses.fields`` still works on them,
+because perfbench's tracer reads expression nodes through it.
+"""
+
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from mpmath import mpf
+
+from quadrules.analysis import Reference, TableRow
+from quadrules.associate import (COMPANION_PAIRS, AssociateWeights,
+                                 AssumptionVerdict, Bracket, CompanionPair)
+from quadrules.expr import (Add, Cos, Div, Mul, Neg, Num, PiConst, Pow, Sin,
+                            Sqrt, Sub, Var, _Infix, _Unary)
+from quadrules.integrand import Integrand, builtin_integrand
+from quadrules.rules import RULES, Interval, RuleSpec
+
+X = Var()
+
+# one instance of each record class, with its repr as the dataclasses
+# printed it
+RECORDS = [
+    (Num(2), "Num(value=2)"),
+    (Num("-0.5"), "Num(value='-0.5')"),
+    (PiConst(), "PiConst()"),
+    (X, "Var()"),
+    (_Infix(X, Num(1)), "_Infix(left=Var(), right=Num(value=1))"),
+    (Add(X, Num(1)), "Add(left=Var(), right=Num(value=1))"),
+    (Sub(X, PiConst()), "Sub(left=Var(), right=PiConst())"),
+    (Mul(Num(3), X), "Mul(left=Num(value=3), right=Var())"),
+    (Div(Num(1), X), "Div(left=Num(value=1), right=Var())"),
+    (Pow(X, Num(2)), "Pow(base=Var(), exponent=Num(value=2))"),
+    (_Unary(X), "_Unary(arg=Var())"),
+    (Neg(X), "Neg(arg=Var())"),
+    (Sin(X), "Sin(arg=Var())"),
+    (Cos(X), "Cos(arg=Var())"),
+    (Sqrt(Add(X, Num(1))), "Sqrt(arg=Add(left=Var(), right=Num(value=1)))"),
+    (RULES["S"], "RuleSpec(name='S', degree=3, error_sign='negative', "
+                 "error_denominator=2880)"),
+    (Interval(0, "1/2"), "Interval(a=Num(value=0), "
+                         "b=Div(left=Num(value=1), right=Num(value=2)))"),
+    (COMPANION_PAIRS[0],
+     "CompanionPair(positive=RuleSpec(name='L', degree=0, "
+     "error_sign='positive', error_denominator=2), negative=RuleSpec("
+     "name='R', degree=0, error_sign='negative', error_denominator=2))"),
+    (AssociateWeights(1, 2), "AssociateWeights(c1=1, c2=2)"),
+    (Bracket(mpf(1), mpf("2.5")), "Bracket(lo=mpf('1.0'), hi=mpf('2.5'))"),
+    (AssumptionVerdict("sign_change", (mpf(0), mpf(1))),
+     "AssumptionVerdict(kind='sign_change', "
+     "subinterval=(mpf('0.0'), mpf('1.0')))"),
+    (Reference(PiConst()), "Reference(expression=PiConst())"),
+    (TableRow(1, "L"), "TableRow(panels=1, order='L', errors={}, "
+                       "assumptions={}, note=None)"),
+    (Integrand(Mul(Num(2), X), Interval(0, 1), PiConst(), "twice"),
+     "Integrand(expression=Mul(left=Num(value=2), right=Var()), "
+     "interval=Interval(a=Num(value=0), b=Num(value=1)), "
+     "reference=PiConst(), name='twice')"),
+]
+MUTABLE = (TableRow, Integrand)
+NODES = [r for r, _ in RECORDS[:15]]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_serializers():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = ("import sys, quadrules.cli\n"
+            "print(*sorted({'dataclasses', 'inspect', 'json', 'csv'}"
+            " & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
+def test_every_record_class_is_pinned():
+    classes = {type(r) for r, _ in RECORDS}
+    assert len(classes) == 23
+    assert len({type(n) for n in NODES}) == 14
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_dataclass_fields_of_a_node_are_its_match_args(node):
+    names = [f.name for f in dataclasses.fields(node)]
+    assert names == list(type(node).__match_args__)
+    assert [f.name for f in dataclasses.fields(type(node))] == names
+
+
+@pytest.mark.parametrize("record, text", RECORDS,
+                         ids=[type(r).__name__ for r, _ in RECORDS])
+def test_repr_is_the_dataclass_text(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record", [r for r, _ in RECORDS],
+                         ids=[type(r).__name__ for r, _ in RECORDS])
+def test_frozen_records_refuse_assignment_and_mutable_ones_hash_not(record):
+    name = (type(record).__match_args__ or ("anything",))[0]
+    if isinstance(record, MUTABLE):
+        with pytest.raises(TypeError):
+            hash(record)
+        setattr(record, name, getattr(record, name, None))
+    else:
+        assert hash(record) == hash(record)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+def test_equality_is_same_class_and_equal_fields():
+    assert Add(X, Num(1)) == Add(Var(), Num(1))
+    assert hash(Add(X, Num(1))) == hash(Add(Var(), Num(1)))
+    assert Add(X, Num(1)) != Sub(X, Num(1))
+    assert Add(X, Num(1)) != Add(X, Num(2))
+    assert Num(1) != 1 and PiConst() != Var()
+    assert RuleSpec("S", 3, "negative", 2880) == RULES["S"]
+    assert Interval(0, 1) == Interval(Num(0), "1")
+    assert builtin_integrand("asin6") == builtin_integrand("asin6")
+    assert builtin_integrand("asin6") != builtin_integrand("atan2")
+
+
+def test_the_generic_constructor_takes_positions_names_and_defaults():
+    assert AssumptionVerdict("unknown").subinterval is None
+    assert AssociateWeights(c2=3, c1=2) == AssociateWeights(2, 3)
+    assert TableRow(1, "L").errors == {}
+    assert TableRow(1, "L").errors is not TableRow(1, "L").errors
+    row = TableRow(2, "LR", {"L": 1}, note="aborted")
+    assert (row.errors, row.assumptions, row.note) == ({"L": 1}, {}, "aborted")
+    for args, kwargs in [((1,), {}), ((1, 2, 3), {}), ((1,), {"c1": 2}),
+                         ((1, 2), {"c3": 3})]:
+        with pytest.raises(TypeError):
+            AssociateWeights(*args, **kwargs)
+
+
+def test_post_init_checks_still_fire():
+    s, t, m = RULES["S"], RULES["T"], RULES["M"]
+    with pytest.raises(ValueError, match="share a degree"):
+        CompanionPair(m, s)
+    with pytest.raises(ValueError, match="one positive and one negative"):
+        CompanionPair(t, m)
+    with pytest.raises(ValueError, match="positive integers"):
+        AssociateWeights(0, 1)
+    with pytest.raises(ValueError, match="coprime"):
+        AssociateWeights(2, 4)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        Bracket(mpf(2), mpf(1))

@@ -57,7 +57,8 @@ def test_small_table_makes_a_pinned_number_of_mpf_calls():
     # 1,199,677 calls when every sample walked the derivative trees, and
     # 53,553 when each composite ran the rule kernel once per panel and
     # added the panel values with Neumaier updates; the node sums are now
-    # added by mpmath.libmp.mpf_sum, which the tracer does not count.
+    # added exactly on integers by composite._exact_sum, which calls no
+    # kernel the tracer counts.
     # 53,135 while tape steps ran mpf operators, whose powers and domain
     # checks also reached the counted mpf_pow, mpf_eq and mpf_lt (14,338
     # calls); the tape now calls those from mpmath.libmp, and its add, sub,
