@@ -13,10 +13,11 @@ interval, the exact integral does too, so [min(X, Y), max(X, Y)] is a
 guaranteed enclosure.  ``check_assumption_A`` decides that sign condition
 numerically by sampling the symbolic derivative over the integrand's
 interval.  Its sample points come from ``quadrules.expr.grid``, on doubles
-at 53 bits wherever they round as the tuple formula does, and its verdict
-is read from the samples' raw ``_mpf_`` tuples: sign bits, top bits, and
-exact magnitude comparisons by ``mpmath.libmp`` kernels where top bits
-tie.
+at 53 bits wherever they round as the tuple formula does, otherwise in
+integers wherever every sample is exact, as on a dyadic interval;
+its verdict is read from the samples' raw ``_mpf_`` tuples: sign bits, top
+bits, and exact magnitude comparisons by ``mpmath.libmp`` kernels where
+top bits tie.
 
 ``COMPANION_PAIRS`` pairs each positive rule of ``RULES`` with the first
 negative rule of its degree, which gives these weights and associates:

@@ -10,7 +10,8 @@ Subcommands::
 
 integrate, bracket and table take ``--integrand``: a built-in name (sin2,
 asin6, atan2) or expression text; expression integrands and overridden
-intervals need both ``--a`` and ``--b`` (decimal literals).  ``--panels``
+intervals need both ``--a`` and ``--b`` (decimal literals), and these three
+take values that start with a minus (``--a -pi``).  ``--panels``
 accepts an integer, a comma list, and the doubling shorthand 2^k..2^m,
 each count from 1 to 2^20 (only the CLI caps it).
 Every subcommand takes ``--prec`` (bits, 4 to 65536, default 53; only
@@ -126,6 +127,22 @@ def build_parser():
                        help="output format: text, csv or json "
                             "(default text)")
     return parser
+
+
+def _join_dash_values(argv):
+    """``argv`` with each value that starts with "-" (-x, -pi, -(1)) after
+    --integrand, --a or --b joined to its option, as in --a=-pi.  argparse
+    takes such a value only when it is a plain negative number, and reads
+    any other as an unknown option; --options and -h stay options."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in ("--integrand", "--a", "--b")
+                and arg.startswith("-") and not arg.startswith("--")
+                and arg != "-h"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def parse_panels(text):
@@ -356,7 +373,8 @@ def cmd_pi(args):
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(
+            sys.argv[1:] if argv is None else argv))
         args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit
         return 0

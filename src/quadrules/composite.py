@@ -18,7 +18,9 @@ call holds one chunk of node values whatever n is.  Each chunk's
 positions come from one call of ``quadrules.expr.grid``, each a single
 multiplication a + k*(h/2), never repeated addition: on doubles at 53
 bits where they round as the tuple formula ``mpf_add(a, mpf_mul_int(h/2,
-k))`` does, and by that formula everywhere else.
+k))`` does, otherwise in integers where every position of the chunk is
+exact (a dyadic interval split into 2^j panels), and by that formula
+everywhere else.
 
 The integrand carries the exact sums of its last composite at each
 precision (``f.carry(precision)``).  In a doubling sweep h/2 halves

@@ -42,7 +42,9 @@ quotient of nonzero values underflows to 0, or a step raises, the tuple
 run takes over and its value or error is the answer.  Tapes with too few
 native float steps to repay the conversions keep the tuple run.  ``grid``
 computes equispaced evaluation points the same way: on doubles at 53 bits
-where they round as the tuple formula does, by the formula elsewhere.
+where they round as the tuple formula does; elsewhere in integers when
+every point is exact, as on a dyadic interval split into 2^k panels, and
+by the formula otherwise.
 
 A tape's float program first runs interpreted, one step per loop turn.
 At its 300th float run, about when compiled runs would have saved what
@@ -68,9 +70,9 @@ from functools import partial
 
 import mpmath.ctx_mp_python
 from mpmath import mp, mpf
-from mpmath.libmp import (MPZ, fone, fzero, mpf_add, mpf_cos, mpf_mul_int,
-                          mpf_pow, mpf_pow_int, mpf_sin, mpf_sqrt,
-                          round_nearest)
+from mpmath.libmp import (MPZ, fone, from_man_exp, fzero, mpf_add, mpf_cos,
+                          mpf_mul_int, mpf_pow, mpf_pow_int, mpf_sin,
+                          mpf_sqrt, round_nearest)
 
 from .precision import point_text, workprec
 
@@ -636,7 +638,8 @@ def grid(a, step, ks, prec):
     product does, since |k*hd| >= |hd| for k >= 1 and a normal hd, unless
     it overflows.  The points are monotone in k, so the first and the last
     show any overflow; a subnormal point, or an infinite one, hands the
-    whole grid to the tuple formula.
+    whole grid to ``_grid_tuples``, which builds it in integers when every
+    point is exact and by the formula otherwise.
     """
     if prec == 53 and _FLOAT53 and (not ks or ks[-1] < 2 ** 53):
         try:
@@ -653,7 +656,24 @@ def grid(a, step, ks, prec):
 
 
 def _grid_tuples(a, step, ks, prec):
-    """``grid`` by the tuple formula, at any precision."""
+    """``grid`` on tuples, at any precision.  With a and step as integers
+    A and S times 2^e, point k is exactly (A + k*S) * 2^e, built once in
+    integers, when the exponents bound A and the largest k*S within
+    ``prec`` bits (checked before any shift, so a step 2^(2^20) bits from
+    a is never shifted) and A + k*S fits at the largest k: it is linear
+    in k, so every point fits and the formula is exact.  Otherwise each
+    point takes the formula."""
+    sa, ma, ea, bca = a
+    ss, ms, es, bcs = step
+    if ms and ks and (ma or a == fzero):
+        kmax = ks[-1]
+        e = min(ea, es) if ma else es
+        if max(ea + bca if ma else e,
+               es + bcs + kmax.bit_length()) - e <= prec:
+            A = (-ma if sa else ma) << (ea - e) if ma else 0
+            S = (-ms if ss else ms) << (es - e)
+            if abs(A + kmax * S).bit_length() <= prec:
+                return [from_man_exp(A + k * S, e) for k in ks]
     return [mpf_add(a, mpf_mul_int(step, k, prec, round_nearest), prec,
                     round_nearest) for k in ks]
 

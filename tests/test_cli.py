@@ -492,6 +492,41 @@ def test_unknown_format_lists_the_choices(capsys):
                "(choose from 'text', 'csv', 'json')\n")
 
 
+@pytest.mark.parametrize("option, value, rest", [
+    ("--integrand", "-x", ("--a", "0", "--b", "1")),
+    ("--a", "-pi", ("--integrand", "x", "--b", "0")),
+    ("--b", "-1e-3", ("--integrand", "x", "--a", "-1")),
+    ("--a", "-(1)", ("--integrand", "x^2", "--b", "1")),
+])
+def test_option_values_may_start_with_a_minus(capsys, option, value, rest):
+    # argparse alone takes only a plain negative number after an option
+    spaced = run(capsys, "integrate", option, value, *rest)
+    assert spaced == run(capsys, "integrate", f"{option}={value}", *rest)
+    assert spaced[0] == 0 and spaced[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--integrand", "x", "--a", "--b", "1"),
+     "argument --a: expected one argument"),
+    (("--integrand", "x", "--b", "1", "--a"),
+     "argument --a: expected one argument"),
+    (("--integrand", "x", "--a", "-h", "--b", "1"),
+     "argument --a: expected one argument"),
+    (("--integrand", "--a", "-1", "--b", "1"),
+     "argument --integrand: expected one argument"),
+])
+def test_an_option_after_an_option_is_still_an_option(capsys, argv, message):
+    assert run(capsys, "integrate", *argv) == (1, "",
+                                               f"quad: error: {message}\n")
+
+
+def test_minus_h_after_a_value_option_still_prints_help(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["integrate", "--integrand", "x", "-h"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quad integrate")
+
+
 def test_output_bytes_are_deterministic(capsys):
     argv = ("table", "--integrand", "atan2", "--rules", "L,R,M,T",
             "--panels", "1,2,4", "--format", "csv")

@@ -2,12 +2,14 @@ import contextlib
 import io
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import (ComplexResult, from_float, fzero, mpf_add,
-                          mpf_mul_int, mpf_pow, round_nearest)
+from mpmath.libmp import (ComplexResult, finf, fnan, fninf, from_float,
+                          from_man_exp, fzero, mpf_add, mpf_mul_int, mpf_pow,
+                          round_nearest)
 
 from quadrules import expr
 from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
@@ -16,7 +18,8 @@ from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
                             differentiate, eval_expr, grid, parse, to_text)
 from quadrules.expr import _grid_tuples as grid_tuples
 from quadrules.cli import main
-from quadrules.integrand import builtin_integrand
+from quadrules.associate import check_assumption_A
+from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.precision import workprec
 from quadrules.rules import Interval
 
@@ -624,6 +627,108 @@ class TestGrid:
                 mpf_add(fzero, mpf_mul_int(step, k, 113, round_nearest), 113,
                         round_nearest) for k in ks]
         assert fallbacks == [10]
+
+
+def _finite_tuples(nonzero=False):
+    """Finite ``_mpf_`` tuples of either sign: mantissas up to 70 bits,
+    exponents within 300 of 0, and 0 unless ``nonzero``."""
+    mans = st.integers(1, 2 ** 70 - 1)
+    tuples = st.builds(lambda sign, man, exp: from_man_exp(sign * man, exp),
+                       st.sampled_from((1, -1)), mans, st.integers(-300, 300))
+    return tuples if nonzero else st.one_of(st.just(fzero), tuples)
+
+
+class TestExactGrid:
+    """``_grid_tuples`` builds a grid whose every point is exact in
+    integers and any other by the formula, bit for bit the formula's."""
+
+    @staticmethod
+    def formula(a, step, ks, prec):
+        return [mpf_add(a, mpf_mul_int(step, k, prec, round_nearest), prec,
+                        round_nearest) for k in ks]
+
+    @pytest.fixture
+    def no_formula(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the tuple formula ran")
+
+        monkeypatch.setattr(expr, "mpf_mul_int", refuse)
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=st.one_of(_finite_tuples(), st.sampled_from((finf, fninf, fnan))),
+           step=_finite_tuples(nonzero=True),
+           start=st.integers(0, 2 ** 40), n=st.integers(0, 40),
+           stride=st.integers(1, 5), prec=st.integers(4, 1024))
+    def test_equals_the_tuple_formula(self, a, step, start, n, stride, prec):
+        ks = range(start, start + n, stride)
+        assert grid_tuples(a, step, ks, prec) == \
+            self.formula(a, step, ks, prec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_finite_tuples(), man=st.integers(-2 ** 20, 2 ** 20),
+           shift=st.integers(-64, 8), n=st.integers(1, 300),
+           prec=st.integers(4, 1024))
+    def test_equals_the_tuple_formula_near_a(self, a, man, shift, n, prec):
+        # a step within a few dozen bits of a, where most grids are exact
+        step = from_man_exp(man or 1, (a[2] if a[1] else 0) + shift)
+        ks = range(n)
+        assert grid_tuples(a, step, ks, prec) == \
+            self.formula(a, step, ks, prec)
+
+    @pytest.mark.parametrize("a, step", [(15, 2), (-15, -2), (13, 1),
+                                         (14, 1)])
+    def test_a_sum_one_bit_too_wide_is_rounded(self, a, step):
+        # A and 2*S fit 4 bits but A + 2*S may not: 15 + 2*2 = 19 rounds
+        # to 20, while 13 + 2*1 and 14 + 2*1 stay exact
+        a, step, ks = from_man_exp(a, 0), from_man_exp(step, 0), range(3)
+        assert grid_tuples(a, step, ks, 4) == self.formula(a, step, ks, 4)
+
+    # shifting first would build 2^20-bit integers, or fail with
+    # OverflowError on the 2^(2^10000) steps
+    @pytest.mark.parametrize("exp", [2 ** 20, -2 ** 20, 2 ** 10000,
+                                     -2 ** 10000])
+    def test_a_step_far_from_a_is_never_shifted(self, exp):
+        a, step, ks = from_man_exp(-3, 0), from_man_exp(5, exp), range(4)
+        start = time.perf_counter()
+        points = grid_tuples(a, step, ks, 256)
+        assert time.perf_counter() - start < 1.0
+        assert points == self.formula(a, step, ks, 256)
+
+    def test_pi_256_grid_is_built_in_integers(self, no_formula):
+        # Simpson on 1024 panels of [-1, 1]: nodes at -1 + k*2^-10
+        ks = range(2049)
+        points = grid_tuples(from_man_exp(-1, 0), from_man_exp(1, -10), ks,
+                             256)
+        assert points == [from_man_exp(k - 1024, -10) for k in ks]
+
+    def test_pi_256_command_builds_no_point_by_the_formula(self, no_formula,
+                                                           capsys):
+        assert main(["pi", "--example", "3", "--panels", "1024",
+                     "--prec", "256"]) == 0
+        assert "digits_correct = " in capsys.readouterr().out
+
+    def test_sign_check_grid_on_a_dyadic_interval(self, no_formula):
+        # the 257 samples of [0, 1/2] at 113 bits, from check_assumption_A
+        with workprec(113):
+            f = Integrand(parse("x^3"), Interval("0", "0.5"))
+            assert check_assumption_A(f, 2, 113).uniform
+            assert grid(fzero, from_man_exp(1, -9), range(256), 113) == \
+                [from_man_exp(k, -9) for k in range(256)]
+
+    def test_an_inexact_grid_takes_the_formula(self, monkeypatch):
+        calls = []
+
+        def counted(step, k, prec, rnd):
+            calls.append(k)
+            return mpf_mul_int(step, k, prec, rnd)
+
+        monkeypatch.setattr(expr, "mpf_mul_int", counted)
+        with workprec(113):
+            step = (mp.pi / 256)._mpf_
+            ks = range(256)
+            assert grid(fzero, step, ks, 113) == \
+                self.formula(fzero, step, ks, 113)
+        assert calls == list(ks)
 
 
 class TestCheckedPower:
