@@ -129,14 +129,20 @@ def build_parser():
     return parser
 
 
+# the options whose values may start with "-": --a, --b, --integrand and
+# each prefix of it from --i on, which argparse takes for --integrand
+_DASH_OPTIONS = {"--a", "--b"} | {"--integrand"[:n] for n in range(3, 12)}
+
+
 def _join_dash_values(argv):
     """``argv`` with each value that starts with "-" (-x, -pi, -(1)) after
-    --integrand, --a or --b joined to its option, as in --a=-pi.  argparse
-    takes such a value only when it is a plain negative number, and reads
-    any other as an unknown option; --options and -h stay options."""
+    --integrand (or a prefix of it, such as --int), --a or --b joined to
+    its option, as in --a=-pi.  argparse takes such a value only when it
+    is a plain negative number, and reads any other as an unknown option;
+    --options and -h stay options."""
     out = []
     for arg in argv:
-        if (out and out[-1] in ("--integrand", "--a", "--b")
+        if (out and out[-1] in _DASH_OPTIONS
                 and arg.startswith("-") and not arg.startswith("--")
                 and arg != "-h"):
             out[-1] += "=" + arg

@@ -497,6 +497,11 @@ def test_unknown_format_lists_the_choices(capsys):
     ("--a", "-pi", ("--integrand", "x", "--b", "0")),
     ("--b", "-1e-3", ("--integrand", "x", "--a", "-1")),
     ("--a", "-(1)", ("--integrand", "x^2", "--b", "1")),
+    # argparse takes any prefix of --integrand from --i on for it
+    ("--int", "-x", ("--a", "0", "--b", "1")),
+    ("--in", "-x", ("--a", "0", "--b", "1")),
+    ("--i", "-sin(x)", ("--a", "0", "--b", "1")),
+    ("--integran", "-1/(2+x)", ("--a", "0", "--b", "1")),
 ])
 def test_option_values_may_start_with_a_minus(capsys, option, value, rest):
     # argparse alone takes only a plain negative number after an option
@@ -513,6 +518,9 @@ def test_option_values_may_start_with_a_minus(capsys, option, value, rest):
     (("--integrand", "x", "--a", "-h", "--b", "1"),
      "argument --a: expected one argument"),
     (("--integrand", "--a", "-1", "--b", "1"),
+     "argument --integrand: expected one argument"),
+    # -h is never joined to a prefix of --integrand either
+    (("--int", "-h", "--a", "0"),
      "argument --integrand: expected one argument"),
 ])
 def test_an_option_after_an_option_is_still_an_option(capsys, argv, message):

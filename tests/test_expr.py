@@ -2,10 +2,12 @@ import contextlib
 import io
 import random
 import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import (ComplexResult, finf, fnan, fninf, from_float,
                           from_man_exp, fzero, mpf_add, mpf_mul_int, mpf_pow,
@@ -25,6 +27,9 @@ from quadrules.rules import Interval
 
 from oracles import (central_diff, central_second_diff, random_poly_tree,
                      tree_eval, ulp)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import random_expression  # noqa: E402
 
 
 class TestParse:
@@ -433,8 +438,7 @@ def _compiled_tape(tree):
     tape = Tape(tree)
     with workprec(53):
         if tape._program():
-            tape._compiled = expr._compile(tape._floats, tape._var,
-                                           tape.result)
+            tape._compiled = expr._compile(tape)
     return tape
 
 
@@ -526,9 +530,10 @@ class TestFloatBackend:
         """The step counts of the float programs compiled from now on."""
         steps, generate = [], expr._compile
 
-        def counted(program, var, result):
-            steps.append(len(program[1]))
-            return generate(program, var, result)
+        def counted(tape, prec=None):
+            if prec is None:
+                steps.append(len(tape._floats[1]))
+            return generate(tape, prec)
 
         monkeypatch.setattr(expr, "_compile", counted)
         return steps
@@ -558,6 +563,60 @@ class TestFloatBackend:
             assert main(["bracket", "--integrand", "atan2", "--pair", "T2,S",
                          "--panels", "64"]) == 0
         assert compiles == []
+
+
+def _tuple_outcome(run, *args):
+    """("value", tuple) or ("error", reason, node, point) of a run."""
+    try:
+        return "value", run(*args)
+    except DomainError as err:
+        return "error", err.reason, err.node, err.x
+
+
+class TestTupleProgram:
+    """After ``_COMPILE_AFTER`` tuple runs at one precision a tape runs its
+    generated tuple program, which answers with the interpreted loop's
+    tuple, bit for bit; where the loop raises, the program raises with the
+    same reason and the loop runs again to name the node and the point."""
+
+    # a random smooth expression, alone or with a term that fails at x = c:
+    # a root crossing c, a quotient and a negative power hitting it
+    VARIANTS = ("{e}", "{e} + sqrt(x - {c})", "({e}) / (x - {c})",
+                "({e}) * (x - {c})^-{n}", "({e}) * (x - {c})^{n}")
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), variant=st.sampled_from(VARIANTS),
+           c=st.sampled_from(("0", "0.5", "-1.25", "0.1", "3")),
+           n=st.integers(1, 4))
+    @example(seed=1, variant=VARIANTS[1], c="0.5", n=1)
+    @example(seed=2, variant=VARIANTS[2], c="0.1", n=1)
+    @example(seed=3, variant=VARIANTS[3], c="-1.25", n=3)
+    @example(seed=4, variant=VARIANTS[3], c="0", n=1)
+    def test_compiled_runs_equal_interpreted_runs(self, seed, variant, c, n):
+        text = variant.format(e=random_expression(random.Random(seed)), c=c,
+                              n=n)
+        tape = Tape(parse(text))
+        # 53 bits last: its tuple runs are the float run's fallbacks
+        for prec in (113, 256, 53):
+            with workprec(prec):
+                points = [None, mpf(c)._mpf_]  # x - c is exactly 0 at prec
+            with workprec(300):  # no double holds these
+                points += [(mpf(c) + mpf(k) / 7)._mpf_ for k in (-2, -1, 1)]
+            with workprec(prec):
+                interpreted = [_tuple_outcome(tape._run, x) for x in points]
+                while prec not in tape._tuple_programs:
+                    for x in points:
+                        _tuple_outcome(tape._run, x)
+                program = tape._tuple_programs[prec]
+                for x, want in zip(points, interpreted):
+                    assert _tuple_outcome(tape._run, x) == want
+                    loop = _tuple_outcome(tape._interpret, x, prec)
+                    assert _tuple_outcome(tape._run_tuples, x, prec) == loop
+                    assert _tuple_outcome(program, x)[:2] == loop[:2]
+            failing = {"error"} if variant != self.VARIANTS[0] and \
+                variant != self.VARIANTS[4] else set()
+            assert {o[0] for o in interpreted[1:]} - {"value"} == failing
+            assert interpreted[0][1] == "free variable x in a constant context"
 
 
 class TestGrid:

@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import tracing  # noqa: E402
 from mpmath import mpf  # noqa: E402
+from quadrules import expr  # noqa: E402
 from quadrules.cli import main  # noqa: E402
 from quadrules.expr import (Add, Div, Expression, Mul, Neg, Sub,  # noqa: E402
                             Tape, parse)
@@ -106,3 +107,28 @@ def test_tape_kernels_are_looked_up_when_the_tape_is_built():
     assert counted == 9
     assert calls == [0, counted]
     assert values[0] == values[1]
+
+
+def test_pi_256_makes_pinned_work_and_compiles_its_tuple_program_once(
+        monkeypatch):
+    # Simpson on 2/(1+x^2) over 1,024 panels at 256 bits: 2,049 f
+    # evaluations, each counted twice (its Add and its Div; x^2 calls
+    # mpmath.libmp), whether the interpreted loop or, from the 300th run
+    # on, the compiled tuple program runs it, and 27 counted calls
+    # outside the tape
+    compiled, generate = [], expr._compile
+
+    def counted(tape, prec=None):
+        compiled.append(prec)
+        return generate(tape, prec)
+
+    monkeypatch.setattr(expr, "_compile", counted)
+    tracer = tracing.Tracer()
+    with tracer, contextlib.redirect_stdout(io.StringIO()):
+        assert main(["pi", "--example", "3", "--panels", "1024",
+                     "--prec", "256"]) == 0
+    tracer.end_op()
+    counts = tracer.per_op(1)
+    assert counts["mpmath.mpf_calls"] == 4125
+    assert counts["integrand.f_evals"] == 2049
+    assert compiled == [256]
