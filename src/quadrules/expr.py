@@ -48,21 +48,20 @@ by the formula otherwise.
 
 A tape's runs are first interpreted, one step per loop turn.  At its
 300th float run, and at its 300th tuple run at one precision, about when
-compiled runs would have saved what compiling costs, ``_compile``
-generates and compiles one straight-line Python function for that
-program, with the registers as locals.  The float program's native steps
-become plain operators and x converts from its tuple inline; it performs
-the same IEEE 754 operations on the same operands in the same order, so
-every register holds the same double, and it applies the same exponent
-scan and exact checks and catches the same exceptions, so it answers
-with the interpreted loop's double or hands the point to the tuple run
-where that loop would.  The tuple program calls the same kernels with
-the precision and the rounding mode as constants, tests x and each
-denominator inline, and raises to integer literal exponents by
-``mpf_pow_int`` directly, as ``_checked_power`` does; where it raises a
-domain error, the interpreted loop runs again and raises it with its
-node and point.  Values, error text and fallback decisions do not depend
-on which run answered.
+compiled runs would have saved what compiling costs, ``_compile`` or
+``_compile_tuples`` generates and compiles one straight-line Python
+function for that program, with the registers as locals.  The float
+program's native steps become plain operators and x converts from its
+tuple inline; it performs the same IEEE 754 operations on the same
+operands in the same order, so every register holds the same double, and
+it applies the same exponent scan and exact checks and catches the same
+exceptions, so it answers with the interpreted loop's double or hands the
+point to the tuple run where that loop would.  The tuple program calls
+the same kernels with the precision and the rounding mode as constants
+and tests x and each denominator inline; where it raises a domain error,
+the interpreted loop runs again and raises it with its node and point.
+Values, error text and fallback decisions do not depend on which run
+answered.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ import mpmath.ctx_mp_python
 from mpmath import mp, mpf
 from mpmath.libmp import (MPZ, fone, from_man_exp, fzero, mpf_add, mpf_cos,
                           mpf_mul_int, mpf_pow, mpf_pow_int, mpf_sin,
-                          mpf_sqrt, round_nearest, to_int)
+                          mpf_sqrt, round_nearest)
 
 from .precision import point_text, workprec
 
@@ -708,11 +707,11 @@ _FLOAT_POWERS = {-1: (partial(operator.truediv, 1.0), "1.0 / {}"),
 # 0.3 ms plus 17 us a step, a compiled run is 0.7 to 8 us faster than an
 # interpreted one, and the compile repays itself after 250 to 530 runs,
 # near 300 whatever the tape's length.  At 113 and 256 bits (4 to 116
-# tuple steps) a tuple compile takes 0.08 to 1.7 ms, about 0.07 ms plus
-# 14 us a step, and saves about 0.6 to 1.3 us a run on atan2's f (5
-# steps) and 4 to 11 us on asin6's f'''' (116), where the kernels take 3
-# to 100 us a run; it repays itself after 100 to 250 runs, so the one
-# threshold serves both programs.  A composite of a few hundred panels
+# tuple steps) a tuple compile takes 0.1 to 1.7 ms, about 0.07 ms plus
+# 14 us a step, and saves about 0.8 to 3 us a run on atan2's f (5 steps)
+# and 9 to 10 us on asin6's f'''' (116), where the kernels take 4 to 115
+# us a run; it repays itself after 60 to 350 runs, mostly 115 to 210, so
+# the one threshold serves both programs.  A composite of a few hundred panels
 # gets there; a 257-sample sign check alone stays interpreted.
 _COMPILE_AFTER = 300
 
@@ -729,78 +728,74 @@ def _normal(regs, products):
                    for out, a, b in products)
 
 
+def _generated(body, namespace):
+    """The function ``run(x)`` with the given body lines, compiled with
+    ``namespace`` as its globals."""
+    source = "\n".join(["def run(x):", *body])
+    exec(compile(source, "<tape program>", "exec"), namespace)
+    return namespace["run"]
+
+
+def _compile(program, var, result):
+    """The float program of a tape as one generated function of an
+    ``_mpf_`` tuple x, answering as ``Tape._run_floats`` does.  Registers
+    are locals, native steps their declared source text, and kernel steps
+    call the same ``_on_tuples`` closures, in the interpreted loop's order;
+    x converts by ``_to_double``'s rule, and the same exponent scan and
+    exact checks decide between the result and None."""
+    regs, steps, products, packer = program
+    namespace = {"ldexp": math.ldexp, "fzero": fzero, "sqrt": math.sqrt,
+                 "pack": packer.pack, "MIDDLE": _MIDDLE, "normal": _normal,
+                 "products": products}
+    written = {var} | {step[0] for step in steps}
+    lines = [f" r{r} = {v!r}" for r, v in enumerate(regs) if r not in written]
+    if var is not None:
+        lines += [" if x is None:", "  return None",
+                  " sign, man, exp, bc = x",
+                  " if man and bc <= 53 and -1022 <= exp + bc - 1 < 1024:",
+                  f"  r{var} = ldexp(-man if sign else man, exp)",
+                  " elif x == fzero:", f"  r{var} = 0.0",
+                  " else:", "  return None"]
+    lines.append(" try:")
+    for i, (out, fn, a, b, text) in enumerate(steps):
+        if text is None:
+            namespace[f"k{i}"] = fn
+            text = f"k{i}({{}})" if b is None else f"k{i}({{}}, {{}})"
+        lines.append(f"  r{out} = " + text.format(f"r{a}", f"r{b}"))
+    every = ", ".join(f"r{r}" for r in range(len(regs)))
+    lines += [" except (ArithmeticError, ValueError):", "  return None",
+              f" if not pack({every})[{_HIGH}::8].translate(None, MIDDLE)"
+              f" or normal([{every}], products):",
+              f"  return r{result}"]
+    return _generated(lines, namespace)
+
+
 # the tuple program's inline tests for the check kernels: where a test
 # holds, the program calls the kernel, which raises its DomainError
 _TESTS = {_bound: "{} is None", _nonzero: "{} == fzero"}
 
 
-def _compile(tape, prec=None):
-    """One generated straight-line function of an ``_mpf_`` tuple x from a
-    tape's steps: with ``prec`` None its float program, answering as
-    ``Tape._run_floats`` does, otherwise its tuple run at ``prec``,
-    answering as ``Tape._interpret`` does except that a domain error
-    carries no node or point.  Registers are locals r0, r1, ..., except
-    that literal registers are globals of those names, bound to the
-    literal's double or its tuple at ``prec``.  Steps run in the
-    interpreted loop's order, and a step that calls a function calls the
-    same one, the global k<i> for step i.
-
-    In the float program native steps are their declared source text, x
-    converts by ``_to_double``'s rule inline, and the same exponent scan
-    and exact checks decide between the result and None.  In the tuple
-    program the precision and the rounding mode are constants, the
-    ``_TESTS`` checks are inline ``if`` tests, and a power whose exponent
-    register holds a literal integer below 2^_POW_BITS calls
-    ``mpf_pow_int`` with that integer, as ``_checked_power`` would, after
-    an inline zero-base test where it is negative."""
-    namespace, var, lines = {"fzero": fzero}, tape._var, ["def run(x):"]
-    if prec is None:
-        values, steps, products, packer = tape._floats
-        namespace.update(ldexp=math.ldexp, sqrt=math.sqrt, pack=packer.pack,
-                         MIDDLE=_MIDDLE, normal=_normal, products=products)
-        if var is not None:
-            lines += [" if x is None:", "  return None",
-                      " sign, man, exp, bc = x",
-                      " if man and bc <= 53 and -1022 <= exp + bc - 1 < 1024:",
-                      f"  r{var} = ldexp(-man if sign else man, exp)",
-                      " elif x == fzero:", f"  r{var} = 0.0",
-                      " else:", "  return None"]
-        lines.append(" try:")
-        for i, (out, fn, a, b, text) in enumerate(steps):
-            if text is None:
-                namespace[f"k{i}"] = fn
-                text = f"k{i}({{}})" if b is None else f"k{i}({{}}, {{}})"
-            lines.append(f"  r{out} = " + text.format(f"r{a}", f"r{b}"))
-        every = ", ".join(f"r{r}" for r in range(len(values)))
-        lines += [" except (ArithmeticError, ValueError):", "  return None",
-                  f" if not pack({every})[{_HIGH}::8].translate(None, MIDDLE)"
-                  f" or normal([{every}], products):",
-                  f"  return r{tape.result}"]
-    else:
-        values, tail = tape._template(prec), f"{prec}, {round_nearest!r}"
-        namespace["pow_int"] = mpf_pow_int
-        if var is not None:
-            lines.append(f" r{var} = x")
-        for i, (out, kernel, a, b, _) in enumerate(tape.steps):
-            namespace[f"k{i}"] = kernel
-            operands = f"r{a}" if b is None else f"r{a}, r{b}"
-            call = f"k{i}({operands}, {tail})"
-            if kernel in _TESTS:
-                lines.append(f" if {_TESTS[kernel].format(f'r{a}')}: {call}")
-                continue
-            # an integer exponent literal that _checked_power accepts on
-            # any base, raising the base to it by mpf_pow_int
-            v = values[b] if kernel is _checked_power else None
-            if v is not None and v[2] >= 0 and v[2] + v[3] <= _POW_BITS:
-                n = to_int(v)
-                if n < 0:
-                    lines.append(f" if r{a} == fzero: {call}")
-                call = f"pow_int(r{a}, {n}, {tail})"
-            lines.append(f" r{out} = {call}")
-        lines.append(f" return r{tape.result}")
+def _compile_tuples(tape, prec):
+    """A tape's tuple run at ``prec`` as one generated function of an
+    ``_mpf_`` tuple x, answering as ``Tape._interpret`` does except that
+    a domain error carries no node or point.  Registers are locals, and
+    literal registers globals of the same names bound to their tuples at
+    ``prec``.  Step i calls the same kernel object, the global k<i>, in the
+    interpreted loop's order with the precision and the rounding mode as
+    constants; the ``_TESTS`` checks are inline ``if`` tests."""
+    values, tail = tape._template(prec), f"{prec}, {round_nearest!r}"
+    namespace = {"fzero": fzero}
     namespace.update((f"r{r}", values[r]) for r, _ in tape._literals)
-    exec(compile("\n".join(lines), "<tape program>", "exec"), namespace)
-    return namespace["run"]
+    lines = [] if tape._var is None else [f" r{tape._var} = x"]
+    for i, (out, kernel, a, b, _) in enumerate(tape.steps):
+        namespace[f"k{i}"] = kernel
+        operands = f"r{a}" if b is None else f"r{a}, r{b}"
+        call = f"k{i}({operands}, {tail})"
+        test = _TESTS.get(kernel)
+        lines.append(f" if {test.format(f'r{a}')}: {call}" if test
+                     else f" r{out} = {call}")
+    lines.append(f" return r{tape.result}")
+    return _generated(lines, namespace)
 
 
 class Tape:
@@ -831,16 +826,18 @@ class Tape:
     The float program runs interpreted, one step at a time, until the
     tape has made ``_COMPILE_AFTER`` float runs, and the tuple run until
     it has made ``_COMPILE_AFTER`` runs at one precision (53-bit
-    fallbacks count at 53); then ``_compile`` turns that program into one
-    straight-line Python function.  The float function performs the same
-    float operations in the same order and applies the same checks.  The
-    tuple function, one per precision, calls the same kernel objects,
-    which a tracer that rebinds ``mpmath.ctx_mp_python`` still counts;
-    where it raises a ``DomainError``, ``_interpret`` runs the point
-    again and raises the error with its node and point.  So the answers
-    and the counted calls are the interpreted loop's.  All runs read
-    their steps from the node classes' ``kernel`` and ``native``
-    declarations.
+    fallbacks count at 53); then ``_compile`` or ``_compile_tuples``
+    turns that program into one straight-line Python function.  The
+    float function performs the same float operations in the same order
+    and applies the same checks.  The tuple function, one per precision,
+    calls the same kernel objects, which a tracer that rebinds
+    ``mpmath.ctx_mp_python`` still counts; where it raises a
+    ``DomainError``, ``_interpret`` runs the point again and raises the
+    error with its node and point.  So the answers are the interpreted
+    loop's, and so are the counted calls of every run that returns a
+    value; a compiled run that raises makes the calls before its failing
+    step twice, once compiled and once interpreted.  All runs read their
+    steps from the node classes' ``kernel`` and ``native`` declarations.
     """
 
     def __init__(self, e):
@@ -945,7 +942,7 @@ class Tape:
         else:
             runs = self._tuple_runs[prec] = self._tuple_runs.get(prec, 0) + 1
             if runs == _COMPILE_AFTER:
-                self._tuple_programs[prec] = _compile(self, prec)
+                self._tuple_programs[prec] = _compile_tuples(self, prec)
         return self._interpret(x, prec)
 
     def _interpret(self, x, prec):
@@ -1013,7 +1010,7 @@ class Tape:
         regs, steps, products, packer = self._floats
         self._runs += 1
         if self._runs == _COMPILE_AFTER:
-            self._compiled = _compile(self)
+            self._compiled = _compile(self._floats, self._var, self.result)
         regs = regs.copy()
         if self._var is not None and x is None:
             return None

@@ -438,7 +438,8 @@ def _compiled_tape(tree):
     tape = Tape(tree)
     with workprec(53):
         if tape._program():
-            tape._compiled = expr._compile(tape)
+            tape._compiled = expr._compile(tape._floats, tape._var,
+                                           tape.result)
     return tape
 
 
@@ -530,10 +531,9 @@ class TestFloatBackend:
         """The step counts of the float programs compiled from now on."""
         steps, generate = [], expr._compile
 
-        def counted(tape, prec=None):
-            if prec is None:
-                steps.append(len(tape._floats[1]))
-            return generate(tape, prec)
+        def counted(program, var, result):
+            steps.append(len(program[1]))
+            return generate(program, var, result)
 
         monkeypatch.setattr(expr, "_compile", counted)
         return steps

@@ -116,13 +116,13 @@ def test_pi_256_makes_pinned_work_and_compiles_its_tuple_program_once(
     # mpmath.libmp), whether the interpreted loop or, from the 300th run
     # on, the compiled tuple program runs it, and 27 counted calls
     # outside the tape
-    compiled, generate = [], expr._compile
+    compiled, generate = [], expr._compile_tuples
 
-    def counted(tape, prec=None):
+    def counted(tape, prec):
         compiled.append(prec)
         return generate(tape, prec)
 
-    monkeypatch.setattr(expr, "_compile", counted)
+    monkeypatch.setattr(expr, "_compile_tuples", counted)
     tracer = tracing.Tracer()
     with tracer, contextlib.redirect_stdout(io.StringIO()):
         assert main(["pi", "--example", "3", "--panels", "1024",
