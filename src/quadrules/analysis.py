@@ -13,7 +13,6 @@ exact rational rule values on x^k, so it carries no tolerance.
 from __future__ import annotations
 
 import io
-import math
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, ROUND_HALF_UP,
                      Context, Decimal)
 
@@ -23,7 +22,7 @@ from .associate import COMPANION_PAIRS, check_assumption_A
 from .composite import composite_values
 from .expr import (DifferentiationError, DomainError, Expression, Record,
                    eval_expr)
-from .precision import as_mpf, format_real, workprec
+from .precision import as_mpf, decimal_digits, format_real, workprec
 from .rules import RULE_ORDER, rule_meta, rule_names
 
 #: extra bits used when materializing references and taking differences
@@ -88,19 +87,14 @@ def observed_order(err_n, err_2n):
         return mp.log(abs(as_mpf(err_n)) / abs(as_mpf(err_2n)), 2)
 
 
-class TableRow(Record, frozen=False):
+class TableRow(Record):
+    """One row of ``convergence_table``, built once its dicts are full."""
+
     panels: int
     order: str
-    errors: dict = None        # rule name -> signed error ({} when omitted)
-    assumptions: dict = None   # "X,Y" -> verdict tag ({} when omitted)
+    errors: dict               # rule name -> signed error
+    assumptions: dict          # "X,Y" -> verdict tag
     note: str | None = None    # diagnostic for aborted rows
-
-    def __post_init__(self):
-        # a fresh dict per row, never one shared default
-        if self.errors is None:
-            self.errors = {}
-        if self.assumptions is None:
-            self.assumptions = {}
 
 
 def convergence_table(f, rules=("L", "R", "M", "T", "S", "T2"),
@@ -166,7 +160,7 @@ def digits_correct(value, reference, precision=53):
     two values agree beyond what the significand can support; the
     reference is materialized with 64 extra bits.
     """
-    cap = int(math.floor(precision * math.log10(2))) + 1
+    cap = decimal_digits(precision) + 1
     value = as_mpf(value)
     ref = _reference_value(reference, precision + 64)
 

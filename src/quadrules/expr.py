@@ -231,21 +231,17 @@ class Record:
     or name and then calls ``__post_init__``.  Two records are equal when
     they are of one class with equal field tuples, and one prints as
     ``Name(field=value, ...)``.  Records are frozen and hash by their
-    fields, unless the class says ``frozen=False``: then they are mutable
-    and unhashable.
+    fields; ``__post_init__`` may check or coerce them, and store caches
+    beside them, through ``object.__setattr__``.
     """
     __match_args__ = ()
     __dataclass_fields__ = _DataclassFields()
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = vars(cls).get("__annotations__", {})
         cls.__match_args__ += tuple(name for name in own
                                     if name not in cls.__match_args__)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         cls, names = type(self), self.__match_args__
@@ -465,8 +461,12 @@ def _tokenize(text):
     for m in _TOKEN.finditer(text):
         kind, lexeme = m.lastgroup, m.group()
         if kind == "num":
-            tokens.append((kind, int(lexeme) if lexeme.isdecimal()
-                           else lexeme, off))
+            try:
+                value = int(lexeme) if lexeme.isdecimal() else lexeme
+            except ValueError:  # past the interpreter's int-string limit
+                raise ParseError(f"integer literal of {len(lexeme)} digits "
+                                 "is too long", off) from None
+            tokens.append((kind, value, off))
         elif kind == "ident":
             tokens.append((kind, lexeme, off))
         elif kind == "op":

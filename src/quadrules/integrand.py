@@ -14,9 +14,11 @@ from .expr import (Expression, Num, PiConst, Record, Tape, differentiate,
 from .rules import Interval
 
 
-class Integrand(Record, frozen=False):
+class Integrand(Record):
     """A function to integrate, with lazily cached symbolic derivatives
-    and one evaluation tape per derivative order.
+    and one evaluation tape per derivative order.  Like every record it
+    is frozen and hashes by its fields; ``==``, hash and repr ignore the
+    caches.
 
     ``reference``, when present, is a constant expression for the exact
     value of the integral over ``interval`` (the built-ins use pi).
@@ -38,10 +40,10 @@ class Integrand(Record, frozen=False):
     name: str | None = None
 
     def __post_init__(self):
-        # caches, not fields: == and repr ignore them
-        self._derivatives = [self.expression]
-        self._tapes = {0: Tape(self.expression)}
-        self._carried = {}  # precision -> {(a, b, panels): node sums}
+        object.__setattr__(self, "_derivatives", [self.expression])
+        object.__setattr__(self, "_tapes", {0: Tape(self.expression)})
+        # precision -> {(a, b, panels): node sums}
+        object.__setattr__(self, "_carried", {})
 
     @classmethod
     def from_text(cls, text, a, b, reference=None, name=None):

@@ -14,8 +14,6 @@ import math
 
 from mpmath import mp, mpf
 
-# the normal range of a double: 2^-1022 <= |x| < 2^1024
-_DOUBLE_MIN, _DOUBLE_OVER = mpf(2) ** -1022, mpf(2) ** 1024
 # The CLI's cap on --prec, and the highest precision at which an Interval
 # tries to tell its endpoints apart.  A 16-panel Simpson rule on sin2 takes
 # about 10 s at 2^16 bits on a 2-CPU host; far larger values ask mpmath
@@ -99,6 +97,7 @@ def point_text(x):
 
 def fits_double(x):
     """True when ``float(x)`` keeps x's magnitude: x is zero, non-finite,
-    or in the double's normal range."""
-    return not x or not mp.isfinite(x) or _DOUBLE_MIN <= abs(x) < _DOUBLE_OVER
+    or in the double's normal range, 2^-1022 <= |x| < 2^1024."""
+    _, man, exp, bc = x._mpf_  # zero, inf and nan have no significand
+    return not man or -1022 <= exp + bc - 1 < 1024
 

@@ -109,8 +109,8 @@ class Interval(Record):
     a: Expression
     b: Expression
 
-    def __init__(self, a, b):
-        (a, a_tape), (b, b_tape) = _as_constant(a), _as_constant(b)
+    def __post_init__(self):
+        (a, a_tape), (b, b_tape) = _as_constant(self.a), _as_constant(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         # the endpoint tapes, compiled once; not fields, so == and repr

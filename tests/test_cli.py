@@ -619,6 +619,24 @@ def test_astronomical_magnitudes_are_one_line_domain_errors(text, prec,
         (2, "", f"quad: domain error: {message}\n")
 
 
+@pytest.mark.parametrize("option", ["--integrand", "--b"])
+def test_integer_literal_past_the_int_string_limit_is_one_line(option):
+    long = "1" + "0" * 5000
+    values = {"--integrand": "x", "--a": "0", "--b": "1"}
+    values[option] = f"{long}*x" if option == "--integrand" else long
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrules.cli", "integrate",
+         *(word for item in values.items() for word in item)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("quad: error: ")
+    assert proc.stderr.endswith("syntax error at byte offset 0: integer "
+                                "literal of 5001 digits is too long\n")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv, code, stdout, stderr", [
     # 1 + 10^-20 rounds to 1 at 64 bits, not at 128
     (("integrate", "--b", "1.00000000000000000001", "--prec", "256"), 0,

@@ -78,6 +78,16 @@ class TestParse:
         assert "tan" in str(exc.value)
         assert exc.value.offset == 2
 
+    def test_integer_literal_past_the_int_string_limit(self):
+        # CPython refuses int() of more than 4,300 digits by default
+        long = "1" + "0" * 5000
+        with pytest.raises(ParseError) as exc:
+            parse(f"x + 2*{long}")
+        assert exc.value.offset == 6
+        assert str(exc.value) == ("syntax error at byte offset 6: integer "
+                                  "literal of 5001 digits is too long")
+        assert parse(f"1.{long}") == Num(f"1.{long}")
+
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse("1+2)")

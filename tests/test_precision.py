@@ -3,12 +3,30 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
 from quadrules.expr import DomainError
-from quadrules.precision import format_real, point_text, workprec
+from quadrules.precision import (fits_double, format_real, point_text,
+                                 workprec)
 
 
 def _at53(text):
     with workprec(53):
         return +mpf(text)
+
+
+def _old_fits_double(x):
+    # the comparison of mpfs that fits_double replaced
+    return (not x or not mp.isfinite(x)
+            or mpf(2) ** -1022 <= abs(x) < mpf(2) ** 1024)
+
+
+@pytest.mark.parametrize("value", [
+    mpf(0), mpf(2) ** -1022, -mpf(2) ** -1022,
+    mpf(2) ** -1022 - mpf(2) ** -1074,   # the largest subnormal
+    mpf(2) ** 1024 - mpf(2) ** 971,      # the largest finite double
+    mpf(2) ** 1024, mp.inf, -mp.inf, mp.nan,
+], ids=["0", "2^-1022", "-2^-1022", "largest_subnormal", "largest_double",
+        "2^1024", "inf", "-inf", "nan"])
+def test_fits_double_reads_the_range_from_the_exponent(value):
+    assert fits_double(value) == _old_fits_double(value)
 
 
 @pytest.mark.parametrize("value", [

@@ -1,5 +1,5 @@
 """The record contract: the package's value classes behave as the frozen
-(and two mutable) dataclasses they replace, without importing dataclasses.
+dataclasses they replace, without importing dataclasses.
 
 ``expr.Record`` gives the 23 records their fields, ``__init__``, ``==``,
 hash, repr and frozenness.  ``dataclasses.fields`` still works on them,
@@ -7,7 +7,9 @@ because perfbench's tracer reads expression nodes through it.
 """
 
 import dataclasses
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +17,12 @@ from pathlib import Path
 import pytest
 from mpmath import mpf
 
+import quadrules
 from quadrules.analysis import Reference, TableRow
 from quadrules.associate import (COMPANION_PAIRS, AssociateWeights,
                                  AssumptionVerdict, Bracket, CompanionPair)
-from quadrules.expr import (Add, Cos, Div, Mul, Neg, Num, PiConst, Pow, Sin,
-                            Sqrt, Sub, Var, _Infix, _Unary)
+from quadrules.expr import (Add, Cos, Div, Expression, Mul, Neg, Num, PiConst,
+                            Pow, Record, Sin, Sqrt, Sub, Var, _Infix, _Unary)
 from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.rules import RULES, Interval, RuleSpec
 
@@ -57,15 +60,30 @@ RECORDS = [
      "AssumptionVerdict(kind='sign_change', "
      "subinterval=(mpf('0.0'), mpf('1.0')))"),
     (Reference(PiConst()), "Reference(expression=PiConst())"),
-    (TableRow(1, "L"), "TableRow(panels=1, order='L', errors={}, "
-                       "assumptions={}, note=None)"),
+    (TableRow(1, "L", {}, {}), "TableRow(panels=1, order='L', errors={}, "
+                               "assumptions={}, note=None)"),
     (Integrand(Mul(Num(2), X), Interval(0, 1), PiConst(), "twice"),
      "Integrand(expression=Mul(left=Num(value=2), right=Var()), "
      "interval=Interval(a=Num(value=0), b=Num(value=1)), "
      "reference=PiConst(), name='twice')"),
 ]
-MUTABLE = (TableRow, Integrand)
 NODES = [r for r, _ in RECORDS[:15]]
+# the node shapes that set their fields in their own, faster __init__ (the
+# base's takes no fields, for pi and x)
+NODE_SHAPES = {Expression, Num, _Infix, Pow, _Unary}
+
+
+def _package_records():
+    """Every Record subclass defined in a quadrules module."""
+    for info in pkgutil.iter_modules(quadrules.__path__):
+        importlib.import_module(f"quadrules.{info.name}")
+    found, stack = set(), [Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("quadrules."):
+                found.add(sub)
+    return found
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_serializers():
@@ -99,20 +117,28 @@ def test_repr_is_the_dataclass_text(record, text):
     assert repr(record) == text
 
 
+def test_every_package_record_class_is_sampled_and_frozen():
+    classes = _package_records()
+    assert classes == {type(r) for r, _ in RECORDS} | {Expression}
+    assert {c for c in classes if "__init__" in vars(c)} == NODE_SHAPES
+    for record, _ in RECORDS:
+        for name in type(record).__match_args__ + ("anything",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    with pytest.raises(TypeError):  # there is no mutable mode
+        type("Mutable", (Record,), {}, frozen=False)
+
+
 @pytest.mark.parametrize("record", [r for r, _ in RECORDS],
                          ids=[type(r).__name__ for r, _ in RECORDS])
-def test_frozen_records_refuse_assignment_and_mutable_ones_hash_not(record):
-    name = (type(record).__match_args__ or ("anything",))[0]
-    if isinstance(record, MUTABLE):
+def test_records_hash_by_their_fields(record):
+    if isinstance(record, TableRow):  # its fields hold dicts
         with pytest.raises(TypeError):
             hash(record)
-        setattr(record, name, getattr(record, name, None))
     else:
-        assert hash(record) == hash(record)
-        with pytest.raises(AttributeError):
-            setattr(record, name, None)
-        with pytest.raises(AttributeError):
-            delattr(record, name)
+        assert hash(record) == hash(type(record)(*record._values()))
 
 
 def test_equality_is_same_class_and_equal_fields():
@@ -130,10 +156,11 @@ def test_equality_is_same_class_and_equal_fields():
 def test_the_generic_constructor_takes_positions_names_and_defaults():
     assert AssumptionVerdict("unknown").subinterval is None
     assert AssociateWeights(c2=3, c1=2) == AssociateWeights(2, 3)
-    assert TableRow(1, "L").errors == {}
-    assert TableRow(1, "L").errors is not TableRow(1, "L").errors
-    row = TableRow(2, "LR", {"L": 1}, note="aborted")
+    row = TableRow(2, "LR", {"L": 1}, {}, note="aborted")
     assert (row.errors, row.assumptions, row.note) == ({"L": 1}, {}, "aborted")
+    assert TableRow(1, "L", {}, {}).note is None
+    with pytest.raises(TypeError, match="needs 'assumptions'"):
+        TableRow(1, "L", {})
     for args, kwargs in [((1,), {}), ((1, 2, 3), {}), ((1,), {"c1": 2}),
                          ((1, 2), {"c3": 3})]:
         with pytest.raises(TypeError):

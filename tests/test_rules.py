@@ -84,7 +84,7 @@ class Recording(Integrand):
 
     def __post_init__(self):
         super().__post_init__()
-        self.reads = []
+        object.__setattr__(self, "reads", [])
 
     def eval_at(self, x):
         self.reads.append((x, 0))

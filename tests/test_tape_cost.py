@@ -75,14 +75,17 @@ def test_small_table_makes_a_pinned_number_of_mpf_calls():
     # and mpf(2) ** k were counted; it now compares raw tuples with
     # mpmath.libmp kernels.  277 while the table materialized its
     # reference once per rule and row (3 x 6 times here), each pi taking
-    # 2 counted calls; it is now materialized once per table
+    # 2 counted calls; it is now materialized once per table.  243 while
+    # precision.fits_double compared mpfs: the table prints 18 errors, and
+    # each took a counted abs and two counted comparisons; it now reads
+    # the exponent from the value's _mpf_ tuple
     tracer = tracing.Tracer()
     with tracer, contextlib.redirect_stdout(io.StringIO()):
         assert main(["table", "--integrand", "asin6",
                      "--panels", "1,2,4"]) == 0
     tracer.end_op()
     counts = tracer.per_op(1)
-    assert counts["mpmath.mpf_calls"] == 243
+    assert counts["mpmath.mpf_calls"] == 189
     assert counts["associate.sign_check_samples"] == 3 * 257
 
 
