@@ -46,7 +46,8 @@ from .analysis import (GUARD_BITS, Reference, convergence_table,
 from .associate import SAMPLES, associate_value, bracket, \
     check_assumption_A, companion_pair
 from .composite import composite_values
-from .expr import DifferentiationError, DomainError, ParseError, parse
+from .expr import (DifferentiationError, DomainError, ParseError, parse,
+                   quoted)
 from .integrand import BUILTIN_NAMES, Integrand, builtin_integrand
 from .precision import MAX_BITS, fits_double, format_real, pi_at
 from .rules import (QUOTED_DEGREES, Interval, UnknownRuleError,
@@ -194,7 +195,7 @@ def _resolve_integrand(args):
             expression, label = parse(args.integrand), None
         except ParseError as err:
             raise UsageError(
-                f"--integrand {args.integrand!r} is neither a built-in "
+                f"--integrand {quoted(args.integrand)} is neither a built-in "
                 f"({', '.join(BUILTIN_NAMES)}) nor a valid expression: {err}"
             ) from None
         if args.a is None:

@@ -18,8 +18,8 @@ Syntax errors report the byte offset of the offending token.  Each node
 class declares its symbol, precedence and evaluation once (``Expression``
 says how); the parser's tables, the printer and the tape read them there.
 
-Trees are immutable (frozen ``Record`` subclasses, this module's small
-record base, with structural equality) and ``parse(to_text(e))``
+Trees are immutable (frozen ``Record`` subclasses, whose structural
+``==`` and hash walk any depth) and ``parse(to_text(e))``
 reproduces ``e`` exactly, so expressions can be shared between threads and
 serialized through their printed form.
 Evaluation has one path, ``Tape``: a tree compiled once into flat steps
@@ -39,12 +39,12 @@ range [2^-1022, 2^1024); mpmath's exponent is unbounded, a double's is
 not.  So the float run is an accelerator only: when an input has no
 exact double, a register ends up subnormal, infinite or NaN, a product or
 quotient of nonzero values underflows to 0, or a step raises, the tuple
-run takes over and its value or error is the answer.  Tapes with too few
-native float steps to repay the conversions keep the tuple run.  ``grid``
-computes equispaced evaluation points the same way: on doubles at 53 bits
-where they round as the tuple formula does; elsewhere in integers when
-every point is exact, as on a dyadic interval split into 2^k panels, and
-by the formula otherwise.
+run of every other precision answers with its value or error.  Tapes
+with too few native float steps to repay the conversions keep the tuple
+run.  ``grid`` computes equispaced evaluation points the same way: on
+doubles at 53 bits where they round as the tuple formula does; elsewhere
+in integers when every point is exact, as on a dyadic interval split
+into 2^k panels, and by the formula otherwise.
 
 A tape's runs are first interpreted, one step per loop turn.  At its
 300th float run, and at its 300th tuple run at one precision, about when
@@ -88,6 +88,14 @@ class ParseError(ValueError):
     def __init__(self, message, offset):
         self.offset = offset
         super().__init__(f"syntax error at byte offset {offset}: {message}")
+
+
+def quoted(value, limit=48):
+    """``repr(value)``, its middle cut to "..." where it is longer than
+    ``limit`` characters, so that a diagnostic quoting input stays short."""
+    text = repr(value)
+    return text if len(text) <= limit else \
+        f"{text[:limit // 2]}...{text[-limit // 4:]}"
 
 
 class DomainError(ArithmeticError):
@@ -229,10 +237,12 @@ class Record:
     bases, and ``__match_args__`` lists them; a class attribute of the same
     name is a field's default.  ``__init__`` takes the fields by position
     or name and then calls ``__post_init__``.  Two records are equal when
-    they are of one class with equal field tuples, and one prints as
+    they are of one class with equal fields, and one prints as
     ``Name(field=value, ...)``.  Records are frozen and hash by their
     fields; ``__post_init__`` may check or coerce them, and store caches
-    beside them, through ``object.__setattr__``.
+    beside them, through ``object.__setattr__``.  ``==`` and hash walk
+    record fields on an explicit stack, each shared record once, so any
+    record that can be built compares without recursion.
     """
     __match_args__ = ()
     __dataclass_fields__ = _DataclassFields()
@@ -261,16 +271,39 @@ class Record:
     def __post_init__(self):
         pass
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if type(a) is not type(b):
+                return False
+            seen.add((id(a), id(b)))
+            for name in a.__match_args__:
+                u, v = getattr(a, name), getattr(b, name)
+                if isinstance(u, Record) and isinstance(v, Record):
+                    stack.append((u, v))
+                elif u is not v and not u == v:
+                    return False
+        return True
 
     def __hash__(self):
-        return hash(self._values())
+        # post-order: a record is hashed once, after its record fields
+        hashes, stack = {}, [(self, False)]  # id(record) -> hash
+        while stack:
+            record, ready = stack.pop()
+            values = [getattr(record, name) for name in record.__match_args__]
+            if ready:
+                hashes[id(record)] = hash((type(record), *[
+                    hashes[id(v)] if isinstance(v, Record) else v
+                    for v in values]))
+            elif id(record) not in hashes:
+                stack.append((record, True))
+                stack += [(v, False) for v in values if isinstance(v, Record)]
+        return hashes[id(self)]
 
     def __repr__(self):
         text = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -302,51 +335,14 @@ class Expression(Record):
     denominator and math.sqrt on a negative value, so the tuple run
     reports both.
 
-    Nodes compare and hash by structure, as records do, but walk a tree
-    with an explicit stack rather than by recursion, so any tree that can
-    be built can be compared; a subtree shared by reference is walked
-    once.  The node shapes set their fields in their own ``__init__``,
-    which is faster than the generic one.
+    Nodes compare and hash by structure, as every record does.  The node
+    shapes set their fields in their own ``__init__``, which is faster
+    than the generic one.
     """
     prec, kernel, native = _PREC_ATOM, None, None
 
     def __init__(self):
         pass  # pi and x have no fields
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        stack, seen = [(self, other)], set()
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            if type(a) is not type(b):
-                return False
-            seen.add((id(a), id(b)))
-            for name in a.__match_args__:
-                u, v = getattr(a, name), getattr(b, name)
-                if isinstance(u, Expression) and isinstance(v, Expression):
-                    stack.append((u, v))
-                elif u is not v and not u == v:
-                    return False
-        return True
-
-    def __hash__(self):
-        # post-order: a node is hashed once, after its operands
-        hashes, stack = {}, [(self, False)]  # id(node) -> hash
-        while stack:
-            node, ready = stack.pop()
-            values = [getattr(node, name) for name in node.__match_args__]
-            if ready:
-                hashes[id(node)] = hash((type(node), *[
-                    hashes[id(v)] if isinstance(v, Expression) else v
-                    for v in values]))
-            elif id(node) not in hashes:
-                stack.append((node, True))
-                stack += [(v, False) for v in values
-                          if isinstance(v, Expression)]
-        return hashes[id(self)]
 
     def __str__(self):
         return to_text(self)
@@ -455,17 +451,30 @@ _FUNCTIONS = {c.symbol: c for c in (Sin, Cos, Sqrt)}
 _NAMES = {c.symbol: c for c in (PiConst, Var)}
 
 
+def _decimal(lexeme):
+    """A decimal literal's text, after mpmath's int() conversions of its
+    significand and exponent (ValueError past the int-string limit); one
+    with no significand digits, as ".0", which mpmath refuses, gains a 0."""
+    significand, _, exponent = lexeme.lower().partition("e")
+    whole, _, fraction = significand.partition(".")
+    digits = whole + fraction.rstrip("0")
+    int(exponent or 0), int(digits or 0)
+    return lexeme if digits else "0" + lexeme
+
+
 def _tokenize(text):
     """(kind, value, byte offset) tokens of ``text``, ending in "eof"."""
     tokens, off = [], 0
     for m in _TOKEN.finditer(text):
         kind, lexeme = m.lastgroup, m.group()
         if kind == "num":
+            integer = lexeme.isdecimal()
             try:
-                value = int(lexeme) if lexeme.isdecimal() else lexeme
+                value = int(lexeme) if integer else _decimal(lexeme)
             except ValueError:  # past the interpreter's int-string limit
-                raise ParseError(f"integer literal of {len(lexeme)} digits "
-                                 "is too long", off) from None
+                what = (f"integer literal of {len(lexeme)} digits" if integer
+                        else f"decimal literal of {len(lexeme)} characters")
+                raise ParseError(f"{what} is too long", off) from None
             tokens.append((kind, value, off))
         elif kind == "ident":
             tokens.append((kind, lexeme, off))
@@ -494,16 +503,16 @@ class _Parser:
     def expect(self, kind, what):
         tok = self.advance()
         if tok[0] != kind:
-            got = "end of input" if tok[0] == "eof" else repr(tok[1])
+            got = "end of input" if tok[0] == "eof" else quoted(tok[1])
             raise ParseError(f"expected {what}, got {got}", tok[2])
 
     def parse(self):
         if self.peek()[0] == "eof":
             raise ParseError("empty input", self.peek()[2])
         e = self.expr()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        kind, value, off = self.peek()
+        if kind != "eof":
+            raise ParseError(f"unexpected trailing input {quoted(value)}", off)
         return e
 
     def expr(self, prec=_PREC_ADD):
@@ -535,11 +544,11 @@ class _Parser:
         if kind == "ident" and value not in _FUNCTIONS:
             if value in _NAMES:
                 return _NAMES[value]()
-            raise ParseError(f"unknown identifier {value!r}", off)
+            raise ParseError(f"unknown identifier {quoted(value)}", off)
         if kind == "ident":
             self.expect("(", f"'(' after {value}")
         elif kind != "(":
-            got = "end of input" if kind == "eof" else repr(value)
+            got = "end of input" if kind == "eof" else quoted(value)
             raise ParseError(f"expected expression, got {got}", off)
         e = self.expr()
         self.expect(")", "')'")
@@ -815,8 +824,9 @@ class Tape:
     div, neg, sqrt and the powers u^2, u^-1, u^1 and u^0 natively, every
     other step through its kernel on exact tuples.  Inside the normal
     range IEEE 754's round-half-even equals ``round_nearest`` at 53 bits,
-    so the double result is the tuple run's, bit for bit.  The tuple run
-    answers instead, with its own value or ``DomainError``, whenever a
+    so the double result is the tuple run's, bit for bit.  The float run
+    returns None, and ``_run`` goes on to the tuple run that every other
+    precision takes, whose value or ``DomainError`` answers, whenever a
     literal or x has no exact double (more than 53 bits, or outside the
     normal range), a register ends up subnormal, infinite or NaN, a
     product or quotient of nonzero values is 0, or a float step raises.
@@ -913,26 +923,14 @@ class Tape:
 
     def _run(self, x):
         """``run`` on raw tuples: the value at the ``_mpf_`` tuple ``x``
-        (None for a constant), as an ``_mpf_`` tuple."""
+        (None for a constant), as an ``_mpf_`` tuple.  A 53-bit float run
+        that returns None falls through to the tuple run."""
         prec = mp.prec
         if prec == 53 and (self._floats if self._floats is not None
                            else self._program()):
             value = (self._compiled or self._run_floats)(x)
             if value is not None:
                 return _to_tuple(value)
-            return self._fall_back(x)
-        return self._run_tuples(x, prec)
-
-    def _fall_back(self, x):
-        """The tuple run at 53 bits, where the float run cannot answer."""
-        return self._run_tuples(x, 53)
-
-    def _run_tuples(self, x, prec):
-        """The value at the tuple ``x`` at ``prec``, as a tuple: from the
-        interpreted loop for the tape's first ``_COMPILE_AFTER`` runs at
-        ``prec``, then from that precision's compiled tuple program.
-        Where the program raises, the loop runs again and raises the
-        error with its node and point."""
         program = self._tuple_programs.get(prec)
         if program is not None:
             try:

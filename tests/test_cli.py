@@ -619,22 +619,45 @@ def test_astronomical_magnitudes_are_one_line_domain_errors(text, prec,
         (2, "", f"quad: domain error: {message}\n")
 
 
-@pytest.mark.parametrize("option", ["--integrand", "--b"])
-def test_integer_literal_past_the_int_string_limit_is_one_line(option):
-    long = "1" + "0" * 5000
-    values = {"--integrand": "x", "--a": "0", "--b": "1"}
-    values[option] = f"{long}*x" if option == "--integrand" else long
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrules.cli", "integrate",
-         *(word for item in values.items() for word in item)],
-        env=env, capture_output=True, text=True, timeout=60)
+_ZEROS = "0" * 5000
+_LONG = "1" + _ZEROS
+
+
+@pytest.mark.parametrize("option, value, reason", [
+    ("--integrand", f"{_LONG}*x", "integer literal of 5001 digits"),
+    ("--b", _LONG, "integer literal of 5001 digits"),
+    ("--integrand", f"1.{_ZEROS}1*x", "decimal literal of 5003 characters"),
+    ("--integrand", f"1e{'9' * 5000}*x", "decimal literal of 5002 characters"),
+    ("--b", f"1.{_ZEROS}1", "decimal literal of 5003 characters"),
+], ids=["--integrand", "--b", "decimal", "exponent", "decimal_b"])
+def test_integer_literal_past_the_int_string_limit_is_one_line(option, value,
+                                                               reason):
+    values = {"--integrand": "x", "--a": "0", "--b": "1", option: value}
+    proc = _run_cli("integrate",
+                    *(word for item in values.items() for word in item))
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("quad: error: ")
-    assert proc.stderr.endswith("syntax error at byte offset 0: integer "
-                                "literal of 5001 digits is too long\n")
+    assert proc.stderr.endswith(f"syntax error at byte offset 0: {reason} "
+                                "is too long\n")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert len(proc.stderr.encode()) <= 300
+
+
+def test_a_long_unknown_identifier_is_one_short_line():
+    proc = _run_cli("integrate", "--integrand", "a" * 5000, "--a", "0",
+                    "--b", "1")
+    clipped = "'aaaaaaaaaaaaaaaaaaaaaaa...aaaaaaaaaaa'"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"quad: error: --integrand {clipped} is neither a built-in "
+               "(sin2, asin6, atan2) nor a valid expression: syntax error at "
+               f"byte offset 0: unknown identifier {clipped}\n")
+
+
+def _run_cli(*argv):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "quadrules.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [

@@ -19,6 +19,7 @@ from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
                             Sqrt, Sub, Tape, Var, _checked_power, _negate,
                             differentiate, eval_expr, grid, parse, to_text)
 from quadrules.expr import _grid_tuples as grid_tuples
+from quadrules.analysis import Reference
 from quadrules.cli import main
 from quadrules.associate import check_assumption_A
 from quadrules.integrand import Integrand, builtin_integrand
@@ -77,6 +78,12 @@ class TestParse:
             parse("2*tan(x)")
         assert "tan" in str(exc.value)
         assert exc.value.offset == 2
+        # a long lexeme is quoted clipped in the middle
+        with pytest.raises(ParseError) as exc:
+            parse("x + " + "a" * 5000)
+        assert str(exc.value) == ("syntax error at byte offset 4: unknown "
+                                  "identifier 'aaaaaaaaaaaaaaaaaaaaaaa..."
+                                  "aaaaaaaaaaa'")
 
     def test_integer_literal_past_the_int_string_limit(self):
         # CPython refuses int() of more than 4,300 digits by default
@@ -87,6 +94,24 @@ class TestParse:
         assert str(exc.value) == ("syntax error at byte offset 6: integer "
                                   "literal of 5001 digits is too long")
         assert parse(f"1.{long}") == Num(f"1.{long}")
+
+    @pytest.mark.parametrize("literal, length", [
+        ("1." + "0" * 5000 + "1", 5003), ("1e" + "9" * 5000, 5002),
+        ("1" + "0" * 5000 + ".5", 5003)],
+        ids=["fraction", "exponent", "whole"])
+    def test_decimal_literal_past_the_int_string_limit(self, literal, length):
+        # mpmath converts significand and exponent digits with int()
+        with pytest.raises(ParseError) as exc:
+            parse(f"x + 2*{literal}")
+        assert str(exc.value) == (f"syntax error at byte offset 6: decimal "
+                                  f"literal of {length} characters is too "
+                                  "long")
+
+    def test_a_zero_significand_gains_a_leading_zero(self):
+        # mpmath cannot convert ".0", whose significand has no digits left
+        assert parse(".0") == Num("0.0") and parse(".00e5") == Num("0.00e5")
+        assert parse(".5") == Num(".5")
+        assert eval_expr(parse(".0*x + x"), "0.5") == mpf("0.5")
 
     def test_trailing_input(self):
         with pytest.raises(ParseError):
@@ -206,6 +231,9 @@ class TestStructuralEquality:
             return e
 
         self._assert_twins(chain(Var()), chain(Var()), chain(Num(7)))
+        # a record holding a tree walks into it on the same stack
+        self._assert_twins(Reference(chain(Var())), Reference(chain(Var())),
+                           Reference(chain(Num(7))))
 
     def test_shared_subtrees_are_compared_once(self):
         # asin6's order-6 derivative is 3,220 objects, and a tree of far
@@ -435,7 +463,7 @@ class TestTape:
 
 
 def _tuple_run(tape, x):
-    return mp.make_mpf(tape._run_tuples(_raw(x), 53))
+    return mp.make_mpf(tape._interpret(_raw(x), 53))
 
 
 def _raw(x):
@@ -550,13 +578,16 @@ class TestFloatBackend:
 
     def test_the_north_star_table_never_falls_back(self, monkeypatch,
                                                   compiles):
-        fallbacks, fall_back = [], Tape._fall_back
+        # a tuple run at 53 bits on a tape with a float program is a
+        # fallback
+        fallbacks, interpret = [], Tape._interpret
 
-        def counted_fall_back(tape, x):
-            fallbacks.append(x)
-            return fall_back(tape, x)
+        def counted_interpret(tape, x, prec):
+            if prec == 53 and tape._floats:
+                fallbacks.append(x)
+            return interpret(tape, x, prec)
 
-        monkeypatch.setattr(Tape, "_fall_back", counted_fall_back)
+        monkeypatch.setattr(Tape, "_interpret", counted_interpret)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["table", "--integrand", "asin6",
                          "--panels", "2^0..2^10"]) == 0
@@ -621,7 +652,6 @@ class TestTupleProgram:
                 for x, want in zip(points, interpreted):
                     assert _tuple_outcome(tape._run, x) == want
                     loop = _tuple_outcome(tape._interpret, x, prec)
-                    assert _tuple_outcome(tape._run_tuples, x, prec) == loop
                     assert _tuple_outcome(program, x)[:2] == loop[:2]
             failing = {"error"} if variant != self.VARIANTS[0] and \
                 variant != self.VARIANTS[4] else set()

@@ -138,7 +138,15 @@ def test_records_hash_by_their_fields(record):
         with pytest.raises(TypeError):
             hash(record)
     else:
-        assert hash(record) == hash(type(record)(*record._values()))
+        fields = [getattr(record, name) for name in record.__match_args__]
+        assert hash(record) == hash(type(record)(*fields))
+
+
+def test_only_the_base_compares_and_hashes():
+    # one walk for every record: no subclass brings its own == or hash
+    for cls in _package_records():
+        assert not {"__eq__", "__hash__"} & set(vars(cls)), cls.__name__
+    assert {"__eq__", "__hash__"} <= set(vars(Record))
 
 
 def test_equality_is_same_class_and_equal_fields():
