@@ -78,7 +78,7 @@ def _precision(text):
     if bits is None or not 4 <= bits <= MAX_BITS:
         raise argparse.ArgumentTypeError(
             f"precision must be an integer from 4 to {MAX_BITS} bits, "
-            f"got {text!r}")
+            f"got {quoted(text)}")
     return bits
 
 
@@ -158,20 +158,20 @@ def parse_panels(text):
     out = []
     for item in str(text).split(","):
         item = item.strip()
-        m = re.fullmatch(r"2\^(\d+)\.\.2\^(\d+)", item)
+        m = re.fullmatch(r"2\^0*(\d{1,9})\.\.2\^0*(\d{1,9})", item)
         if m:
             lo, hi = int(m.group(1)), int(m.group(2))
             if lo > hi:
-                raise UsageError(f"empty panel range {item!r}")
+                raise UsageError(f"empty panel range {quoted(item)}")
             if hi > _MAX_PANEL_LOG2:
-                raise UsageError(f"panel range {item!r} goes past "
+                raise UsageError(f"panel range {quoted(item)} goes past "
                                  f"2^{_MAX_PANEL_LOG2}")
             out.extend(2 ** j for j in range(lo, hi + 1))
             continue
         try:
             n = int(item)
         except ValueError:
-            raise UsageError(f"bad panel count {item!r}") from None
+            raise UsageError(f"bad panel count {quoted(item)}") from None
         out.append(n)
     if not out or not 1 <= min(out) <= max(out) <= 2 ** _MAX_PANEL_LOG2:
         raise UsageError(f"panel counts must be integers from 1 to "
@@ -213,14 +213,14 @@ def _rule_list(text):
     except UnknownRuleError as err:
         raise UsageError(str(err)) from None
     if len(set(names)) != len(names):
-        raise UsageError(f"repeated rule name in {text!r}")
+        raise UsageError(f"repeated rule name in {quoted(text)}")
     return names
 
 
 def _one_rule(text):
     names = _rule_list(text)
     if len(names) != 1:
-        raise UsageError(f"expected one rule name, got {text!r}")
+        raise UsageError(f"expected one rule name, got {quoted(text)}")
     return names[0]
 
 
@@ -350,13 +350,13 @@ def _sci(x):
 def cmd_degree(args):
     rule = _one_rule(args.rule)
     degree = degree_probe(rule)
-    quoted = QUOTED_DEGREES[rule]
+    usual = QUOTED_DEGREES[rule]
     # every degree is exact; "at_least" stays in the payload's schema
     payload = {"rule": rule, "degree": degree, "at_least": False,
-               "quoted_degree": quoted}
+               "quoted_degree": usual}
     lines = [f"rule {rule}: degree {degree}"]
-    if degree != quoted:
-        payload["note"] = (f"commonly quoted degree for {rule} is {quoted}; "
+    if degree != usual:
+        payload["note"] = (f"commonly quoted degree for {rule} is {usual}; "
                            f"the exact-rational probe gives {degree}")
         lines.append(f"note: {payload['note']}")
     _emit(args, payload, lines)

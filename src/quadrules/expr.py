@@ -90,12 +90,11 @@ class ParseError(ValueError):
         super().__init__(f"syntax error at byte offset {offset}: {message}")
 
 
-def quoted(value, limit=48):
-    """``repr(value)``, its middle cut to "..." where it is longer than
-    ``limit`` characters, so that a diagnostic quoting input stays short."""
+def quoted(value):
+    """``repr(value)``, its middle cut to "..." where it is longer than 48
+    characters, so that a diagnostic quoting input stays short."""
     text = repr(value)
-    return text if len(text) <= limit else \
-        f"{text[:limit // 2]}...{text[-limit // 4:]}"
+    return text if len(text) <= 48 else f"{text[:24]}...{text[-12:]}"
 
 
 class DomainError(ArithmeticError):
@@ -452,14 +451,13 @@ _NAMES = {c.symbol: c for c in (PiConst, Var)}
 
 
 def _decimal(lexeme):
-    """A decimal literal's text, after mpmath's int() conversions of its
-    significand and exponent (ValueError past the int-string limit); one
-    with no significand digits, as ".0", which mpmath refuses, gains a 0."""
+    """A decimal literal's text, after the int() conversions of its
+    significand and exponent that mpmath makes of it once ``Tape`` puts a
+    0 in front (ValueError past the int-string limit)."""
     significand, _, exponent = lexeme.lower().partition("e")
     whole, _, fraction = significand.partition(".")
-    digits = whole + fraction.rstrip("0")
-    int(exponent or 0), int(digits or 0)
-    return lexeme if digits else "0" + lexeme
+    int(exponent or 0), int("0" + whole + fraction.rstrip("0"))
+    return lexeme
 
 
 def _tokenize(text):
@@ -911,7 +909,9 @@ class Tape:
         if template is None:
             template = [None] * len(self.nodes)
             for r, e in self._literals:
-                value = +mp.pi if type(e) is PiConst else mpf(e.value)
+                value = +mp.pi if type(e) is PiConst else mpf(
+                    re.sub("^-?", r"\g<0>0", e.value)  # mpf() refuses ".0"
+                    if isinstance(e.value, str) else e.value)
                 template[r] = value._mpf_
             self._by_prec[prec] = template
         return template

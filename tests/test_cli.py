@@ -566,6 +566,13 @@ def test_closed_stdout_ends_without_a_traceback(unbuffered):
     assert "Exception ignored" not in proc.stderr
 
 
+def _run_cli(*argv):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "quadrules.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("text", [
     # the recursive parser gives out first
     "(" * 198 + "x" + ")" * 198,
@@ -574,12 +581,7 @@ def test_closed_stdout_ends_without_a_traceback(unbuffered):
 ], ids=["198_parentheses", "994_term_sum"])
 def test_deep_nesting_is_one_line_usage_error(text):
     # a quad process, at the interpreter's own recursion limit
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrules.cli", "integrate", "--integrand",
-         text, "--a", "0", "--b", "1"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = _run_cli("integrate", "--integrand", text, "--a", "0", "--b", "1")
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (1, "", "quad: error: expression nested too deeply\n")
 
@@ -608,13 +610,8 @@ def test_deep_nesting_is_one_line_usage_error(text):
         "fractional_power_53", "fractional_power_65536"])
 def test_astronomical_magnitudes_are_one_line_domain_errors(text, prec,
                                                             message):
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrules.cli", "integrate", "--integrand",
-         text, "--a", "0", "--b", "1", "--rule", "M", "--panels", "1",
-         "--prec", prec],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = _run_cli("integrate", "--integrand", text, "--a", "0", "--b", "1",
+                    "--rule", "M", "--panels", "1", "--prec", prec)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (2, "", f"quad: domain error: {message}\n")
 
@@ -643,6 +640,20 @@ def test_integer_literal_past_the_int_string_limit_is_one_line(option, value,
     assert len(proc.stderr.encode()) <= 300
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("integrate", "--integrand", "x", "--a", "0", "--b", "1", "--prec",
+      _LONG), "argument --prec: precision must be an integer from 4 to "
+              "65536 bits, got '10000000000000000000000...00000000000'"),
+    (("table", "--integrand", "sin2", "--panels", f"2^{_LONG}..2^1"),
+     "bad panel count '2^100000000000000000000...000000..2^1'"),
+    (("degree", "--rule", f"S{_LONG}"),
+     "unknown rule 'S1000000000000000000000...00000000000' (known rules: "
+     "L, R, M, T, S, T2, Q)"),
+], ids=["prec", "panels", "rule"])
+def test_long_option_values_are_quoted_clipped(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"quad: error: {message}\n")
+
+
 def test_a_long_unknown_identifier_is_one_short_line():
     proc = _run_cli("integrate", "--integrand", "a" * 5000, "--a", "0",
                     "--b", "1")
@@ -651,13 +662,6 @@ def test_a_long_unknown_identifier_is_one_short_line():
         1, "", f"quad: error: --integrand {clipped} is neither a built-in "
                "(sin2, asin6, atan2) nor a valid expression: syntax error at "
                f"byte offset 0: unknown identifier {clipped}\n")
-
-
-def _run_cli(*argv):
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    return subprocess.run([sys.executable, "-m", "quadrules.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [
@@ -681,13 +685,8 @@ def _run_cli(*argv):
         "equal_at_every_precision"])
 def test_endpoints_are_compared_at_the_working_precision(argv, code, stdout,
                                                          stderr):
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     command, *flags = argv
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrules.cli", command, "--integrand", "x",
-         "--a", "1", *flags, *(("--rule", "M") if command == "integrate"
-                              else ())],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = _run_cli(command, "--integrand", "x", "--a", "1", *flags,
+                    *(("--rule", "M") if command == "integrate" else ()))
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (code, stdout, stderr)

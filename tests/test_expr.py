@@ -85,33 +85,33 @@ class TestParse:
                                   "identifier 'aaaaaaaaaaaaaaaaaaaaaaa..."
                                   "aaaaaaaaaaa'")
 
-    def test_integer_literal_past_the_int_string_limit(self):
-        # CPython refuses int() of more than 4,300 digits by default
-        long = "1" + "0" * 5000
-        with pytest.raises(ParseError) as exc:
-            parse(f"x + 2*{long}")
-        assert exc.value.offset == 6
-        assert str(exc.value) == ("syntax error at byte offset 6: integer "
-                                  "literal of 5001 digits is too long")
-        assert parse(f"1.{long}") == Num(f"1.{long}")
-
-    @pytest.mark.parametrize("literal, length", [
-        ("1." + "0" * 5000 + "1", 5003), ("1e" + "9" * 5000, 5002),
-        ("1" + "0" * 5000 + ".5", 5003)],
-        ids=["fraction", "exponent", "whole"])
-    def test_decimal_literal_past_the_int_string_limit(self, literal, length):
-        # mpmath converts significand and exponent digits with int()
+    @pytest.mark.parametrize("literal, message", [
+        ("1" + "0" * 5000, "integer literal of 5001 digits"),
+        ("1." + "0" * 5000 + "1", "decimal literal of 5003 characters"),
+        ("1e" + "9" * 5000, "decimal literal of 5002 characters"),
+        ("1" + "0" * 5000 + ".5", "decimal literal of 5003 characters")],
+        ids=["integer", "fraction", "exponent", "whole"])
+    def test_literal_past_the_int_string_limit(self, literal, message):
+        # CPython refuses int() of more than 4,300 digits by default, and
+        # mpmath converts a decimal's significand and exponent with int()
         with pytest.raises(ParseError) as exc:
             parse(f"x + 2*{literal}")
-        assert str(exc.value) == (f"syntax error at byte offset 6: decimal "
-                                  f"literal of {length} characters is too "
-                                  "long")
+        assert exc.value.offset == 6
+        assert str(exc.value) == (f"syntax error at byte offset 6: "
+                                  f"{message} is too long")
 
-    def test_a_zero_significand_gains_a_leading_zero(self):
-        # mpmath cannot convert ".0", whose significand has no digits left
-        assert parse(".0") == Num("0.0") and parse(".00e5") == Num("0.00e5")
-        assert parse(".5") == Num(".5")
+    def test_a_long_literal_with_few_significant_digits(self):
+        long = "1" + "0" * 5000
+        assert parse(f"1.{long}") == Num(f"1.{long}")
+
+    def test_a_literal_with_no_significand_digits(self):
+        # mpmath cannot convert ".0", whose significand has no digits left;
+        # the node keeps the text as typed and the tape converts it
+        assert parse(".0") == Num(".0") and parse(".00e5") == Num(".00e5")
         assert eval_expr(parse(".0*x + x"), "0.5") == mpf("0.5")
+        assert eval_expr(Num("-.0"), "1") == 0
+        with pytest.raises(ParseError, match="trailing input '.0'$"):
+            parse("x .0")
 
     def test_trailing_input(self):
         with pytest.raises(ParseError):
