@@ -26,8 +26,9 @@ recursive parser, tape builder or printer, an integrand whose derivative
 the rule needs but cannot be taken) and on a closed stdout, 2 on numeric
 domain errors (the message names the offending node and panel) and on
 interval endpoints that round to a >= b at the working precision.  Data
-goes to stdout, diagnostics to stderr; output bytes are deterministic
-for fixed inputs and precision.
+goes to stdout, diagnostics to stderr as one line of at most 300 UTF-8
+bytes, its middle cut where longer; output bytes are deterministic for
+fixed inputs and precision.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ from .analysis import (GUARD_BITS, Reference, convergence_table,
 from .associate import SAMPLES, associate_value, bracket, \
     check_assumption_A, companion_pair
 from .composite import composite_values
-from .expr import (DifferentiationError, DomainError, ParseError, parse,
-                   quoted)
+from .expr import DifferentiationError, DomainError, ParseError, parse
 from .integrand import BUILTIN_NAMES, Integrand, builtin_integrand
 from .precision import MAX_BITS, fits_double, format_real, pi_at
 from .rules import (QUOTED_DEGREES, Interval, UnknownRuleError,
@@ -78,7 +78,7 @@ def _precision(text):
     if bits is None or not 4 <= bits <= MAX_BITS:
         raise argparse.ArgumentTypeError(
             f"precision must be an integer from 4 to {MAX_BITS} bits, "
-            f"got {quoted(text)}")
+            f"got {text!r}")
     return bits
 
 
@@ -162,16 +162,16 @@ def parse_panels(text):
         if m:
             lo, hi = int(m.group(1)), int(m.group(2))
             if lo > hi:
-                raise UsageError(f"empty panel range {quoted(item)}")
+                raise UsageError(f"empty panel range {item!r}")
             if hi > _MAX_PANEL_LOG2:
-                raise UsageError(f"panel range {quoted(item)} goes past "
+                raise UsageError(f"panel range {item!r} goes past "
                                  f"2^{_MAX_PANEL_LOG2}")
             out.extend(2 ** j for j in range(lo, hi + 1))
             continue
         try:
             n = int(item)
         except ValueError:
-            raise UsageError(f"bad panel count {quoted(item)}") from None
+            raise UsageError(f"bad panel count {item!r}") from None
         out.append(n)
     if not out or not 1 <= min(out) <= max(out) <= 2 ** _MAX_PANEL_LOG2:
         raise UsageError(f"panel counts must be integers from 1 to "
@@ -194,33 +194,29 @@ def _resolve_integrand(args):
         try:
             expression, label = parse(args.integrand), None
         except ParseError as err:
-            raise UsageError(
-                f"--integrand {quoted(args.integrand)} is neither a built-in "
-                f"({', '.join(BUILTIN_NAMES)}) nor a valid expression: {err}"
-            ) from None
+            names = ", ".join(BUILTIN_NAMES)
+            raise UsageError(f"--integrand is neither a built-in ({names}) "
+                             f"nor a valid expression: {err}") from None
         if args.a is None:
             raise UsageError("expression integrands need --a and --b")
     try:
         interval = Interval(args.a, args.b)
-    except (ParseError, ValueError) as err:
+    except ValueError as err:
         raise UsageError(f"bad interval: {err}") from None
     return Integrand(expression, interval, None, label)
 
 
 def _rule_list(text):
-    try:
-        names = rule_names([r.strip() for r in text.split(",") if r.strip()])
-    except UnknownRuleError as err:
-        raise UsageError(str(err)) from None
+    names = rule_names([r.strip() for r in text.split(",") if r.strip()])
     if len(set(names)) != len(names):
-        raise UsageError(f"repeated rule name in {quoted(text)}")
+        raise UsageError(f"repeated rule name in {text!r}")
     return names
 
 
 def _one_rule(text):
     names = _rule_list(text)
     if len(names) != 1:
-        raise UsageError(f"expected one rule name, got {quoted(text)}")
+        raise UsageError(f"expected one rule name, got {text!r}")
     return names[0]
 
 
@@ -377,6 +373,18 @@ def cmd_pi(args):
     _emit(args, payload, lines)
 
 
+def _report(kind, message, status):
+    """Print ``quad: <kind>: <message>`` to stderr and return ``status``:
+    one line, its first 200 and last 90 UTF-8 bytes (the reason and a
+    domain error's panel) kept around " ... " where it is over 300."""
+    line = " ".join(f"quad: {kind}: {message}".splitlines())
+    data = line.encode(errors="backslashreplace")  # as stderr writes it
+    if len(data) > 300:
+        line = (data[:200] + b" ... " + data[-90:]).decode(errors="ignore")
+    print(line, file=sys.stderr)
+    return status
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -385,15 +393,12 @@ def main(argv=None):
         args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit
         return 0
-    except (UsageError, DifferentiationError) as err:
-        print(f"quad: error: {err}", file=sys.stderr)
-        return 1
+    except (UsageError, UnknownRuleError, DifferentiationError) as err:
+        return _report("error", err, 1)
     except DomainError as err:
-        print(f"quad: domain error: {err}", file=sys.stderr)
-        return 2
+        return _report("domain error", err, 2)
     except RecursionError:
-        print("quad: error: expression nested too deeply", file=sys.stderr)
-        return 1
+        return _report("error", "expression nested too deeply", 1)
     except BrokenPipeError:
         # the reader closed stdout: send the exit-time flush to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -90,13 +90,6 @@ class ParseError(ValueError):
         super().__init__(f"syntax error at byte offset {offset}: {message}")
 
 
-def quoted(value):
-    """``repr(value)``, its middle cut to "..." where it is longer than 48
-    characters, so that a diagnostic quoting input stays short."""
-    text = repr(value)
-    return text if len(text) <= 48 else f"{text[:24]}...{text[-12:]}"
-
-
 class DomainError(ArithmeticError):
     """Evaluation left the real domain (sqrt of a negative, zero division).
 
@@ -501,7 +494,7 @@ class _Parser:
     def expect(self, kind, what):
         tok = self.advance()
         if tok[0] != kind:
-            got = "end of input" if tok[0] == "eof" else quoted(tok[1])
+            got = "end of input" if tok[0] == "eof" else repr(tok[1])
             raise ParseError(f"expected {what}, got {got}", tok[2])
 
     def parse(self):
@@ -510,7 +503,7 @@ class _Parser:
         e = self.expr()
         kind, value, off = self.peek()
         if kind != "eof":
-            raise ParseError(f"unexpected trailing input {quoted(value)}", off)
+            raise ParseError(f"unexpected trailing input {value!r}", off)
         return e
 
     def expr(self, prec=_PREC_ADD):
@@ -542,11 +535,11 @@ class _Parser:
         if kind == "ident" and value not in _FUNCTIONS:
             if value in _NAMES:
                 return _NAMES[value]()
-            raise ParseError(f"unknown identifier {quoted(value)}", off)
+            raise ParseError(f"unknown identifier {value!r}", off)
         if kind == "ident":
             self.expect("(", f"'(' after {value}")
         elif kind != "(":
-            got = "end of input" if kind == "eof" else quoted(value)
+            got = "end of input" if kind == "eof" else repr(value)
             raise ParseError(f"expected expression, got {got}", off)
         e = self.expr()
         self.expect(")", "')'")

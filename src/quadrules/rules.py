@@ -37,7 +37,7 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.libmp import mpf_lt
 
-from .expr import DomainError, Expression, Num, Record, Tape, parse, quoted
+from .expr import DomainError, Expression, Num, Record, Tape, parse
 from .precision import MAX_BITS, workprec
 
 # One entry per rule, in display order: a formula of the width w, of node
@@ -75,7 +75,7 @@ QUOTED_DEGREES = {"L": 0, "R": 1, "M": 1, "T": 1, "S": 3, "T2": 3, "Q": 3}
 class UnknownRuleError(ValueError):
     def __init__(self, name):
         known = ", ".join(RULE_ORDER)
-        super().__init__(f"unknown rule {quoted(name)} (known rules: {known})")
+        super().__init__(f"unknown rule {name!r} (known rules: {known})")
 
 
 def rule_meta(name):

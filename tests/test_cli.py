@@ -618,50 +618,99 @@ def test_astronomical_magnitudes_are_one_line_domain_errors(text, prec,
 
 _ZEROS = "0" * 5000
 _LONG = "1" + _ZEROS
+_Z4 = "0" * 4000
+_KNOWN = "(known rules: L, R, M, T, S, T2, Q)"
 
 
-@pytest.mark.parametrize("option, value, reason", [
-    ("--integrand", f"{_LONG}*x", "integer literal of 5001 digits"),
-    ("--b", _LONG, "integer literal of 5001 digits"),
-    ("--integrand", f"1.{_ZEROS}1*x", "decimal literal of 5003 characters"),
-    ("--integrand", f"1e{'9' * 5000}*x", "decimal literal of 5002 characters"),
-    ("--b", f"1.{_ZEROS}1", "decimal literal of 5003 characters"),
-], ids=["--integrand", "--b", "decimal", "exponent", "decimal_b"])
-def test_integer_literal_past_the_int_string_limit_is_one_line(option, value,
-                                                               reason):
-    values = {"--integrand": "x", "--a": "0", "--b": "1", option: value}
-    proc = _run_cli("integrate",
-                    *(word for item in values.items() for word in item))
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr.startswith("quad: error: ")
-    assert proc.stderr.endswith(f"syntax error at byte offset 0: {reason} "
-                                "is too long\n")
+def _integrate(*flags, integrand="x", a="0", b="1"):
+    return ("integrate", "--integrand", integrand, "--a", a, "--b", b,
+            *flags)
+
+
+# each request, its exit status and kind, and a phrase from the start of
+# its diagnostic (the reason) and one from the end; a line over 300 bytes
+# keeps only its first 200 and last 90 around " ... "
+@pytest.mark.parametrize("argv, code, start, end", [
+    (_integrate(a="1", b=f"1.{_Z4}"), 1,
+     "error: bad interval: interval requires a < b, got [1, 1.000",
+     "000], equal to 65536 bits"),
+    (_integrate(a="1", b=f"1.{_Z4}1"), 2,
+     "domain error: the endpoints of [1, 1.000",
+     "001] round to a >= b at 53-bit precision"),
+    (_integrate("--rule", "M", integrand=f"sqrt(x - 1.{_Z4}1)"), 2,
+     "domain error: square root of a negative value in sqrt(x - 1.000",
+     "001) at x = 0.5 (panel 1 of 1)"),
+    (_integrate("--rule", "T2", integrand=f"x^(x+1.{_Z4}1)"), 1,
+     "error: cannot differentiate x ^ (x + 1.000",
+     "001): exponent contains x"),
+    (_integrate("--rule", "M", "--panels", "3", "--prec", "65536",
+                integrand="sqrt(x - 0.7)"), 2,
+     "domain error: square root of a negative value in sqrt(x - 0.7) at "
+     "x = 0.1666", "667 (panel 1 of 3)"),
+    (_integrate("--format", "a" * 5000), 1,
+     "error: argument --format: invalid choice: 'aaa",
+     "aaa' (choose from 'text', 'csv', 'json')"),
+    (("pi", "--example", "9" * 3000), 1,
+     "error: argument --example: invalid choice: 999",
+     "999 (choose from 1, 2, 3)"),
+    (_integrate("a" * 4997 + "end"), 1,
+     "error: unrecognized arguments: aaa", "aaaend"),
+    (_integrate("foo\nbar"), 1,
+     "error: unrecognized arguments: foo bar", "foo bar"),
+    (_integrate(b"\xff"), 1,
+     "error: unrecognized arguments: \\udcff", "\\udcff"),
+    (_integrate(integrand=f"{_LONG}*x"), 1,
+     "error: --integrand is neither a built-in (sin2, asin6, atan2) nor a "
+     "valid expression: syntax error at byte offset 0: integer literal of "
+     "5001 digits is too long", "5001 digits is too long"),
+    (_integrate(b=_LONG), 1,
+     "error: bad interval: syntax error at byte offset 0: integer literal "
+     "of 5001 digits is too long", "5001 digits is too long"),
+    (_integrate(integrand=f"1.{_ZEROS}1*x"), 1,
+     "error: --integrand is neither",
+     "byte offset 0: decimal literal of 5003 characters is too long"),
+    (_integrate(integrand=f"1e{'9' * 5000}*x"), 1,
+     "error: --integrand is neither",
+     "byte offset 0: decimal literal of 5002 characters is too long"),
+    (_integrate(b=f"1.{_ZEROS}1"), 1,
+     "error: bad interval: syntax error at byte offset 0: decimal literal "
+     "of 5003 characters is too long", "5003 characters is too long"),
+    (_integrate(integrand="a" * 5000), 1,
+     "error: --integrand is neither a built-in (sin2, asin6, atan2) nor a "
+     "valid expression: syntax error at byte offset 0: unknown identifier "
+     "'aaa", "aaa'"),
+    (_integrate("--prec", _LONG), 1,
+     "error: argument --prec: precision must be an integer from 4 to 65536 "
+     "bits, got '1000", "000'"),
+    (("table", "--integrand", "sin2", "--panels", f"2^{_LONG}..2^1"), 1,
+     "error: bad panel count '2^1000", "000..2^1'"),
+    (("degree", "--rule", f"S{_LONG}"), 1, "error: unknown rule 'S1000",
+     f"000' {_KNOWN}"),
+    # a two-byte character: the cut keeps whole characters
+    (("degree", "--rule", "\u00e9" * 5000), 1,
+     "error: unknown rule '\u00e9\u00e9", f"\u00e9\u00e9' {_KNOWN}"),
+], ids=["b_equal_to_a", "b_rounding_to_a", "sqrt_domain", "derivative",
+        "point_at_65536_bits", "format", "example", "unrecognized",
+        "newline", "undecodable", "integer_integrand", "integer_b",
+        "decimal_integrand", "exponent_integrand", "decimal_b",
+        "identifier", "prec", "panels", "rule", "rule_of_two_byte_chars"])
+def test_every_diagnostic_is_one_bounded_line(argv, code, start, end):
+    # a quad process, so that the bytes are the ones written to stderr
+    proc = _run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (code, "")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-    assert len(proc.stderr.encode()) <= 300
+    # the cut falls between characters, so none is replaced
+    assert len(proc.stderr.encode()) <= 300 and "\ufffd" not in proc.stderr
+    assert proc.stderr.startswith(f"quad: {start}")
+    assert proc.stderr.endswith(f"{end}\n")
 
 
-@pytest.mark.parametrize("argv, message", [
-    (("integrate", "--integrand", "x", "--a", "0", "--b", "1", "--prec",
-      _LONG), "argument --prec: precision must be an integer from 4 to "
-              "65536 bits, got '10000000000000000000000...00000000000'"),
-    (("table", "--integrand", "sin2", "--panels", f"2^{_LONG}..2^1"),
-     "bad panel count '2^100000000000000000000...000000..2^1'"),
-    (("degree", "--rule", f"S{_LONG}"),
-     "unknown rule 'S1000000000000000000000...00000000000' (known rules: "
-     "L, R, M, T, S, T2, Q)"),
-], ids=["prec", "panels", "rule"])
-def test_long_option_values_are_quoted_clipped(capsys, argv, message):
-    assert run(capsys, *argv) == (1, "", f"quad: error: {message}\n")
-
-
-def test_a_long_unknown_identifier_is_one_short_line():
-    proc = _run_cli("integrate", "--integrand", "a" * 5000, "--a", "0",
-                    "--b", "1")
-    clipped = "'aaaaaaaaaaaaaaaaaaaaaaa...aaaaaaaaaaa'"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        1, "", f"quad: error: --integrand {clipped} is neither a built-in "
-               "(sin2, asin6, atan2) nor a valid expression: syntax error at "
-               f"byte offset 0: unknown identifier {clipped}\n")
+def test_stdout_keeps_a_long_interval_whole(capsys):
+    # the bound is on diagnostics; the header prints the interval whole
+    b = f"1.{_Z4}1"
+    code, out, err = run(capsys, *_integrate("--rule", "M", b=b))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"integrand x on [0, {b}]\n")
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [

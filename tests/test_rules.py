@@ -77,6 +77,11 @@ class TestMetadata:
     def test_unknown_rule(self):
         with pytest.raises(UnknownRuleError):
             rule_meta("G")
+        # a long name is quoted whole; only the CLI bounds its line
+        with pytest.raises(UnknownRuleError) as exc:
+            rule_meta("G" * 5000)
+        assert str(exc.value) == (f"unknown rule {'G' * 5000!r} (known "
+                                  "rules: L, R, M, T, S, T2, Q)")
 
 
 class Recording(Integrand):
