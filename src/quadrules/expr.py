@@ -22,9 +22,10 @@ Trees are immutable (frozen ``Record`` subclasses, whose structural
 ``==`` and hash walk any depth) and ``parse(to_text(e))``
 reproduces ``e`` exactly, so expressions can be shared between threads and
 serialized through their printed form.
-Evaluation has one path, ``Tape``: a tree compiled once into flat steps
-with one register per structurally distinct node, literals materialized
-once per precision, and bit-identical to a recursive walk of the tree.
+Evaluation has one path, ``Tape``: a tree compiled once into flat steps,
+one per operator node, with one register per structurally distinct node,
+literals materialized once per precision, and bit-identical to a
+recursive walk of the tree.
 The steps call ``mpmath.libmp`` kernels on raw ``_mpf_`` tuples; the
 public ``Tape.run`` wraps x and the result as mpfs, and the package's hot
 loops call ``Tape._run`` on the tuples themselves.  Sine and cosine refuse
@@ -57,9 +58,9 @@ operands in the same order, so every register holds the same double, and
 it applies the same exponent scan and exact checks and catches the same
 exceptions, so it answers with the interpreted loop's double or hands the
 point to the tuple run where that loop would.  The tuple program calls
-the same kernels with the precision and the rounding mode as constants
-and tests x and each denominator inline; where it raises a domain error,
-the interpreted loop runs again and raises it with its node and point.
+the same kernels with the precision and the rounding mode as constants;
+where it raises a domain error, or mpf_div a ZeroDivisionError, the
+interpreted loop runs again and raises it with its node and point.
 Values, error text and fallback decisions do not depend on which run
 answered.
 """
@@ -194,18 +195,6 @@ _checked_sin = _reducing(mpf_sin, "sine")
 _checked_cos = _reducing(mpf_cos, "cosine")
 
 
-def _nonzero(u, prec, rnd):
-    if u == fzero:
-        raise DomainError("division by zero")
-    return u
-
-
-def _bound(u, prec, rnd):
-    if u is None:
-        raise DomainError("free variable x in a constant context")
-    return u
-
-
 # ---------------------------------------------------------------------------
 # records: the package's value classes, without the cost of dataclasses
 
@@ -321,7 +310,9 @@ class Expression(Record):
     ``kernel`` and ``native`` float step.  A kernel is called k(u, prec,
     rnd) or k(u, v, prec, rnd) on raw ``_mpf_`` tuples; a string names an
     ``mpmath.ctx_mp_python`` function, looked up when a tape is built, as
-    perfbench's tracer counts calls there.  Literals have no kernel.  A
+    perfbench's tracer counts calls there.  Literals and x have no kernel.
+    Every domain check is inside a kernel; mpf_div's ZeroDivisionError
+    on a zero divisor is the only one that is not a ``DomainError``.  A
     native step is a function on doubles with its source text, for the
     interpreted and the compiled float run; truediv raises on a zero
     denominator and math.sqrt on a negative value, so the tuple run
@@ -354,7 +345,7 @@ class PiConst(Expression):
 
 
 class Var(Expression):
-    symbol, kernel = "x", _bound
+    symbol = "x"
 
 
 class _Infix(Expression):
@@ -706,13 +697,14 @@ _FLOAT_POWERS = {-1: (partial(operator.truediv, 1.0), "1.0 / {}"),
 # (3 to 110 float steps): a float compile takes 0.36 to 2.2 ms, about
 # 0.3 ms plus 17 us a step, a compiled run is 0.7 to 8 us faster than an
 # interpreted one, and the compile repays itself after 250 to 530 runs,
-# near 300 whatever the tape's length.  At 113 and 256 bits (4 to 116
-# tuple steps) a tuple compile takes 0.1 to 1.7 ms, about 0.07 ms plus
-# 14 us a step, and saves about 0.8 to 3 us a run on atan2's f (5 steps)
-# and 9 to 10 us on asin6's f'''' (116), where the kernels take 4 to 115
-# us a run; it repays itself after 60 to 350 runs, mostly 115 to 210, so
-# the one threshold serves both programs.  A composite of a few hundred panels
-# gets there; a 257-sample sign check alone stays interpreted.
+# near 300 whatever the tape's length.  At 113 and 256 bits (3 to 110
+# tuple steps, as many as the float programs) a tuple compile takes 0.06
+# to 0.1 ms on atan2's f (3 steps) and 1.4 to 2.4 ms on asin6's f''''
+# (110), about 0.07 ms plus 14 us a step, and saves about 0.5 to 0.8 us
+# and 11 to 13 us a run, where the kernels take 4 to 220 us a run; it
+# repays itself after 110 to 210 runs, so the one threshold serves both
+# programs.  A composite of a few hundred panels gets there; a 257-sample
+# sign check alone stays interpreted.
 _COMPILE_AFTER = 300
 
 
@@ -750,8 +742,7 @@ def _compile(program, var, result):
     written = {var} | {step[0] for step in steps}
     lines = [f" r{r} = {v!r}" for r, v in enumerate(regs) if r not in written]
     if var is not None:
-        lines += [" if x is None:", "  return None",
-                  " sign, man, exp, bc = x",
+        lines += [" sign, man, exp, bc = x",
                   " if man and bc <= 53 and -1022 <= exp + bc - 1 < 1024:",
                   f"  r{var} = ldexp(-man if sign else man, exp)",
                   " elif x == fzero:", f"  r{var} = 0.0",
@@ -770,11 +761,6 @@ def _compile(program, var, result):
     return _generated(lines, namespace)
 
 
-# the tuple program's inline tests for the check kernels: where a test
-# holds, the program calls the kernel, which raises its DomainError
-_TESTS = {_bound: "{} is None", _nonzero: "{} == fzero"}
-
-
 def _compile_tuples(tape, prec):
     """A tape's tuple run at ``prec`` as one generated function of an
     ``_mpf_`` tuple x, answering as ``Tape._interpret`` does except that
@@ -782,18 +768,14 @@ def _compile_tuples(tape, prec):
     literal registers globals of the same names bound to their tuples at
     ``prec``.  Step i calls the same kernel object, the global k<i>, in the
     interpreted loop's order with the precision and the rounding mode as
-    constants; the ``_TESTS`` checks are inline ``if`` tests."""
+    constants, so a zero divisor raises mpf_div's ZeroDivisionError."""
     values, tail = tape._template(prec), f"{prec}, {round_nearest!r}"
-    namespace = {"fzero": fzero}
-    namespace.update((f"r{r}", values[r]) for r, _ in tape._literals)
+    namespace = {f"r{r}": values[r] for r, _ in tape._literals}
     lines = [] if tape._var is None else [f" r{tape._var} = x"]
     for i, (out, kernel, a, b, _) in enumerate(tape.steps):
         namespace[f"k{i}"] = kernel
         operands = f"r{a}" if b is None else f"r{a}, r{b}"
-        call = f"k{i}({operands}, {tail})"
-        test = _TESTS.get(kernel)
-        lines.append(f" if {test.format(f'r{a}')}: {call}" if test
-                     else f" r{out} = {call}")
+        lines.append(f" r{out} = k{i}({operands}, {tail})")
     lines.append(f" return r{tape.result}")
     return _generated(lines, namespace)
 
@@ -804,12 +786,13 @@ class Tape:
     kernel on raw ``_mpf_`` tuples, rounding to nearest at the ambient
     precision exactly as the matching ``mpf`` operation or ``mp``
     function does.  Steps follow the first-visit post-order of a
-    recursive walk, operands left to right except that a division checks
-    its denominator first, so values are bit-identical to the walk's and
-    the first domain error is the one it would raise.  ``has_x`` tells
-    whether the variable x occurs.  ``run`` takes and returns mpfs; the
-    package's own hot loops call ``_run``, which takes and returns raw
-    tuples.
+    recursive walk, operands left to right, one step per operator node,
+    so values are bit-identical to the walk's and the first domain error
+    is the one it would raise.  ``has_x`` tells whether the variable x
+    occurs; x and the literals hold registers and no step, and a run
+    without x on a tape with x raises before any step.  ``run`` takes
+    and returns mpfs; the package's own hot loops call ``_run``, which
+    takes and returns raw tuples.
 
     At 53 bits ``run`` first tries the steps on doubles: add, sub, mul,
     div, neg, sqrt and the powers u^2, u^-1, u^1 and u^0 natively, every
@@ -833,12 +816,13 @@ class Tape:
     and applies the same checks.  The tuple function, one per precision,
     calls the same kernel objects, which a tracer that rebinds
     ``mpmath.ctx_mp_python`` still counts; where it raises a
-    ``DomainError``, ``_interpret`` runs the point again and raises the
-    error with its node and point.  So the answers are the interpreted
-    loop's, and so are the counted calls of every run that returns a
-    value; a compiled run that raises makes the calls before its failing
-    step twice, once compiled and once interpreted.  All runs read their
-    steps from the node classes' ``kernel`` and ``native`` declarations.
+    ``DomainError`` or ``ZeroDivisionError``, ``_interpret`` runs the
+    point again and raises a ``DomainError`` with its node and point.  So
+    the answers are the interpreted loop's, and so are the counted calls
+    of every run that returns a value; a compiled run that raises makes
+    the calls before its failing step twice, once compiled and once
+    interpreted.  All runs read their steps from the node classes'
+    ``kernel`` and ``native`` declarations.
     """
 
     def __init__(self, e):
@@ -862,34 +846,24 @@ class Tape:
         if not isinstance(e, Expression):
             raise TypeError(f"not an expression node: {e!r}")
         t = type(e)
-        kernel = t.kernel
+        kernel, names = t.kernel, t.__match_args__
         a = b = None
-        if kernel is None:  # a literal, filled in per precision
-            key = (t, *[getattr(e, f) for f in t.__match_args__])
-        elif t is Div:  # the denominator is evaluated and checked first
-            b = self._visit(e.right, seen, registers)
-            mark = len(self.steps)
-            self.steps.append((b, _nonzero, b, None, e))
-            a = self._visit(e.left, seen, registers)
-            key = (t, a, b)
-            if key in registers:  # checked where the equal node was built
-                del self.steps[mark]
-        else:  # no, one or two operands; a comprehension doubles build time
-            names = t.__match_args__
-            if names:
-                a = self._visit(getattr(e, names[0]), seen, registers)
-                if len(names) == 2:
-                    b = self._visit(getattr(e, names[1]), seen, registers)
+        if kernel is None:  # x, or a literal filled in per precision
+            key = (t, *[getattr(e, f) for f in names])
+        else:  # one or two operands; a comprehension doubles build time
+            a = self._visit(getattr(e, names[0]), seen, registers)
+            if len(names) == 2:
+                b = self._visit(getattr(e, names[1]), seen, registers)
             key = (t, a, b)
         r = registers.get(key)
         if r is None:
             r = registers[key] = len(self.nodes)
             self.nodes.append(e)
-            if kernel is None:
+            if t is Var:  # the run puts x in its register
+                self._var = r
+            elif kernel is None:
                 self._literals.append((r, e))
             else:
-                if t is Var:  # its kernel checks the x in its own register
-                    self._var = a = r
                 if isinstance(kernel, str):
                     kernel = getattr(mpmath.ctx_mp_python, kernel)
                 self.steps.append((r, kernel, a, b, e))
@@ -916,8 +890,12 @@ class Tape:
 
     def _run(self, x):
         """``run`` on raw tuples: the value at the ``_mpf_`` tuple ``x``
-        (None for a constant), as an ``_mpf_`` tuple.  A 53-bit float run
-        that returns None falls through to the tuple run."""
+        (None for a constant), as an ``_mpf_`` tuple.  A tape with x
+        refuses None before any run.  A 53-bit float run that returns None
+        falls through to the tuple run."""
+        if x is None and self._var is not None:
+            raise DomainError("free variable x in a constant context",
+                              self.nodes[self._var])
         prec = mp.prec
         if prec == 53 and (self._floats if self._floats is not None
                            else self._program()):
@@ -928,7 +906,7 @@ class Tape:
         if program is not None:
             try:
                 return program(x)
-            except DomainError:
+            except (DomainError, ZeroDivisionError):
                 pass
         else:
             runs = self._tuple_runs[prec] = self._tuple_runs.get(prec, 0) + 1
@@ -947,10 +925,13 @@ class Tape:
                     regs[out] = kernel(regs[a], prec, round_nearest)
                 else:
                     regs[out] = kernel(regs[a], regs[b], prec, round_nearest)
+        except ZeroDivisionError:  # mpf_div's, on a zero divisor
+            reason = "division by zero"
         except DomainError as err:
-            raise DomainError(err.reason, e, None if x is None else
-                              mp.make_mpf(x)) from None
-        return regs[self.result]
+            reason = err.reason
+        else:
+            return regs[self.result]
+        raise DomainError(reason, e, None if x is None else mp.make_mpf(x))
 
     def _program(self):
         """The float program, built on first use; False if there is none."""
@@ -972,8 +953,6 @@ class Tape:
         steps, products, kernels = [], [], 0
         for out, kernel, a, b, e in self.steps:
             t = type(e)
-            if kernel is _nonzero or t is Var:  # x is filled in by the run
-                continue
             native = t.native
             if t is Pow and template[b] is not None and \
                     regs[b] in (2, -1, 1, 0):
@@ -1003,8 +982,6 @@ class Tape:
         if self._runs == _COMPILE_AFTER:
             self._compiled = _compile(self._floats, self._var, self.result)
         regs = regs.copy()
-        if self._var is not None and x is None:
-            return None
         try:
             if self._var is not None:
                 regs[self._var] = _to_double(x)

@@ -33,7 +33,8 @@ from quadrules.associate import (ALL_NEGATIVE, ALL_POSITIVE,
                                  UNKNOWN, AssumptionVerdict)
 from quadrules.composite import composite_values
 from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
-                            Mul, Neg, Num, PiConst, Pow, Sin, Sqrt, Sub, Var)
+                            Expression, Mul, Neg, Num, PiConst, Pow, Sin,
+                            Sqrt, Sub, Var)
 from quadrules.precision import as_mpf, workprec
 from quadrules.rules import rule_values, simple_rule_values
 
@@ -93,32 +94,52 @@ def tree_eval(e, x):
     """Value of ``e`` at ``x`` (None in a constant context) at the ambient
     precision, every shared subtree evaluated again at each occurrence.
 
-    Operands are evaluated left to right, except that a division checks
-    its denominator before it evaluates its numerator; domain errors name
-    the node and x as the package does.
+    Operands are evaluated left to right, and a division checks its
+    denominator for zero after evaluating both; domain errors name the
+    node and x as the package does.  In a constant context a tree that
+    contains x raises the free-variable error before anything is
+    evaluated.
     """
+    if x is None and _contains_x(e):
+        raise DomainError("free variable x in a constant context", Var())
+    return _walk(e, x)
+
+
+def _contains_x(e):
+    """Whether x occurs in ``e``; a shared subtree is searched once."""
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            return True
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += [v for v in vars(node).values()
+                      if isinstance(v, Expression)]
+    return False
+
+
+def _walk(e, x):
     if isinstance(e, Num):
         return mpf(e.value)
     if isinstance(e, PiConst):
         return +mp.pi
     if isinstance(e, Var):
-        if x is None:
-            raise DomainError("free variable x in a constant context", e, x)
         return x
     if isinstance(e, Add):
-        return tree_eval(e.left, x) + tree_eval(e.right, x)
+        return _walk(e.left, x) + _walk(e.right, x)
     if isinstance(e, Sub):
-        return tree_eval(e.left, x) - tree_eval(e.right, x)
+        return _walk(e.left, x) - _walk(e.right, x)
     if isinstance(e, Mul):
-        return tree_eval(e.left, x) * tree_eval(e.right, x)
+        return _walk(e.left, x) * _walk(e.right, x)
     if isinstance(e, Div):
-        den = tree_eval(e.right, x)
+        num, den = _walk(e.left, x), _walk(e.right, x)
         if den == 0:
             raise DomainError("division by zero", e, x)
-        return tree_eval(e.left, x) / den
+        return num / den
     if isinstance(e, Pow):
-        base = tree_eval(e.base, x)
-        expo = tree_eval(e.exponent, x)
+        base = _walk(e.base, x)
+        expo = _walk(e.exponent, x)
         if base == 0 and expo < 0:
             raise DomainError("zero raised to a negative power", e, x)
         if base < 0 and not mp.isint(expo):
@@ -134,13 +155,13 @@ def tree_eval(e, x):
             raise DomainError("fractional exponent of 2^128 or more", e, x)
         return base ** expo
     if isinstance(e, Neg):
-        return -tree_eval(e.arg, x)
+        return -_walk(e.arg, x)
     if isinstance(e, Sin):
-        return mp.sin(tree_eval(e.arg, x))
+        return mp.sin(_walk(e.arg, x))
     if isinstance(e, Cos):
-        return mp.cos(tree_eval(e.arg, x))
+        return mp.cos(_walk(e.arg, x))
     if isinstance(e, Sqrt):
-        v = tree_eval(e.arg, x)
+        v = _walk(e.arg, x)
         if v < 0:
             raise DomainError("square root of a negative value", e, x)
         return mp.sqrt(v)

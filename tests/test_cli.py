@@ -689,11 +689,24 @@ def _integrate(*flags, integrand="x", a="0", b="1"):
     # a two-byte character: the cut keeps whole characters
     (("degree", "--rule", "\u00e9" * 5000), 1,
      "error: unknown rule '\u00e9\u00e9", f"\u00e9\u00e9' {_KNOWN}"),
+    # an undefined endpoint names its node, and no point or panel
+    (_integrate(a="1/0"), 2, "domain error: division by zero in 1 / 0",
+     "division by zero in 1 / 0"),
+    (_integrate(b="sqrt(-1)"), 2,
+     "domain error: square root of a negative value in sqrt(-1)",
+     "square root of a negative value in sqrt(-1)"),
+    # node 513 of 2,049, met by the 113-bit tuple program compiled at the
+    # 300th run, which the interpreted loop then runs again
+    (_integrate("--rule", "T", "--panels", "1024", "--prec", "113",
+                integrand="1/(x-0.5)"), 2,
+     "domain error: division by zero in 1 / (x - 0.5) at x = 0.5 ",
+     "(panel 512 of 1024)"),
 ], ids=["b_equal_to_a", "b_rounding_to_a", "sqrt_domain", "derivative",
         "point_at_65536_bits", "format", "example", "unrecognized",
         "newline", "undecodable", "integer_integrand", "integer_b",
         "decimal_integrand", "exponent_integrand", "decimal_b",
-        "identifier", "prec", "panels", "rule", "rule_of_two_byte_chars"])
+        "identifier", "prec", "panels", "rule", "rule_of_two_byte_chars",
+        "undefined_a", "undefined_b", "zero_divisor_compiled"])
 def test_every_diagnostic_is_one_bounded_line(argv, code, start, end):
     # a quad process, so that the bytes are the ones written to stderr
     proc = _run_cli(*argv)

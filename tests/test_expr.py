@@ -434,14 +434,28 @@ class TestTape:
         # derivatives share subtrees by reference, and equal ones by value
         self.assert_matches_tree_walk(deriv)
 
-    def test_division_checks_its_denominator_before_its_numerator(self):
+    def test_operands_fail_left_to_right(self):
+        # at x = 1 the numerator and the denominator both fail, and the
+        # numerator, evaluated first, is named
         e = parse("sqrt(-x)/(x-1)")
-        want = "division by zero in sqrt(-x) / (x - 1) at x = 1.0"
-        with pytest.raises(DomainError) as exc:
-            eval_expr(e, 1)
-        assert str(exc.value) == want
+        reason = "square root of a negative value"
+        want = f"DomainError: {reason} in sqrt(-x) at x = 1.0"
+        assert _outcome(eval_expr, e, 1) == want
         with workprec(53):
-            assert _outcome(tree_eval, e, mpf(1)) == f"DomainError: {want}"
+            assert _outcome(tree_eval, e, mpf(1)) == want
+            assert _outcome(Tape.run, Tape(e), mpf(1)) == want
+        tape = Tape(e)
+        with workprec(113):
+            for _ in range(expr._COMPILE_AFTER):
+                tape._run(mpf(-1)._mpf_)
+            program = tape._tuple_programs[113]
+            assert _tuple_outcome(program, mpf(1)._mpf_)[:2] == \
+                ("error", reason)
+            assert _outcome(Tape.run, tape, mpf(1)) == want
+        # a constant context refuses x before any operand runs
+        with pytest.raises(DomainError) as exc:
+            eval_expr(parse("1/0 + x"), None)
+        assert str(exc.value) == "free variable x in a constant context in x"
 
     def test_trig_arguments_from_2_to_the_2_to_the_17_are_refused(self):
         # the largest accepted argument's top bit is 2^17
@@ -483,7 +497,10 @@ def _compiled_tape(tree):
 
 def _which_run(tape, x):
     """Which run answers at 53 bits: "floats", "fallback" (the float run
-    hands over to the tuple run) or "tuples" (no float program)."""
+    hands over to the tuple run), "tuples" (no float program) or "refused"
+    (no x for a tape with x: ``Tape._run`` raises before any run)."""
+    if x is None and tape.has_x:
+        return "refused"
     if not tape._program():
         return "tuples"
     return "fallback" if tape._run_floats(_raw(x)) is None else "floats"
@@ -507,7 +524,7 @@ class TestFloatBackend:
         ("1e400*x + x*x - x", "1", "tuples"),            # literal too large
         ("1e-400 + x*x - x + x", "1", "tuples"),         # literal too small
         ("x*x - x + 1", _THIRD, "fallback"),             # x has 300 bits
-        ("x*x - x + 1", None, "fallback"),               # no x
+        ("x*x - x + 1", None, "refused"),                # no x
         ("x*x - x + 1", mpf(2) ** 1024, "fallback"),     # x above doubles
         ("x*x - x + 1", mpf(2) ** -1074, "fallback"),    # x subnormal
         ("pi * 2 + pi * 3 - 1", None, "floats"),
@@ -534,10 +551,11 @@ class TestFloatBackend:
         with workprec(53):
             x = mpf(x) if isinstance(x, str) else x
             assert _which_run(tape, x) == run
-            want = _outcome(_tuple_run, tape, x)
+            want = "DomainError: free variable x in a constant context " \
+                "in x" if run == "refused" else _outcome(_tuple_run, tape, x)
             assert _outcome(Tape.run, tape, x) == want
             assert _outcome(Tape.run, compiled, x) == want
-            if run != "tuples":
+            if run in ("floats", "fallback"):
                 # the same double, -0.0 included, or the same hand-over
                 interpreted, generated = (
                     v if v is None else v.hex()
@@ -607,11 +625,15 @@ class TestFloatBackend:
 
 
 def _tuple_outcome(run, *args):
-    """("value", tuple) or ("error", reason, node, point) of a run."""
+    """("value", tuple) or ("error", reason, node, point) of a run; a
+    compiled tuple program's zero divisor raises mpf_div's
+    ZeroDivisionError, which names neither."""
     try:
         return "value", run(*args)
     except DomainError as err:
         return "error", err.reason, err.node, err.x
+    except ZeroDivisionError:
+        return "error", "division by zero", None, None
 
 
 class TestTupleProgram:
@@ -651,6 +673,7 @@ class TestTupleProgram:
                 program = tape._tuple_programs[prec]
                 for x, want in zip(points, interpreted):
                     assert _tuple_outcome(tape._run, x) == want
+                for x in points[1:]:  # x = None goes to Tape._run only
                     loop = _tuple_outcome(tape._interpret, x, prec)
                     assert _tuple_outcome(program, x)[:2] == loop[:2]
             failing = {"error"} if variant != self.VARIANTS[0] and \

@@ -33,6 +33,24 @@ def test_asin6_tapes_hold_one_register_per_distinct_node():
                          for order in range(7)]
 
 
+def test_every_tape_step_is_one_operator_node():
+    # x and the literals take registers but no step, so no step is a check
+    # that computes nothing; a division was two steps while its zero check
+    # ran before its numerator (6/14/28/58/116 for asin6)
+    steps = {}
+    for name in ("sin2", "asin6", "atan2"):
+        f = builtin_integrand(name)
+        for order in range(5):
+            tape = f.tape(order)
+            assert len(tape.steps) == \
+                len(tape.nodes) - len(tape._literals) - 1
+            assert all(tape.nodes[out] is node and type(node).kernel
+                       for out, *_, node in tape.steps)
+            steps[name, order] = len(tape.steps)
+    assert [steps["asin6", order] for order in range(5)] == \
+        [4, 11, 24, 53, 110]
+
+
 def node_objects(e):
     """Distinct node objects reachable from ``e``, a shared one once."""
     seen, stack = set(), [e]
