@@ -17,6 +17,9 @@ evaluated, so one tree serves every precision.  Whitespace is ignored.
 Syntax errors report the byte offset of the offending token.  Each node
 class declares its symbol, precedence and evaluation once (``Expression``
 says how); the parser's tables, the printer and the tape read them there.
+``parse`` reads it by operator precedence without recursion, so
+parentheses and minus signs nest to any depth; the printer, the tape
+builder and ``differentiate`` recurse, into each function or power.
 
 Trees are immutable (frozen ``Record`` subclasses, whose structural
 ``==`` and hash walk any depth) and ``parse(to_text(e))``
@@ -211,19 +214,30 @@ class _DataclassFields:
         return fields
 
 
+def _generated(header, body, namespace):
+    """The function that ``header`` defines with the given body lines,
+    compiled with ``namespace`` as its globals."""
+    source = "\n".join([header, *body])
+    exec(compile(source, "<generated>", "exec"), namespace)
+    return namespace[header[len("def "):header.index("(")]]
+
+
 class Record:
     """Base of the package's records, a small stand-in for dataclasses.
 
     A record's fields are its class's annotated names, after those of its
     bases, and ``__match_args__`` lists them; a class attribute of the same
-    name is a field's default.  ``__init__`` takes the fields by position
-    or name and then calls ``__post_init__``.  Two records are equal when
-    they are of one class with equal fields, and one prints as
-    ``Name(field=value, ...)``.  Records are frozen and hash by their
-    fields; ``__post_init__`` may check or coerce them, and store caches
-    beside them, through ``object.__setattr__``.  ``==`` and hash walk
-    record fields on an explicit stack, each shared record once, so any
-    record that can be built compares without recursion.
+    name is a field's default.  Each class gets a generated ``__init__``
+    whose parameters are its fields, in that order, the defaulted ones
+    with their defaults, so a bad call raises Python's own ``TypeError``;
+    it sets the fields and then calls ``__post_init__`` where the class
+    has one.  Two records are equal when they are of one class with equal
+    fields, and one prints as ``Name(field=value, ...)``.  Records are
+    frozen and hash by their fields; ``__post_init__`` may check or coerce
+    them, and store caches beside them, through ``object.__setattr__``.
+    ``==`` and hash walk record fields on an explicit stack, each shared
+    record once, so any record that can be built compares without
+    recursion.
     """
     __match_args__ = ()
     __dataclass_fields__ = _DataclassFields()
@@ -233,24 +247,19 @@ class Record:
         own = vars(cls).get("__annotations__", {})
         cls.__match_args__ += tuple(name for name in own
                                     if name not in cls.__match_args__)
-
-    def __init__(self, *args, **kwargs):
-        cls, names = type(self), self.__match_args__
-        values = dict(zip(names, args))
-        if len(args) > len(names) or values.keys() & kwargs.keys() or \
-                not kwargs.keys() <= set(names):
-            raise TypeError(f"{cls.__name__}() takes the fields {names}")
-        values.update(kwargs)
-        for name in names:
-            if name not in values:
-                if not hasattr(cls, name):
-                    raise TypeError(f"{cls.__name__}() needs {name!r}")
-                values[name] = getattr(cls, name)
-        self.__dict__.update(values)
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
+        names = cls.__match_args__
+        defaults = {name: getattr(cls, name) for name in names
+                    if hasattr(cls, name)}
+        params = [f"{name}={name}" if name in defaults else name
+                  for name in names]
+        body = [f" object.__setattr__(self, {name!r}, {name})"
+                for name in names]
+        if hasattr(cls, "__post_init__"):
+            body.append(" self.__post_init__()")
+        # the defaults are the globals that the parameter defaults read
+        cls.__init__ = _generated(
+            f"def __init__({', '.join(['self', *params])}):",
+            body or [" pass"], defaults)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -318,14 +327,10 @@ class Expression(Record):
     denominator and math.sqrt on a negative value, so the tuple run
     reports both.
 
-    Nodes compare and hash by structure, as every record does.  The node
-    shapes set their fields in their own ``__init__``, which is faster
-    than the generic one.
+    Nodes are built, compared and hashed by structure, as every record
+    is.
     """
     prec, kernel, native = _PREC_ATOM, None, None
-
-    def __init__(self):
-        pass  # pi and x have no fields
 
     def __str__(self):
         return to_text(self)
@@ -335,9 +340,6 @@ class Num(Expression):
     # int for integer literals (exact), str for decimal literals (converted
     # at evaluation precision).  May be negative: unary minus folds in.
     value: object
-
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
 
 
 class PiConst(Expression):
@@ -352,10 +354,6 @@ class _Infix(Expression):
     """A binary operator node.  All four associate to the left."""
     left: Expression
     right: Expression
-
-    def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Add(_Infix):
@@ -379,22 +377,16 @@ class Div(_Infix):
 
 
 class Pow(Expression):
+    """A power, right-associative: ``x^y^z`` is ``x^(y^z)``."""
     base: Expression
     exponent: Expression
-    prec, kernel = _PREC_POW, _checked_power
-
-    def __init__(self, base, exponent):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+    symbol, prec, kernel = "^", _PREC_POW, _checked_power
 
 
 class _Unary(Expression):
     """A node of one argument: negation, or a function that binds like an
     atom and whose ``symbol`` is its name."""
     arg: Expression
-
-    def __init__(self, arg):
-        object.__setattr__(self, "arg", arg)
 
 
 class Neg(_Unary):
@@ -427,9 +419,8 @@ _TOKEN = re.compile(r"(?P<space>\s+)"
                     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[-+*/^()])|(?P<other>.)", re.DOTALL)
 
-# the infix node classes by precedence, then by symbol
-_INFIX = {prec: {c.symbol: c for c in (Add, Sub, Mul, Div) if c.prec == prec}
-          for prec in (_PREC_ADD, _PREC_MUL)}
+# the infix node classes by symbol
+_INFIX = {c.symbol: c for c in (Add, Sub, Mul, Div, Pow)}
 _FUNCTIONS = {c.symbol: c for c in (Sin, Cos, Sqrt)}
 _NAMES = {c.symbol: c for c in (PiConst, Var)}
 
@@ -469,79 +460,68 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, what):
-        tok = self.advance()
-        if tok[0] != kind:
-            got = "end of input" if tok[0] == "eof" else repr(tok[1])
-            raise ParseError(f"expected {what}, got {got}", tok[2])
-
-    def parse(self):
-        if self.peek()[0] == "eof":
-            raise ParseError("empty input", self.peek()[2])
-        e = self.expr()
-        kind, value, off = self.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected trailing input {value!r}", off)
-        return e
-
-    def expr(self, prec=_PREC_ADD):
-        """Operands joined left to right by the infix operators of ``prec``,
-        each operand parsed at the next level; past the infix levels, a
-        negation or a power."""
-        ops = _INFIX.get(prec)
-        if ops is None:
-            if self.peek()[0] == "-":
-                self.advance()
-                return _negate(self.expr(prec))
-            return self.power()
-        e = self.expr(prec + 1)
-        while self.peek()[0] in ops:
-            e = ops[self.advance()[0]](e, self.expr(prec + 1))
-        return e
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            return Pow(base, self.expr(_PREC_NEG))
-        return base
-
-    def atom(self):
-        kind, value, off = self.advance()
-        if kind == "num":
-            return Num(value)
-        if kind == "ident" and value not in _FUNCTIONS:
-            if value in _NAMES:
-                return _NAMES[value]()
-            raise ParseError(f"unknown identifier {value!r}", off)
-        if kind == "ident":
-            self.expect("(", f"'(' after {value}")
-        elif kind != "(":
-            got = "end of input" if kind == "eof" else repr(value)
-            raise ParseError(f"expected expression, got {got}", off)
-        e = self.expr()
-        self.expect(")", "')'")
-        return _FUNCTIONS[value](e) if kind == "ident" else e
+def _got(kind, value):
+    return "end of input" if kind == "eof" else repr(value)
 
 
 def parse(text):
-    """Parse expression text to a tree.  Raises ParseError on bad input."""
+    """Parse expression text to a tree.  Raises ParseError on bad input.
+
+    One pass over the tokens by operator precedence, without recursion.
+    ``e`` is the operand just read, or None while one is due.  Each
+    waiting operator is its precedence and the function of its right
+    operand: a node class, with the left operand bound if it is infix, or
+    ``_negate`` for a unary minus; an open "(" or function waits at
+    precedence 0.  An infix operator first applies the waiting ones of
+    its precedence or above, so it is left-associative; ``^`` applies
+    none, so it is right-associative, and its exponent is read at
+    unary-minus level, as ``-`` binds below it.  Any other token first
+    applies those above the innermost open one.
+    """
     if not isinstance(text, str):
         raise TypeError("expression source must be a string")
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    if tokens[0][0] == "eof":
+        raise ParseError("empty input", tokens[0][2])
+    waiting, e = [], None
+    tokens = iter(tokens)
+    for kind, value, off in tokens:
+        if e is None:
+            if kind == "num":
+                e = Num(value)
+            elif kind == "ident" and value in _NAMES:
+                e = _NAMES[value]()
+            elif kind == "ident" and value in _FUNCTIONS:
+                kind, paren, off = next(tokens)
+                if kind != "(":
+                    raise ParseError(f"expected '(' after {value}, got "
+                                     f"{_got(kind, paren)}", off)
+                waiting.append((0, _FUNCTIONS[value]))
+            elif kind == "ident":
+                raise ParseError(f"unknown identifier {value!r}", off)
+            elif kind == "(":
+                waiting.append((0, None))
+            elif kind == "-":
+                waiting.append((_PREC_NEG, _negate))
+            else:
+                raise ParseError(
+                    f"expected expression, got {_got(kind, value)}", off)
+            continue
+        op = _INFIX.get(kind)
+        bound = 1 if op is None else op.prec + (op is Pow)
+        while waiting and waiting[-1][0] >= bound:
+            e = waiting.pop()[1](e)
+        if op is not None:
+            waiting.append((op.prec, partial(op, e)))
+            e = None
+        elif waiting and kind == ")":
+            close = waiting.pop()[1]
+            e = e if close is None else close(e)
+        elif waiting:
+            raise ParseError(f"expected ')', got {_got(kind, value)}", off)
+        elif kind != "eof":
+            raise ParseError(f"unexpected trailing input {value!r}", off)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -557,30 +537,29 @@ def _num_is_negative(value):
     return value < 0 if isinstance(value, int) else value.startswith("-")
 
 
-def _fmt(e, ctx):
-    text = _fmt_inner(e)
-    return f"({text})" if _prec(e) < ctx else text
-
-
-def _fmt_inner(e):
+def _fmt(e, ctx=0):
+    """The text of ``e``, parenthesized where it binds below ``ctx``."""
     if isinstance(e, _Infix):
-        return f"{_fmt(e.left, e.prec)} {e.symbol} {_fmt(e.right, e.prec + 1)}"
-    if isinstance(e, Neg):
-        return f"{e.symbol}{_fmt(e.arg, e.prec)}"
-    if isinstance(e, _Unary):  # a function
-        return f"{e.symbol}({_fmt(e.arg, 0)})"
-    if isinstance(e, Pow):
-        return f"{_fmt(e.base, _PREC_ATOM)} ^ {_fmt(e.exponent, _PREC_NEG)}"
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, (PiConst, Var)):
-        return e.symbol
-    raise TypeError(f"not an expression node: {e!r}")
+        text = f"{_fmt(e.left, e.prec)} {e.symbol} {_fmt(e.right, e.prec + 1)}"
+    elif isinstance(e, Neg):
+        text = f"{e.symbol}{_fmt(e.arg, e.prec)}"
+    elif isinstance(e, _Unary):  # a function
+        text = f"{e.symbol}({_fmt(e.arg)})"
+    elif isinstance(e, Pow):
+        text = f"{_fmt(e.base, _PREC_ATOM)} {e.symbol} " \
+               f"{_fmt(e.exponent, _PREC_NEG)}"
+    elif isinstance(e, Num):
+        text = str(e.value)
+    elif isinstance(e, (PiConst, Var)):
+        text = e.symbol
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return f"({text})" if _prec(e) < ctx else text
 
 
 def to_text(e):
     """Canonical infix text; parse(to_text(e)) is structurally equal to e."""
-    return _fmt(e, 0)
+    return _fmt(e)
 
 
 # ---------------------------------------------------------------------------
@@ -720,14 +699,6 @@ def _normal(regs, products):
                    for out, a, b in products)
 
 
-def _generated(body, namespace):
-    """The function ``run(x)`` with the given body lines, compiled with
-    ``namespace`` as its globals."""
-    source = "\n".join(["def run(x):", *body])
-    exec(compile(source, "<tape program>", "exec"), namespace)
-    return namespace["run"]
-
-
 def _compile(program, var, result):
     """The float program of a tape as one generated function of an
     ``_mpf_`` tuple x, answering as ``Tape._run_floats`` does.  Registers
@@ -758,7 +729,7 @@ def _compile(program, var, result):
               f" if not pack({every})[{_HIGH}::8].translate(None, MIDDLE)"
               f" or normal([{every}], products):",
               f"  return r{result}"]
-    return _generated(lines, namespace)
+    return _generated("def run(x):", lines, namespace)
 
 
 def _compile_tuples(tape, prec):
@@ -777,7 +748,7 @@ def _compile_tuples(tape, prec):
         operands = f"r{a}" if b is None else f"r{a}, r{b}"
         lines.append(f" r{out} = k{i}({operands}, {tail})")
     lines.append(f" return r{tape.result}")
-    return _generated(lines, namespace)
+    return _generated("def run(x):", lines, namespace)
 
 
 class Tape:

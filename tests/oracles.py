@@ -13,7 +13,9 @@ only; the kernel reads the package's rule formulas, which are what it
 certifies.
 Tolerances are counted in ulps by ``ulp``.
 The rule kernel is also written out the long way, as the reference for
-the package's formula table.
+the package's formula table, and the parser as recursive descent, one
+method per grammar level, as the reference for the package's precedence
+loop.
 The last section holds two one-rule shorthands over the package's own
 entry points; they are conveniences, not oracles.
 """
@@ -32,9 +34,11 @@ from quadrules.associate import (ALL_NEGATIVE, ALL_POSITIVE,
                                  IDENTICALLY_ZERO, SAMPLES, SIGN_CHANGE,
                                  UNKNOWN, AssumptionVerdict)
 from quadrules.composite import composite_values
-from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
-                            Expression, Mul, Neg, Num, PiConst, Pow, Sin,
-                            Sqrt, Sub, Var)
+from quadrules.expr import (_FUNCTIONS, _NAMES, _PREC_ADD, _PREC_MUL,
+                            _PREC_NEG, Add, Cos, DifferentiationError, Div,
+                            DomainError, Expression, Mul, Neg, Num,
+                            ParseError, PiConst, Pow, Sin, Sqrt, Sub, Var,
+                            _negate, _tokenize)
 from quadrules.precision import as_mpf, workprec
 from quadrules.rules import rule_values, simple_rule_values
 
@@ -313,6 +317,89 @@ def reference_rule_values(names, w, node):
     if "Q" in closed:
         vals["Q"] = (2 * vals["T2"] + 3 * vals["S"]) / 5
     return {name: vals[name] for name in names}
+
+
+# ---------------------------------------------------------------------------
+# the parser by recursive descent, one method per level of the grammar in
+# quadrules.expr's docstring, over the package's tokens
+
+# the infix node classes by precedence, then by symbol
+_INFIX_LEVELS = {prec: {c.symbol: c for c in (Add, Sub, Mul, Div)
+                        if c.prec == prec} for prec in (_PREC_ADD, _PREC_MUL)}
+
+
+class _Parser:
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.advance()
+        if tok[0] != kind:
+            got = "end of input" if tok[0] == "eof" else repr(tok[1])
+            raise ParseError(f"expected {what}, got {got}", tok[2])
+
+    def parse(self):
+        if self.peek()[0] == "eof":
+            raise ParseError("empty input", self.peek()[2])
+        e = self.expr()
+        kind, value, off = self.peek()
+        if kind != "eof":
+            raise ParseError(f"unexpected trailing input {value!r}", off)
+        return e
+
+    def expr(self, prec=_PREC_ADD):
+        """Operands joined left to right by the infix operators of ``prec``,
+        each operand parsed at the next level; past the infix levels, a
+        negation or a power."""
+        ops = _INFIX_LEVELS.get(prec)
+        if ops is None:
+            if self.peek()[0] == "-":
+                self.advance()
+                return _negate(self.expr(prec))
+            return self.power()
+        e = self.expr(prec + 1)
+        while self.peek()[0] in ops:
+            e = ops[self.advance()[0]](e, self.expr(prec + 1))
+        return e
+
+    def power(self):
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.advance()
+            return Pow(base, self.expr(_PREC_NEG))
+        return base
+
+    def atom(self):
+        kind, value, off = self.advance()
+        if kind == "num":
+            return Num(value)
+        if kind == "ident" and value not in _FUNCTIONS:
+            if value in _NAMES:
+                return _NAMES[value]()
+            raise ParseError(f"unknown identifier {value!r}", off)
+        if kind == "ident":
+            self.expect("(", f"'(' after {value}")
+        elif kind != "(":
+            got = "end of input" if kind == "eof" else repr(value)
+            raise ParseError(f"expected expression, got {got}", off)
+        e = self.expr()
+        self.expect(")", "')'")
+        return _FUNCTIONS[value](e) if kind == "ident" else e
+
+
+def reference_parse(text):
+    """``expr.parse`` by recursive descent: the same tree, or a ParseError
+    with the same text and offset."""
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -574,16 +574,30 @@ def _run_cli(*argv):
 
 
 @pytest.mark.parametrize("text", [
-    # the recursive parser gives out first
-    "(" * 198 + "x" + ")" * 198,
-    # it parses, but the tape builder recurses down the left-leaning sum
+    # it parses, but the tape builder, the printer and differentiate
+    # recurse into each function; the tape builder, called first, gives out
+    "sin(" * 1000 + "x" + ")" * 1000,
+    # it parses, but the tape builder, like the printer, recurses down the
+    # left-leaning sum, one frame a term
     " + ".join(["sin(x)"] * 994),
-], ids=["198_parentheses", "994_term_sum"])
+], ids=["1000_nested_sin", "994_term_sum"])
 def test_deep_nesting_is_one_line_usage_error(text):
     # a quad process, at the interpreter's own recursion limit
     proc = _run_cli("integrate", "--integrand", text, "--a", "0", "--b", "1")
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (1, "", "quad: error: expression nested too deeply\n")
+
+
+@pytest.mark.parametrize("text", ["(" * 10000 + "x" + ")" * 10000,
+                                  "-" * 10000 + "x"],
+                         ids=["10000_parentheses", "10000_minus_signs"])
+def test_parentheses_and_minus_signs_nest_to_any_depth(text):
+    # the parser keeps them on a stack, and both fold away to x; "=" joins
+    # a value that starts with "--", which would otherwise be an option
+    argv = ["integrate", "--a", "0", "--b", "1"]
+    proc = _run_cli(*argv, "--integrand=" + text)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == _run_cli(*argv, "--integrand", "x").stdout
 
 
 @pytest.mark.parametrize("text, prec, message", [

@@ -27,7 +27,7 @@ from quadrules.precision import workprec
 from quadrules.rules import Interval
 
 from oracles import (central_diff, central_second_diff, random_poly_tree,
-                     tree_eval, ulp)
+                     reference_parse, tree_eval, ulp)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import random_expression  # noqa: E402
@@ -167,6 +167,36 @@ class TestParse:
             assert rest.startswith(lexeme)
             end = off + len(lexeme.encode("utf-8"))
         assert tokens[-1] == ("eof", "", len(data))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(
+        "x pi sin cos sqrt tan y ( ) + - * / ^ 1 2.5 .0 3e2".split() + [" "]),
+        max_size=16).map("".join))
+    @example("2^-x^2*3")
+    @example("-(x)^-sin(x)^2^-3")
+    def test_parse_equals_recursive_descent(self, text):
+        # the precedence loop builds the recursive grammar's tree, and
+        # fails with its message at its offset
+        outcomes = []
+        for parser in (parse, reference_parse):
+            try:
+                outcomes.append(parser(text))
+            except ParseError as err:
+                outcomes.append((str(err), err.offset))
+        assert outcomes[0] == outcomes[1]
+
+    def test_parentheses_and_minus_signs_nest_without_recursion(self):
+        assert parse("(" * 20000 + "x" + ")" * 20000) == Var()
+        assert parse("-" * 20001 + "x") == Neg(Var())
+        e = parse("sin(" * 20000 + "x" + ")" * 20000)
+        for _ in range(20000):
+            assert type(e) is Sin
+            e = e.arg
+        assert e == Var()
+        with pytest.raises(ParseError) as exc:
+            parse("(" * 20000 + "x" + ")" * 19999)
+        assert str(exc.value).endswith("expected ')', got end of input")
+        assert exc.value.offset == 40000
 
 
 def _expression_trees():
