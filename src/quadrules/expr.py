@@ -18,8 +18,9 @@ Syntax errors report the byte offset of the offending token.  Each node
 class declares its symbol, precedence and evaluation once (``Expression``
 says how); the parser's tables, the printer and the tape read them there.
 ``parse`` reads it by operator precedence without recursion, so
-parentheses and minus signs nest to any depth; the printer, the tape
-builder and ``differentiate`` recurse, into each function or power.
+parentheses and minus signs nest to any depth; the printer and the tape
+builder recurse into every operand, one frame per tree level, and
+``differentiate`` is one loop over a tape's steps.
 
 Trees are immutable (frozen ``Record`` subclasses, whose structural
 ``==`` and hash walk any depth) and ``parse(to_text(e))``
@@ -1059,50 +1060,46 @@ def _pow(a, b):
 def differentiate(e):
     """d/dx of ``e`` by structural rules, with identity simplification.
 
-    Power nodes must have a constant exponent: the node vocabulary has no
-    logarithm, so d/dx of u(x)^v(x) with x in the exponent is not
-    expressible and raises DifferentiationError.  A subtree shared by
-    reference is differentiated once, and its derivative is shared too.
+    One forward pass over ``Tape(e).steps``, which take each structurally
+    distinct node once, operands first: ``ds[r]`` is the derivative of
+    register r and ``xs[r]`` whether it holds x, so equal subtrees share
+    one derivative.  Power nodes must have a constant exponent: the node
+    vocabulary has no logarithm, so d/dx of u(x)^v(x) with x in the
+    exponent is not expressible and raises DifferentiationError, naming
+    the first such power in step order, the innermost.
     """
-    memo = {}  # id(node) -> derivative; every key is held alive by e
-
-    def d(e):
-        if id(e) not in memo:
-            memo[id(e)] = _derivative(e, d)
-        return memo[id(e)]
-
-    return d(e)
-
-
-def _derivative(e, d):
-    """d/dx of one node, with ``d`` differentiating its children."""
-    if isinstance(e, (Num, PiConst)):
-        return Num(0)
-    if isinstance(e, Var):
-        return Num(1)
-    if isinstance(e, Add):
-        return _add(d(e.left), d(e.right))
-    if isinstance(e, Sub):
-        return _sub(d(e.left), d(e.right))
-    if isinstance(e, Mul):
-        return _add(_mul(d(e.left), e.right), _mul(e.left, d(e.right)))
-    if isinstance(e, Div):
-        num = _sub(_mul(d(e.left), e.right), _mul(e.left, d(e.right)))
-        return _div(num, _pow(e.right, Num(2)))
-    if isinstance(e, Pow):
-        # literal exponents, by far the most common, need no tape
-        if type(e.exponent) is not Num and Tape(e.exponent).has_x:
-            raise DifferentiationError(
-                f"cannot differentiate {to_text(e)}: exponent contains x")
-        r = e.exponent
-        du = d(e.base)
-        return _mul(_mul(r, _pow(e.base, _sub(r, Num(1)))), du)
-    if isinstance(e, Neg):
-        return _negate(d(e.arg))
-    if isinstance(e, Sin):
-        return _mul(Cos(e.arg), d(e.arg))
-    if isinstance(e, Cos):
-        return _negate(_mul(Sin(e.arg), d(e.arg)))
-    if isinstance(e, Sqrt):
-        return _div(d(e.arg), _mul(Num(2), Sqrt(e.arg)))
-    raise TypeError(f"not an expression node: {e!r}")
+    tape = Tape(e)
+    ds = [Num(0)] * len(tape.nodes)  # a literal's stays Num(0)
+    xs = [False] * len(tape.nodes)
+    if tape.has_x:
+        ds[tape._var], xs[tape._var] = Num(1), True
+    for out, _, a, b, e in tape.steps:
+        da, db = ds[a], None if b is None else ds[b]
+        xs[out] = xs[a] or b is not None and xs[b]
+        if isinstance(e, Add):
+            d = _add(da, db)
+        elif isinstance(e, Sub):
+            d = _sub(da, db)
+        elif isinstance(e, Mul):
+            d = _add(_mul(da, e.right), _mul(e.left, db))
+        elif isinstance(e, Div):
+            num = _sub(_mul(da, e.right), _mul(e.left, db))
+            d = _div(num, _pow(e.right, Num(2)))
+        elif isinstance(e, Pow):
+            if xs[b]:
+                raise DifferentiationError(
+                    f"cannot differentiate {to_text(e)}: exponent contains x")
+            r = e.exponent
+            d = _mul(_mul(r, _pow(e.base, _sub(r, Num(1)))), da)
+        elif isinstance(e, Neg):
+            d = _negate(da)
+        elif isinstance(e, Sin):
+            d = _mul(Cos(e.arg), da)
+        elif isinstance(e, Cos):
+            d = _negate(_mul(Sin(e.arg), da))
+        elif isinstance(e, Sqrt):
+            d = _div(da, _mul(Num(2), Sqrt(e.arg)))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        ds[out] = d
+    return ds[tape.result]

@@ -13,9 +13,10 @@ only; the kernel reads the package's rule formulas, which are what it
 certifies.
 Tolerances are counted in ulps by ``ulp``.
 The rule kernel is also written out the long way, as the reference for
-the package's formula table, and the parser as recursive descent, one
+the package's formula table, the parser as recursive descent, one
 method per grammar level, as the reference for the package's precedence
-loop.
+loop, and differentiation as a recursive walk of the tree, as the
+reference for the package's pass over a tape's steps.
 The last section holds two one-rule shorthands over the package's own
 entry points; they are conveniences, not oracles.
 """
@@ -37,8 +38,9 @@ from quadrules.composite import composite_values
 from quadrules.expr import (_FUNCTIONS, _NAMES, _PREC_ADD, _PREC_MUL,
                             _PREC_NEG, Add, Cos, DifferentiationError, Div,
                             DomainError, Expression, Mul, Neg, Num,
-                            ParseError, PiConst, Pow, Sin, Sqrt, Sub, Var,
-                            _negate, _tokenize)
+                            ParseError, PiConst, Pow, Sin, Sqrt, Sub, Tape,
+                            Var, _add, _div, _mul, _negate, _pow, _sub,
+                            _tokenize, to_text)
 from quadrules.precision import as_mpf, workprec
 from quadrules.rules import rule_values, simple_rule_values
 
@@ -400,6 +402,57 @@ def reference_parse(text):
     """``expr.parse`` by recursive descent: the same tree, or a ParseError
     with the same text and offset."""
     return _Parser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# differentiation by a recursive walk of the tree, each node object once
+
+def reference_differentiate(e):
+    """``expr.differentiate`` as a recursive walk: a structurally equal
+    derivative, or a DifferentiationError that names the outermost power
+    with x in its exponent, where the package names the innermost."""
+    memo = {}  # id(node) -> derivative; every key is held alive by e
+
+    def d(e):
+        if id(e) not in memo:
+            memo[id(e)] = _derivative(e, d)
+        return memo[id(e)]
+
+    return d(e)
+
+
+def _derivative(e, d):
+    """d/dx of one node, with ``d`` differentiating its children."""
+    if isinstance(e, (Num, PiConst)):
+        return Num(0)
+    if isinstance(e, Var):
+        return Num(1)
+    if isinstance(e, Add):
+        return _add(d(e.left), d(e.right))
+    if isinstance(e, Sub):
+        return _sub(d(e.left), d(e.right))
+    if isinstance(e, Mul):
+        return _add(_mul(d(e.left), e.right), _mul(e.left, d(e.right)))
+    if isinstance(e, Div):
+        num = _sub(_mul(d(e.left), e.right), _mul(e.left, d(e.right)))
+        return _div(num, _pow(e.right, Num(2)))
+    if isinstance(e, Pow):
+        # literal exponents, by far the most common, need no tape
+        if type(e.exponent) is not Num and Tape(e.exponent).has_x:
+            raise DifferentiationError(
+                f"cannot differentiate {to_text(e)}: exponent contains x")
+        r = e.exponent
+        du = d(e.base)
+        return _mul(_mul(r, _pow(e.base, _sub(r, Num(1)))), du)
+    if isinstance(e, Neg):
+        return _negate(d(e.arg))
+    if isinstance(e, Sin):
+        return _mul(Cos(e.arg), d(e.arg))
+    if isinstance(e, Cos):
+        return _negate(_mul(Sin(e.arg), d(e.arg)))
+    if isinstance(e, Sqrt):
+        return _div(d(e.arg), _mul(Num(2), Sqrt(e.arg)))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -574,11 +574,11 @@ def _run_cli(*argv):
 
 
 @pytest.mark.parametrize("text", [
-    # it parses, but the tape builder, the printer and differentiate
-    # recurse into each function; the tape builder, called first, gives out
+    # it parses, but the tape builder and the printer recurse, one frame a
+    # level; the tape builder, which the integrand calls first, gives out
     "sin(" * 1000 + "x" + ")" * 1000,
-    # it parses, but the tape builder, like the printer, recurses down the
-    # left-leaning sum, one frame a term
+    # the tape builder recurses into every operand, so down the
+    # left-leaning sum too, one frame a term, and gives out first again
     " + ".join(["sin(x)"] * 994),
 ], ids=["1000_nested_sin", "994_term_sum"])
 def test_deep_nesting_is_one_line_usage_error(text):
@@ -586,6 +586,20 @@ def test_deep_nesting_is_one_line_usage_error(text):
     proc = _run_cli("integrate", "--integrand", text, "--a", "0", "--b", "1")
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (1, "", "quad: error: expression nested too deeply\n")
+
+
+@pytest.mark.parametrize("text", [
+    " + ".join(["sin(x)"] * 900),
+    "x^(" * 900 + "x" + ")" * 900,
+    "(" * 900 + "x" + "^1)" * 900,
+], ids=["900_term_sum", "900_nested_x_powers", "900_constant_powers"])
+def test_a_bracket_differentiates_as_deep_as_integrate_evaluates(text):
+    # the sign check reads f'', and differentiation steps through the
+    # tape, so the tape builder's one frame a level is the only limit; x
+    # in the exponents leaves the sign unknown, which still exits 0
+    proc = _run_cli("bracket", "--integrand", text, "--a", "0", "--b", "1",
+                    "--pair", "M,T")
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("text", ["(" * 10000 + "x" + ")" * 10000,

@@ -27,7 +27,7 @@ from quadrules.precision import workprec
 from quadrules.rules import Interval
 
 from oracles import (central_diff, central_second_diff, random_poly_tree,
-                     reference_parse, tree_eval, ulp)
+                     reference_differentiate, reference_parse, tree_eval, ulp)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import random_expression  # noqa: E402
@@ -274,6 +274,46 @@ class TestStructuralEquality:
         assert d6 != g.derivative_expr(5)
 
 
+def _derivative_trees():
+    """Trees for differentiation: negative and decimal literals, subtrees
+    shared by reference, and powers with constant and x-bearing
+    exponents."""
+    atoms = st.one_of(st.integers(min_value=-3, max_value=3).map(Num),
+                      st.sampled_from(["2.5", "-0.5", ".25"]).map(Num),
+                      st.just(Var()), st.just(PiConst()))
+    constants = st.one_of(st.integers(min_value=-3, max_value=3).map(Num),
+                          st.sampled_from(["2.5", "-0.5"]).map(Num),
+                          st.just(PiConst()))
+
+    def extend(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            *[pairs.map(lambda t, c=c: c(*t))
+              for c in (Add, Sub, Mul, Div, Pow)],
+            st.tuples(children, constants).map(lambda t: Pow(*t)),
+            children.map(lambda c: Mul(c, c)),
+            children.map(lambda c: Pow(c, c)),
+            children.map(Neg), children.map(Sin), children.map(Cos),
+            children.map(Sqrt))
+
+    return st.recursive(atoms, extend, max_leaves=25)
+
+
+def _x_in_exponent(e):
+    """Text -> node of each power in ``e`` whose exponent holds x."""
+    found, seen, stack = {}, set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Pow) and Tape(node.exponent).has_x:
+            found[to_text(node)] = node
+        stack += [getattr(node, name) for name in node.__match_args__
+                  if isinstance(getattr(node, name), expr.Expression)]
+    return found
+
+
 class TestDifferentiate:
     def test_identity(self):
         assert differentiate(Var()) == Num(1)
@@ -305,6 +345,42 @@ class TestDifferentiate:
     def test_variable_exponent_rejected(self):
         with pytest.raises(DifferentiationError):
             differentiate(parse("x^x"))
+
+    @pytest.mark.parametrize("text, named", [("x^(2^x)", "2 ^ x"),
+                                             ("(x^x)^x", "x ^ x")])
+    def test_the_innermost_power_with_x_in_its_exponent_is_named(self, text,
+                                                                 named):
+        # operands come first, as a DomainError names the first failing
+        # operand
+        with pytest.raises(DifferentiationError) as exc:
+            differentiate(parse(text))
+        assert str(exc.value) == \
+            f"cannot differentiate {named}: exponent contains x"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_derivative_trees())
+    @example(Mul(Pow(Var(), Var()), Sin(Pow(Num(2), Var()))))
+    def test_equals_the_recursive_walk(self, tree):
+        outcomes = []
+        for d in (differentiate, reference_differentiate):
+            try:
+                outcomes.append(d(tree))
+            except DifferentiationError as err:
+                outcomes.append(err)
+        got, want = outcomes
+        if not isinstance(want, DifferentiationError):
+            assert got == want
+            return
+        assert isinstance(got, DifferentiationError)
+        # the walk names the outermost power with x in its exponent and
+        # the pass over the tape the innermost; one such power is both
+        powers = _x_in_exponent(tree)
+        if len(powers) == 1:
+            assert str(got) == str(want)
+        named = powers[str(got)[len("cannot differentiate "):
+                                -len(": exponent contains x")]]
+        assert not _x_in_exponent(named.base)
+        assert not _x_in_exponent(named.exponent)
 
     def test_identity_simplifications(self):
         # d/dx (x + 7) folds the zero away entirely
