@@ -15,8 +15,9 @@ an integer or decimal literal; integers stay exact, decimal literals are
 converted at whatever working precision is active when the tree is
 evaluated, so one tree serves every precision.  Whitespace is ignored.
 Syntax errors report the byte offset of the offending token.  Each node
-class declares its symbol, precedence and evaluation once (``Expression``
-says how); the parser's tables, the printer and the tape read them there.
+class declares its symbol, precedence, evaluation and derivative once
+(``Expression`` says how); the parser's tables, the printer, the tape and
+``differentiate`` read them there.
 ``parse`` reads it by operator precedence without recursion, so
 parentheses and minus signs nest to any depth; the printer and the tape
 builder recurse into every operand, one frame per tree level, and
@@ -35,7 +36,8 @@ public ``Tape.run`` wraps x and the result as mpfs, and the package's hot
 loops call ``Tape._run`` on the tuples themselves.  Sine and cosine refuse
 arguments of 2^(2^17) or more, whose reduction by pi would take seconds
 to minutes, and powers refuse integer exponents of 2^128 or more unless
-the base is a power of two or zero, each with a ``DomainError``.
+the base is a power of two or zero (2^(2^20) then), each with a
+``DomainError``.
 
 At 53 bits the same steps first run on Python floats.  IEEE 754 requires
 +, -, *, / and sqrt on binary64 to round correctly, ties to even, which is
@@ -146,16 +148,18 @@ class DifferentiationError(ValueError):
 # 1.5, 2 or 0.5 to 2^256 + 0.5 takes 0.26 to 0.43 s, 2 or 0.5 to 2^4096 +
 # 0.5 6.3 to 6.7 s, and to the largest accepted exponent, 2^128 - 0.5, 0.4
 # to 0.56 s.  So fractional exponents of 2^128 or more are refused too,
-# on powers of two as well; only a base of 0 or 1 returns at once.
-_POW_BITS = 128
+# on powers of two as well; only a base of 0 or 1 returns at once.  Integer
+# exponents are built as ints, so bases answered at once refuse 2^(2^20).
+_POW_BITS, _QUICK_POW_BITS = 128, 2 ** 20
 
 
 def _checked_power(u, v, prec, rnd):
     sign, man, exp, bc = v
     if exp >= 0:
         # an integer exponent (fzero too), dispatched as mpf_pow does
-        if exp + bc > _POW_BITS and u[3] > 1:
-            raise DomainError(f"integer exponent of 2^{_POW_BITS} or more")
+        bits = _POW_BITS if u[3] > 1 else _QUICK_POW_BITS
+        if exp + bc > bits:
+            raise DomainError(f"integer exponent of 2^{bits} or more")
         n = -(man << exp) if sign else man << exp
         if n < 0 and u == fzero:
             raise DomainError("zero raised to a negative power")
@@ -315,23 +319,22 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 9
 class Expression(Record):
     """Base class for all nodes; every node is a frozen ``Record``.
 
-    Each node class declares once what the parser, printer and tape read:
-    its ``symbol`` (operator or name), precedence ``prec``, tuple
-    ``kernel`` and ``native`` float step.  A kernel is called k(u, prec,
-    rnd) or k(u, v, prec, rnd) on raw ``_mpf_`` tuples; a string names an
-    ``mpmath.ctx_mp_python`` function, looked up when a tape is built, as
-    perfbench's tracer counts calls there.  Literals and x have no kernel.
+    Each node class declares once what the parser, printer, tape and
+    ``differentiate`` read: its ``symbol`` (operator or name), precedence
+    ``prec``, tuple ``kernel``, ``native`` float step and ``derivative``
+    rule.  A kernel is called k(u, prec, rnd) or k(u, v, prec, rnd) on
+    raw ``_mpf_`` tuples; a string names an ``mpmath.ctx_mp_python``
+    function, looked up when a tape is built, as perfbench's tracer
+    counts calls there.  Literals and x have no kernel and no rule.
     Every domain check is inside a kernel; mpf_div's ZeroDivisionError
     on a zero divisor is the only one that is not a ``DomainError``.  A
     native step is a function on doubles with its source text, for the
     interpreted and the compiled float run; truediv raises on a zero
     denominator and math.sqrt on a negative value, so the tuple run
-    reports both.
-
-    Nodes are built, compared and hashed by structure, as every record
-    is.
+    reports both.  The rule derivative(e, da, db) is d/dx of e, built from
+    its operands' derivatives da and db (None for one operand).
     """
-    prec, kernel, native = _PREC_ATOM, None, None
+    prec, kernel, native, derivative = _PREC_ATOM, None, None, None
 
     def __str__(self):
         return to_text(self)
@@ -360,21 +363,26 @@ class _Infix(Expression):
 class Add(_Infix):
     symbol, prec, kernel = "+", _PREC_ADD, "mpf_add"
     native = operator.add, "{} + {}"
+    derivative = lambda e, da, db: _add(da, db)
 
 
 class Sub(_Infix):
     symbol, prec, kernel = "-", _PREC_ADD, "mpf_sub"
     native = operator.sub, "{} - {}"
+    derivative = lambda e, da, db: _sub(da, db)
 
 
 class Mul(_Infix):
     symbol, prec, kernel = "*", _PREC_MUL, "mpf_mul"
     native = operator.mul, "{} * {}"
+    derivative = lambda e, da, db: _add(_mul(da, e.right), _mul(e.left, db))
 
 
 class Div(_Infix):
     symbol, prec, kernel = "/", _PREC_MUL, "mpf_div"
     native = operator.truediv, "{} / {}"
+    derivative = lambda e, da, db: _div(
+        _sub(_mul(da, e.right), _mul(e.left, db)), _pow(e.right, Num(2)))
 
 
 class Pow(Expression):
@@ -382,6 +390,9 @@ class Pow(Expression):
     base: Expression
     exponent: Expression
     symbol, prec, kernel = "^", _PREC_POW, _checked_power
+    # differentiate refuses x in the exponent
+    derivative = lambda e, da, db: _mul(
+        _mul(e.exponent, _pow(e.base, _sub(e.exponent, Num(1)))), da)
 
 
 class _Unary(Expression):
@@ -393,19 +404,23 @@ class _Unary(Expression):
 class Neg(_Unary):
     symbol, prec, kernel = "-", _PREC_NEG, "mpf_neg"
     native = operator.neg, "-{}"
+    derivative = lambda e, da, db: _negate(da)
 
 
 class Sin(_Unary):
     symbol, kernel = "sin", _checked_sin
+    derivative = lambda e, da, db: _mul(Cos(e.arg), da)
 
 
 class Cos(_Unary):
     symbol, kernel = "cos", _checked_cos
+    derivative = lambda e, da, db: _negate(_mul(Sin(e.arg), da))
 
 
 class Sqrt(_Unary):
     symbol, kernel = "sqrt", _checked_sqrt
     native = math.sqrt, "sqrt({})"
+    derivative = lambda e, da, db: _div(da, _mul(Num(2), Sqrt(e.arg)))
 
 
 # ---------------------------------------------------------------------------
@@ -974,14 +989,14 @@ class Tape:
 def eval_expr(e, x, precision=53):
     """Value of ``e`` at ``x``, every operation rounded at ``precision`` bits.
 
-    ``x`` may be an mpmath float (used as given), an int, a decimal
-    string (the latter two converted at the requested precision), or None
-    for a tree without x.
+    ``x`` may be an mpmath float (used as given), an int, a Python float,
+    a decimal string (these three converted at the requested precision),
+    or None for a tree without x.
     Raises DomainError, naming the evaluation point, when the value
     leaves the real domain.
     """
     with workprec(precision):
-        if isinstance(x, (int, str)):
+        if isinstance(x, (int, float, str)):
             x = mpf(x)
         return +Tape(e).run(x)
 
@@ -1058,9 +1073,10 @@ def _pow(a, b):
 # symbolic differentiation
 
 def differentiate(e):
-    """d/dx of ``e`` by structural rules, with identity simplification.
+    """d/dx of ``e``, an expression or its ``Tape``, by each node class's
+    ``derivative`` rule, with identity simplification.
 
-    One forward pass over ``Tape(e).steps``, which take each structurally
+    One forward pass over the tape's steps, which take each structurally
     distinct node once, operands first: ``ds[r]`` is the derivative of
     register r and ``xs[r]`` whether it holds x, so equal subtrees share
     one derivative.  Power nodes must have a constant exponent: the node
@@ -1068,38 +1084,15 @@ def differentiate(e):
     exponent is not expressible and raises DifferentiationError, naming
     the first such power in step order, the innermost.
     """
-    tape = Tape(e)
+    tape = e if isinstance(e, Tape) else Tape(e)
     ds = [Num(0)] * len(tape.nodes)  # a literal's stays Num(0)
     xs = [False] * len(tape.nodes)
     if tape.has_x:
         ds[tape._var], xs[tape._var] = Num(1), True
     for out, _, a, b, e in tape.steps:
-        da, db = ds[a], None if b is None else ds[b]
         xs[out] = xs[a] or b is not None and xs[b]
-        if isinstance(e, Add):
-            d = _add(da, db)
-        elif isinstance(e, Sub):
-            d = _sub(da, db)
-        elif isinstance(e, Mul):
-            d = _add(_mul(da, e.right), _mul(e.left, db))
-        elif isinstance(e, Div):
-            num = _sub(_mul(da, e.right), _mul(e.left, db))
-            d = _div(num, _pow(e.right, Num(2)))
-        elif isinstance(e, Pow):
-            if xs[b]:
-                raise DifferentiationError(
-                    f"cannot differentiate {to_text(e)}: exponent contains x")
-            r = e.exponent
-            d = _mul(_mul(r, _pow(e.base, _sub(r, Num(1)))), da)
-        elif isinstance(e, Neg):
-            d = _negate(da)
-        elif isinstance(e, Sin):
-            d = _mul(Cos(e.arg), da)
-        elif isinstance(e, Cos):
-            d = _negate(_mul(Sin(e.arg), da))
-        elif isinstance(e, Sqrt):
-            d = _div(da, _mul(Num(2), Sqrt(e.arg)))
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-        ds[out] = d
+        if type(e) is Pow and xs[b]:
+            raise DifferentiationError(
+                f"cannot differentiate {to_text(e)}: exponent contains x")
+        ds[out] = e.derivative(ds[a], None if b is None else ds[b])
     return ds[tape.result]

@@ -9,16 +9,18 @@ Three built-in integrands are provided, all with the closed-form value pi:
 
 from __future__ import annotations
 
+import operator
+
 from .expr import (Expression, Num, PiConst, Record, Tape, differentiate,
                    parse, to_text)
 from .rules import Interval
 
 
 class Integrand(Record):
-    """A function to integrate, with lazily cached symbolic derivatives
-    and one evaluation tape per derivative order.  Like every record it
-    is frozen and hashes by its fields; ``==``, hash and repr ignore the
-    caches.
+    """A function to integrate, with one lazily built evaluation tape per
+    derivative order, which holds that order's tree.  Like every record
+    it is frozen and hashes by its fields; ``==``, hash and repr ignore
+    the caches.
 
     ``reference``, when present, is a constant expression for the exact
     value of the integral over ``interval`` (the built-ins use pi).
@@ -40,8 +42,8 @@ class Integrand(Record):
     name: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "_derivatives", [self.expression])
-        object.__setattr__(self, "_tapes", {0: Tape(self.expression)})
+        # order -> the tape of the order-th derivative
+        object.__setattr__(self, "_tapes", [Tape(self.expression)])
         # precision -> {(a, b, panels): node sums}
         object.__setattr__(self, "_carried", {})
 
@@ -50,17 +52,21 @@ class Integrand(Record):
         return cls(parse(text), Interval(a, b), reference, name)
 
     def derivative_expr(self, order):
-        """The order-th symbolic derivative (order 0 is f itself)."""
+        """The order-th symbolic derivative (order 0 is f itself), read
+        back from its tape.  Order k+1 is differentiated from the tape that
+        evaluates order k, so each order's tree is taped once."""
+        order = operator.index(order)
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        while len(self._derivatives) <= order:
-            self._derivatives.append(differentiate(self._derivatives[-1]))
-        return self._derivatives[order]
+        tapes = self._tapes
+        while len(tapes) <= order:
+            tapes.append(Tape(differentiate(tapes[-1])))
+        return tapes[order].nodes[tapes[order].result]
 
     def tape(self, order):
         """The evaluation tape of the order-th derivative."""
-        if order not in self._tapes:
-            self._tapes[order] = Tape(self.derivative_expr(order))
+        if not 0 <= order < len(self._tapes):
+            self.derivative_expr(order)  # builds it where wrappers see it
         return self._tapes[order]
 
     def eval_at(self, x):

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
 from quadrules.analysis import convergence_table, table_to_csv
@@ -780,3 +783,95 @@ def test_endpoints_are_compared_at_the_working_precision(argv, code, stdout,
                     *(("--rule", "M") if command == "integrate" else ()))
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (code, stdout, stderr)
+
+
+# a grammar of command lines over every subcommand and format: built-in
+# and expression integrands, nested functions past the recursion limit,
+# long sums, long literals, extreme and undefined interval endpoints,
+# panel counts up to 64 and precisions up to 256 bits, valid or not
+_NESTED = st.builds(lambda name, n: f"{name}(" * n + "x" + ")" * n,
+                    st.sampled_from(["sin", "cos", "sqrt", "x^"]),
+                    st.integers(1, 2000))
+_SUMS = st.builds(lambda terms, n: " + ".join(terms[k % len(terms)]
+                                              for k in range(n)),
+                  st.lists(st.sampled_from(["sin(x)", "x^2", "1/(1+x)",
+                                            "0.5", "sqrt(x)"]),
+                           min_size=1, max_size=3),
+                  st.integers(1, 1200))
+_LITERALS = st.builds(lambda lead, zeros, tail: f"{lead}{'0' * zeros}{tail}",
+                      st.sampled_from(["1", "1.", "0."]),
+                      st.integers(0, 5000), st.sampled_from(["*x", "1*x"]))
+_BUILTINS = st.sampled_from(["sin2", "asin6", "atan2"])
+_EXPRESSIONS = st.one_of(
+    st.sampled_from(["x", "-x", "1/x", "x^x", "sqrt(x - 0.5)",
+                     "x*cos(2*x) + sqrt(1+x^2)", "2^2^2^2^2*x",
+                     "x^(10^10^4)", "sin(10^10^6*x)"]),
+    _NESTED, _SUMS, _LITERALS)
+_ENDPOINTS = st.sampled_from([
+    "0", "1", "-1", "0.5", "-pi", "1e-300", "-1e300", "1e4000",
+    "1" + "0" * 5000, "1/0", "sqrt(-1)", "x", "10^10^4"])
+_INTERVALS = st.one_of(
+    st.tuples(st.sampled_from(["0", "-1", "0.25", "-pi"]),
+              st.sampled_from(["0.5", "1", "2", "pi"])),
+    st.sampled_from([("1e-300", "1e300"), ("-1e4000", "1e4000"),
+                     ("2^-1100", "2^1100"), ("1e300", "2e300"),
+                     ("-1e-4000", "1e-4000"), ("1", "1." + "0" * 4000 + "1"),
+                     ("1", "1." + "0" * 4000)]),
+    st.tuples(_ENDPOINTS, _ENDPOINTS))
+_PANELS = st.one_of(st.integers(1, 64).map(str),
+                    st.sampled_from(["0", "65", "two", "1,2"]))
+_RULES = st.sampled_from(["L", "R", "M", "T", "S", "T2", "Q", "Z"])
+# every subcommand's own options; the default table runs to 1,024 panels
+_OPTIONS = {
+    "integrate": {"--rule": _RULES, "--panels": _PANELS},
+    "bracket": {"--pair": st.sampled_from(["L,R", "M,T", "T2,S", "S,T2",
+                                           "L,Q", "M"]),
+                "--panels": _PANELS},
+    "table": {"--rules": st.sampled_from(["L,R", "M,T,S", "T2,Q",
+                                          "L,R,M,T,S,T2", "L,L"]),
+              "--panels": _PANELS | st.sampled_from(["1,2,4", "2^0..2^6",
+                                                     "3,2^1..2^2"])},
+    "degree": {"--rule": _RULES},
+    "pi": {"--example": st.sampled_from(["1", "2", "3", "4"]),
+           "--rule": _RULES, "--panels": _PANELS},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for option, values in _OPTIONS[command].items():
+        argv += [option, draw(values)]
+    if command in ("integrate", "bracket", "table"):
+        # half are built-ins and half have no interval, so that tables,
+        # which take only a built-in on its own interval, reach their rows
+        integrands = _BUILTINS if draw(st.booleans()) else _EXPRESSIONS
+        argv += ["--integrand", draw(integrands)]
+        if draw(st.booleans()):
+            a, b = draw(_INTERVALS)
+            argv += ["--a", a, "--b", b]
+    for option, values in (("--prec", st.integers(4, 256).map(str)),
+                           ("--format", st.sampled_from(["text", "csv",
+                                                         "json"]))):
+        if draw(st.booleans()):
+            argv += [option, draw(values)]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argvs())
+# a tower of powers of two, whose exponent at x = 2 was built as an int of
+# 2^65536 bits and raised OverflowError
+@example(argv=["bracket", "--integrand", "x^(" * 6 + "x" + ")" * 6,
+               "--a", "0", "--b", "2", "--panels", "1"])
+def test_every_request_ends_in_a_status_and_at_most_one_bounded_line(argv):
+    # in-process, so the limit on nesting is the test's own stack depth
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert code == 0 or out.getvalue() == ""
+    assert err.count("\n") <= 1 and err.endswith("\n") == (err != "")
+    assert len(err.encode()) <= 300 and "Traceback" not in err

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import (ComplexResult, finf, fnan, fninf, from_float,
-                          from_man_exp, fzero, mpf_add, mpf_mul_int, mpf_pow,
-                          round_nearest)
+from mpmath.libmp import (ComplexResult, finf, fnan, fninf, fone,
+                          from_float, from_man_exp, fzero, mpf_add,
+                          mpf_mul_int, mpf_pow, round_nearest)
 
 from quadrules import expr
 from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
@@ -382,6 +382,17 @@ class TestDifferentiate:
         assert not _x_in_exponent(named.base)
         assert not _x_in_exponent(named.exponent)
 
+    def test_a_derivative_order_must_be_an_integer(self):
+        f = builtin_integrand("asin6")
+        with pytest.raises(TypeError, match=(
+                "^'float' object cannot be interpreted as an integer$")):
+            f.derivative_expr(1.5)
+        assert len(f._tapes) == 1  # nothing was built before the refusal
+
+    def test_a_derivative_order_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            builtin_integrand("asin6").derivative_expr(-1)
+
     def test_identity_simplifications(self):
         # d/dx (x + 7) folds the zero away entirely
         assert differentiate(parse("x+7")) == Num(1)
@@ -444,6 +455,13 @@ class TestEval:
 
     def test_negative_base_integer_power(self):
         assert eval_expr(parse("(x-2)^3"), 0) == -8
+
+    def test_python_floats_convert_at_the_requested_precision(self):
+        assert eval_expr(parse("x"), 0.5) == mpf("0.5")
+        for precision in (8, 53, 113):
+            got = eval_expr(parse("x + 1"), 0.1, precision)
+            with workprec(precision):
+                assert got == mpf(0.1) + 1
 
     def test_decimal_literals_convert_at_eval_precision(self):
         e = parse("0.1")
@@ -1012,6 +1030,20 @@ class TestCheckedPower:
                         assert _checked_power(u._mpf_, n._mpf_, 256,
                                               round_nearest) == \
                             mpf_pow(u._mpf_, n._mpf_, 256, round_nearest)
+
+    def test_quick_bases_refuse_exponents_from_2_to_the_2_to_the_20(self):
+        # the exponent is built as an int; 2^2^2^2^2^2^2 would need one of
+        # 2^65536 bits, whose shift raised OverflowError past the CLI
+        below, top = (0, 1, 2 ** 20 - 1, 1), (0, 1, 2 ** 20, 1)
+        for u in (fzero, fone, (1, 1, 0, 1), (0, 1, -1, 1), (1, 1, 3, 1)):
+            assert _checked_power(u, below, 53, round_nearest) == \
+                mpf_pow(u, below, 53, round_nearest)
+            with pytest.raises(DomainError, match=(
+                    "^integer exponent of 2\\^1048576 or more$")):
+                _checked_power(u, top, 53, round_nearest)
+        with pytest.raises(DomainError, match=(
+                "^integer exponent of 2\\^1048576 or more in x \\^ x")):
+            eval_expr(parse("x^x^x^x^x^x^x"), 2)
 
     def test_fractional_exponents_from_2_to_the_128_are_refused(self):
         # on powers of two as well: only 0 and 1 are answered at once

@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import tracing  # noqa: E402
 from mpmath import mpf  # noqa: E402
-from quadrules import expr  # noqa: E402
+from quadrules import expr, integrand  # noqa: E402
 from quadrules.cli import main  # noqa: E402
 from quadrules.expr import (Add, Div, Expression, Mul, Neg, Sub,  # noqa: E402
                             Tape, parse)
@@ -156,3 +156,64 @@ def test_pi_256_makes_pinned_work_and_compiles_its_tuple_program_once(
     assert counts["mpmath.mpf_calls"] == 4125
     assert counts["integrand.f_evals"] == 2049
     assert compiled == [256]
+
+
+def test_an_asin6_table_tapes_each_derivative_order_once(monkeypatch):
+    # the tapes of f and f' to f'''' (the sign checks read f', f'' and
+    # f'''', the T2 and Q composites f''), the interval's two endpoints
+    # and the reference pi.  11 while differentiation taped each order's
+    # tree for its steps and the integrand taped it again to evaluate it
+    builds, init = [], expr.Tape.__init__
+
+    def counted(tape, e):
+        builds.append(e)
+        init(tape, e)
+
+    monkeypatch.setattr(expr.Tape, "__init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["table", "--integrand", "asin6",
+                     "--panels", "2^0..2^10"]) == 0
+    assert len(builds) == 8
+
+
+def test_differentiation_reads_the_tape_that_evaluates_the_order_below(
+        monkeypatch):
+    received, differentiate = [], integrand.differentiate
+
+    def recording(e):
+        received.append(e)
+        return differentiate(e)
+
+    monkeypatch.setattr(integrand, "differentiate", recording)
+    f = builtin_integrand("asin6")
+    f.derivative_expr(4)
+    assert len(received) == 4
+    assert all(e is f.tape(order) for order, e in enumerate(received))
+
+
+def test_the_tracer_sees_every_derivative_a_table_reads():
+    # tape(k) builds a missing order through derivative_expr, so the
+    # tracer records the trees of f', f'' and f'''' as before each order
+    # was taped once; the span now includes the derivative's tape build
+    tracer = tracing.Tracer()
+    with tracer, contextlib.redirect_stdout(io.StringIO()):
+        assert main(["table", "--integrand", "asin6",
+                     "--panels", "1,2,4"]) == 0
+    calls = tracer.counts["expr.differentiate_calls"]
+    tracer.end_op()
+    counts = tracer.per_op(1)
+    assert counts["integrand.derivative_expr_ms"] > 0
+    assert counts["expr.differentiate_ms"] > 0
+    assert calls == 4
+    assert counts["expr.deriv_nodes"] == 4166
+    assert counts["expr.deriv_distinct_nodes"] == 117
+
+
+def test_every_operator_class_declares_its_derivative_rule():
+    operators = [c for c in vars(expr).values() if isinstance(c, type)
+                 and issubclass(c, Expression) and c.kernel is not None]
+    assert {c.__name__ for c in operators} == \
+        {"Add", "Sub", "Mul", "Div", "Pow", "Neg", "Sin", "Cos", "Sqrt"}
+    assert all(callable(vars(c).get("derivative")) for c in operators)
+    for leaf in (expr.Num, expr.PiConst, expr.Var):
+        assert leaf.derivative is None and "derivative" not in vars(leaf)
