@@ -194,7 +194,7 @@ def _candidates(v, r, cap):
     vs, rs = vs.ljust(width, b"\0"), rs.ljust(width, b"\0")
     k = next(i for i in range(width) if vs[i] != rs[i])  # vs[i]: digit i+1
     if rs[k] == vs[k] + 1:
-        carry = min(_run(vs[k + 1:], 9), _run(rs[k + 1:], 0))
+        carry = min(_leading(vs[k + 1:], 9), _leading(rs[k + 1:], 0))
         yield from range(min(k + 1 + carry, cap), k, -1)
     d = max(vs.rfind(bytes([digit]), 1, min(k, cap) + 1)
             for digit in range(5))
@@ -202,7 +202,7 @@ def _candidates(v, r, cap):
         yield d
 
 
-def _run(digits, digit):
+def _leading(digits, digit):
     """How many times ``digits`` (bytes) starts with ``digit`` in a row."""
     return len(digits) - len(digits.lstrip(bytes([digit])))
 

@@ -163,7 +163,7 @@ UNKNOWN = "unknown"
 
 SAMPLES = 257  # equispaced sign-check points, both endpoints included
 
-_eval = Tape._run  # the sign check's one call per sample goes through here
+_eval = Tape.run  # the sign check's one call per sample goes through here
 _BY_MAGNITUDE = cmp_to_key(mpf_cmp)  # orders non-negative tuples exactly
 
 _TAGS = {ALL_POSITIVE: "A+", ALL_NEGATIVE: "A-", IDENTICALLY_ZERO: "A0",

@@ -30,45 +30,23 @@ serialized through their printed form.
 Evaluation has one path, ``Tape``: a tree compiled once into flat steps,
 one per operator node, with one register per structurally distinct node,
 literals materialized once per precision, and bit-identical to a
-recursive walk of the tree.
-The steps call ``mpmath.libmp`` kernels on raw ``_mpf_`` tuples; the
-public ``Tape.run`` wraps x and the result as mpfs, and the package's hot
-loops call ``Tape._run`` on the tuples themselves.  Sine and cosine refuse
-arguments of 2^(2^17) or more, whose reduction by pi would take seconds
-to minutes, and powers refuse integer exponents of 2^128 or more unless
-the base is a power of two or zero (2^(2^20) then), each with a
-``DomainError``.
+recursive walk of the tree.  Its one run method, ``Tape.run``, takes x
+and returns the value as raw ``_mpf_`` tuples, on which the steps call
+``mpmath.libmp`` kernels; mpfs are made only where the package hands a
+value out (``eval_expr``, ``Integrand.eval_at`` and ``derivative_at``,
+and a ``DomainError``'s point).  At 53 bits a run first tries the steps
+on Python floats, and after 300 runs of one program a tape runs that
+program compiled to one Python function; ``Tape`` says when each run
+answers, and why every run gives the same value or error text.
+Sine and cosine refuse arguments of 2^(2^17) or more, whose reduction
+by pi would take seconds to minutes, and powers refuse integer
+exponents of 2^128 or more unless the base is a power of two or zero
+(2^(2^20) then), each with a ``DomainError``.
 
-At 53 bits the same steps first run on Python floats.  IEEE 754 requires
-+, -, *, / and sqrt on binary64 to round correctly, ties to even, which is
-``round_nearest`` at 53 bits as long as every value stays in the normal
-range [2^-1022, 2^1024); mpmath's exponent is unbounded, a double's is
-not.  So the float run is an accelerator only: when an input has no
-exact double, a register ends up subnormal, infinite or NaN, a product or
-quotient of nonzero values underflows to 0, or a step raises, the tuple
-run of every other precision answers with its value or error.  Tapes
-with too few native float steps to repay the conversions keep the tuple
-run.  ``grid`` computes equispaced evaluation points the same way: on
-doubles at 53 bits where they round as the tuple formula does; elsewhere
-in integers when every point is exact, as on a dyadic interval split
-into 2^k panels, and by the formula otherwise.
-
-A tape's runs are first interpreted, one step per loop turn.  At its
-300th float run, and at its 300th tuple run at one precision, about when
-compiled runs would have saved what compiling costs, ``_compile`` or
-``_compile_tuples`` generates and compiles one straight-line Python
-function for that program, with the registers as locals.  The float
-program's native steps become plain operators and x converts from its
-tuple inline; it performs the same IEEE 754 operations on the same
-operands in the same order, so every register holds the same double, and
-it applies the same exponent scan and exact checks and catches the same
-exceptions, so it answers with the interpreted loop's double or hands the
-point to the tuple run where that loop would.  The tuple program calls
-the same kernels with the precision and the rounding mode as constants;
-where it raises a domain error, or mpf_div a ZeroDivisionError, the
-interpreted loop runs again and raises it with its node and point.
-Values, error text and fallback decisions do not depend on which run
-answered.
+``grid`` computes equispaced evaluation points on doubles at 53 bits
+where they round as the tuple formula does; elsewhere in integers when
+every point is exact, as on a dyadic interval split into 2^k panels,
+and by the formula otherwise.
 """
 
 from __future__ import annotations
@@ -750,12 +728,13 @@ def _compile(program, var, result):
 
 def _compile_tuples(tape, prec):
     """A tape's tuple run at ``prec`` as one generated function of an
-    ``_mpf_`` tuple x, answering as ``Tape._interpret`` does except that
-    a domain error carries no node or point.  Registers are locals, and
-    literal registers globals of the same names bound to their tuples at
-    ``prec``.  Step i calls the same kernel object, the global k<i>, in the
-    interpreted loop's order with the precision and the rounding mode as
-    constants, so a zero divisor raises mpf_div's ZeroDivisionError."""
+    ``_mpf_`` tuple x, answering as ``Tape.run``'s interpreted loop does
+    except that a domain error carries no node or point.  Registers are
+    locals, and literal registers globals of the same names bound to their
+    tuples at ``prec``.  Step i calls the same kernel object, the global
+    k<i>, in the interpreted loop's order with the precision and the
+    rounding mode as constants, so a zero divisor raises mpf_div's
+    ZeroDivisionError."""
     values, tail = tape._template(prec), f"{prec}, {round_nearest!r}"
     namespace = {f"r{r}": values[r] for r, _ in tape._literals}
     lines = [] if tape._var is None else [f" r{tape._var} = x"]
@@ -777,16 +756,19 @@ class Tape:
     so values are bit-identical to the walk's and the first domain error
     is the one it would raise.  ``has_x`` tells whether the variable x
     occurs; x and the literals hold registers and no step, and a run
-    without x on a tape with x raises before any step.  ``run`` takes
-    and returns mpfs; the package's own hot loops call ``_run``, which
-    takes and returns raw tuples.
+    without x on a tape with x raises before any step.  ``run`` is the
+    one run method: it takes and returns raw ``_mpf_`` tuples, chooses
+    among the float program, the compiled tuple program and the
+    interpreted tuple loop, which it holds itself, and counts the runs
+    that decide when to compile.
 
     At 53 bits ``run`` first tries the steps on doubles: add, sub, mul,
     div, neg, sqrt and the powers u^2, u^-1, u^1 and u^0 natively, every
-    other step through its kernel on exact tuples.  Inside the normal
-    range IEEE 754's round-half-even equals ``round_nearest`` at 53 bits,
-    so the double result is the tuple run's, bit for bit.  The float run
-    returns None, and ``_run`` goes on to the tuple run that every other
+    other step through its kernel on exact tuples.  IEEE 754 rounds +, -,
+    *, / and sqrt on binary64 correctly, ties to even, which inside the
+    normal range [2^-1022, 2^1024) is ``round_nearest`` at 53 bits; so
+    the double result is the tuple run's, bit for bit.  The float run
+    returns None, and ``run`` goes on to the tuple run that every other
     precision takes, whose value or ``DomainError`` answers, whenever a
     literal or x has no exact double (more than 53 bits, or outside the
     normal range), a register ends up subnormal, infinite or NaN, a
@@ -803,9 +785,9 @@ class Tape:
     and applies the same checks.  The tuple function, one per precision,
     calls the same kernel objects, which a tracer that rebinds
     ``mpmath.ctx_mp_python`` still counts; where it raises a
-    ``DomainError`` or ``ZeroDivisionError``, ``_interpret`` runs the
-    point again and raises a ``DomainError`` with its node and point.  So
-    the answers are the interpreted loop's, and so are the counted calls
+    ``DomainError`` or ``ZeroDivisionError``, the interpreted loop runs
+    the point again and raises a ``DomainError`` with its node and point.
+    So the answers are the interpreted loop's, and so are the counted calls
     of every run that returns a value; a compiled run that raises makes
     the calls before its failing step twice, once compiled and once
     interpreted.  All runs read their steps from the node classes'
@@ -871,22 +853,25 @@ class Tape:
         return template
 
     def run(self, x):
-        """Value at the mpf ``x`` (None for a constant) at the ambient
-        precision, as an mpf."""
-        return mp.make_mpf(self._run(None if x is None else x._mpf_))
-
-    def _run(self, x):
-        """``run`` on raw tuples: the value at the ``_mpf_`` tuple ``x``
-        (None for a constant), as an ``_mpf_`` tuple.  A tape with x
-        refuses None before any run.  A 53-bit float run that returns None
-        falls through to the tuple run."""
+        """The value at the ``_mpf_`` tuple ``x`` (None for a constant) at
+        the ambient precision, as an ``_mpf_`` tuple.  A tape with x
+        refuses None before any run.  At 53 bits the float program answers
+        where it can; then the compiled tuple program, and where there is
+        none or it raises, the interpreted loop, one step a turn."""
         if x is None and self._var is not None:
             raise DomainError("free variable x in a constant context",
                               self.nodes[self._var])
         prec = mp.prec
         if prec == 53 and (self._floats if self._floats is not None
                            else self._program()):
-            value = (self._compiled or self._run_floats)(x)
+            if self._compiled is None:
+                self._runs += 1
+                if self._runs == _COMPILE_AFTER:
+                    self._compiled = _compile(self._floats, self._var,
+                                              self.result)
+                value = self._run_floats(x)
+            else:
+                value = self._compiled(x)
             if value is not None:
                 return _to_tuple(value)
         program = self._tuple_programs.get(prec)
@@ -899,10 +884,6 @@ class Tape:
             runs = self._tuple_runs[prec] = self._tuple_runs.get(prec, 0) + 1
             if runs == _COMPILE_AFTER:
                 self._tuple_programs[prec] = _compile_tuples(self, prec)
-        return self._interpret(x, prec)
-
-    def _interpret(self, x, prec):
-        """The tuple run as an interpreted loop, one step a turn."""
         regs = self._template(prec).copy()
         if self._var is not None:
             regs[self._var] = x
@@ -963,11 +944,8 @@ class Tape:
     def _run_floats(self, x):
         """The 53-bit value at the tuple ``x`` as a double from the
         interpreted float program, or None where the tuple run must answer
-        instead.  Compiles the program at the ``_COMPILE_AFTER``-th run."""
+        instead."""
         regs, steps, products, packer = self._floats
-        self._runs += 1
-        if self._runs == _COMPILE_AFTER:
-            self._compiled = _compile(self._floats, self._var, self.result)
         regs = regs.copy()
         try:
             if self._var is not None:
@@ -998,7 +976,7 @@ def eval_expr(e, x, precision=53):
     with workprec(precision):
         if isinstance(x, (int, float, str)):
             x = mpf(x)
-        return +Tape(e).run(x)
+        return +mp.make_mpf(Tape(e).run(None if x is None else x._mpf_))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import operator
 
+from mpmath import mp
+
 from .expr import (Expression, Num, PiConst, Record, Tape, differentiate,
                    parse, to_text)
 from .rules import Interval
@@ -65,15 +67,19 @@ class Integrand(Record):
 
     def tape(self, order):
         """The evaluation tape of the order-th derivative."""
-        if not 0 <= order < len(self._tapes):
-            self.derivative_expr(order)  # builds it where wrappers see it
+        try:
+            if order >= 0:
+                return self._tapes[order]
+        except (IndexError, TypeError):
+            pass
+        self.derivative_expr(order)  # builds it where wrappers see it
         return self._tapes[order]
 
     def eval_at(self, x):
-        return self._tapes[0].run(x)
+        return mp.make_mpf(self._tapes[0].run(x._mpf_))
 
     def derivative_at(self, x, order):
-        return self.tape(order).run(x)
+        return mp.make_mpf(self.tape(order).run(x._mpf_))
 
     def carry(self, precision):
         """The carried node sums at ``precision``, for the composite to

@@ -567,7 +567,7 @@ def check_assumption_A_mpf(f, order, precision=53):
         xs = [a + step * i for i in range(SAMPLES - 1)] + [b]
         try:
             tape = f.tape(order)
-            values = [tape.run(x) for x in xs]
+            values = [mp.make_mpf(tape.run(x._mpf_)) for x in xs]
         except (DomainError, DifferentiationError):
             return AssumptionVerdict(UNKNOWN)
         return sign_verdict_mpf(xs, values, precision)

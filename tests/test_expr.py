@@ -389,6 +389,19 @@ class TestDifferentiate:
             f.derivative_expr(1.5)
         assert len(f._tapes) == 1  # nothing was built before the refusal
 
+    def test_a_tape_order_must_be_a_non_negative_integer(self):
+        # the same refusals on a fresh integrand and on one whose f' is
+        # built, as after any L,R table
+        f = builtin_integrand("asin6")
+        for built in (1, 2):
+            with pytest.raises(TypeError, match=(
+                    "^'float' object cannot be interpreted as an integer$")):
+                f.tape(1.5)
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                f.tape(-1)
+            assert len(f._tapes) == built
+            f.tape(1)
+
     def test_a_derivative_order_must_not_be_negative(self):
         with pytest.raises(ValueError, match="order must be >= 0"):
             builtin_integrand("asin6").derivative_expr(-1)
@@ -536,14 +549,14 @@ class TestTape:
                     x = mpf(x) if isinstance(x, str) else x
                     want = _outcome(tree_eval, tree, x)
                     for tape in tapes:
-                        assert _outcome(Tape.run, tape, x) == want
+                        assert _outcome(_mpf_run, tape, x) == want
 
     def test_x_keeps_its_bits_and_negation_rounds_them(self):
         with workprec(53):
-            assert Tape(Var()).run(_THIRD)._mpf_ == _THIRD._mpf_
-            negated = Tape(Neg(Var())).run(_THIRD)
+            assert Tape(Var()).run(_THIRD._mpf_) == _THIRD._mpf_
+            negated = Tape(Neg(Var())).run(_THIRD._mpf_)
         # the last field of an _mpf_ tuple is the significand's bit count
-        assert negated._mpf_[3] <= 53 < _THIRD._mpf_[3]
+        assert negated[3] <= 53 < _THIRD._mpf_[3]
         self.assert_matches_tree_walk(Var())
         self.assert_matches_tree_walk(Neg(Var()))
 
@@ -567,15 +580,15 @@ class TestTape:
         assert _outcome(eval_expr, e, 1) == want
         with workprec(53):
             assert _outcome(tree_eval, e, mpf(1)) == want
-            assert _outcome(Tape.run, Tape(e), mpf(1)) == want
+            assert _outcome(_mpf_run, Tape(e), mpf(1)) == want
         tape = Tape(e)
         with workprec(113):
             for _ in range(expr._COMPILE_AFTER):
-                tape._run(mpf(-1)._mpf_)
+                tape.run(mpf(-1)._mpf_)
             program = tape._tuple_programs[113]
             assert _tuple_outcome(program, mpf(1)._mpf_)[:2] == \
                 ("error", reason)
-            assert _outcome(Tape.run, tape, mpf(1)) == want
+            assert _outcome(_mpf_run, tape, mpf(1)) == want
         # a constant context refuses x before any operand runs
         with pytest.raises(DomainError) as exc:
             eval_expr(parse("1/0 + x"), None)
@@ -600,12 +613,26 @@ class TestTape:
                 self.assert_matches_tree_walk(f.derivative_expr(order))
 
 
-def _tuple_run(tape, x):
-    return mp.make_mpf(tape._interpret(_raw(x), 53))
+def _mpf_run(tape, x):
+    """``Tape.run`` on mpfs."""
+    return mp.make_mpf(tape.run(_raw(x)))
 
 
 def _raw(x):
     return None if x is None else x._mpf_
+
+
+def _tuple_tape(tape):
+    """A fresh tape of ``tape``'s tree without a float program, so that
+    its first ``_COMPILE_AFTER`` runs at each precision, 53 bits
+    included, are the interpreted tuple loop's."""
+    fresh = Tape(tape.nodes[tape.result])
+    fresh._floats = False
+    return fresh
+
+
+def _tuple_run(tape, x):
+    return _mpf_run(_tuple_tape(tape), x)
 
 
 def _compiled_tape(tree):
@@ -622,7 +649,7 @@ def _compiled_tape(tree):
 def _which_run(tape, x):
     """Which run answers at 53 bits: "floats", "fallback" (the float run
     hands over to the tuple run), "tuples" (no float program) or "refused"
-    (no x for a tape with x: ``Tape._run`` raises before any run)."""
+    (no x for a tape with x: ``Tape.run`` raises before any run)."""
     if x is None and tape.has_x:
         return "refused"
     if not tape._program():
@@ -677,8 +704,8 @@ class TestFloatBackend:
             assert _which_run(tape, x) == run
             want = "DomainError: free variable x in a constant context " \
                 "in x" if run == "refused" else _outcome(_tuple_run, tape, x)
-            assert _outcome(Tape.run, tape, x) == want
-            assert _outcome(Tape.run, compiled, x) == want
+            assert _outcome(_mpf_run, tape, x) == want
+            assert _outcome(_mpf_run, compiled, x) == want
             if run in ("floats", "fallback"):
                 # the same double, -0.0 included, or the same hand-over
                 interpreted, generated = (
@@ -720,16 +747,21 @@ class TestFloatBackend:
 
     def test_the_north_star_table_never_falls_back(self, monkeypatch,
                                                   compiles):
-        # a tuple run at 53 bits on a tape with a float program is a
-        # fallback
-        fallbacks, interpret = [], Tape._interpret
+        # a float run, interpreted or compiled, that answers None hands
+        # its point over to the tuple run: a fallback
+        fallbacks, generate = [], expr._compile
 
-        def counted_interpret(tape, x, prec):
-            if prec == 53 and tape._floats:
-                fallbacks.append(x)
-            return interpret(tape, x, prec)
+        def counted(run):
+            def float_run(*args):  # (tape, x) or (x)
+                value = run(*args)
+                if value is None:
+                    fallbacks.append(args[-1])
+                return value
+            return float_run
 
-        monkeypatch.setattr(Tape, "_interpret", counted_interpret)
+        monkeypatch.setattr(Tape, "_run_floats", counted(Tape._run_floats))
+        monkeypatch.setattr(expr, "_compile",
+                            lambda *args: counted(generate(*args)))
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["table", "--integrand", "asin6",
                          "--panels", "2^0..2^10"]) == 0
@@ -790,16 +822,18 @@ class TestTupleProgram:
             with workprec(300):  # no double holds these
                 points += [(mpf(c) + mpf(k) / 7)._mpf_ for k in (-2, -1, 1)]
             with workprec(prec):
-                interpreted = [_tuple_outcome(tape._run, x) for x in points]
+                interpreted = [_tuple_outcome(tape.run, x) for x in points]
                 while prec not in tape._tuple_programs:
                     for x in points:
-                        _tuple_outcome(tape._run, x)
+                        _tuple_outcome(tape.run, x)
                 program = tape._tuple_programs[prec]
                 for x, want in zip(points, interpreted):
-                    assert _tuple_outcome(tape._run, x) == want
-                for x in points[1:]:  # x = None goes to Tape._run only
-                    loop = _tuple_outcome(tape._interpret, x, prec)
-                    assert _tuple_outcome(program, x)[:2] == loop[:2]
+                    assert _tuple_outcome(tape.run, x) == want
+                # a fresh tape, far below _COMPILE_AFTER runs, runs the loop
+                loop = _tuple_tape(tape).run
+                for x in points[1:]:  # Tape.run refuses x = None itself
+                    assert _tuple_outcome(program, x)[:2] == \
+                        _tuple_outcome(loop, x)[:2]
             failing = {"error"} if variant != self.VARIANTS[0] and \
                 variant != self.VARIANTS[4] else set()
             assert {o[0] for o in interpreted[1:]} - {"value"} == failing
@@ -995,7 +1029,7 @@ class TestCheckedPower:
                     tape = Tape(tree)
                     v = mpf(expo)._mpf_
                     for x in self.BASES:
-                        got = _outcome(Tape.run, tape, x)
+                        got = _outcome(_mpf_run, tape, x)
                         assert got == _outcome(tree_eval, tree, x)
                         try:
                             value = _checked_power(x._mpf_, v, precision,
