@@ -22,12 +22,11 @@ text for csv.
 
 Exit status: 0 on success, 1 on usage errors (unknown flag, rule or
 integrand, malformed input, an expression nested too deeply for the
-printer or the tape builder, which recurse, an integrand whose
-derivative the rule needs but cannot be taken) and on a closed
-stdout, 2 on numeric domain errors (the message names the offending
-node, and the point and panel where f fails; an undefined interval
-endpoint names its node only) and on interval endpoints that round to
-a >= b at the working precision.
+tape builder, which recurses, an integrand whose derivative the rule
+needs but cannot be taken) and on a closed stdout, 2 on numeric domain
+errors (the message names the offending node, and the point and panel
+where f fails; an undefined interval endpoint names its node only) and
+on interval endpoints that round to a >= b at the working precision.
 Data goes to stdout, diagnostics to stderr as one line of at most 300
 UTF-8 bytes, its middle cut where longer; output bytes are deterministic
 for fixed inputs and precision.

@@ -15,13 +15,13 @@ an integer or decimal literal; integers stay exact, decimal literals are
 converted at whatever working precision is active when the tree is
 evaluated, so one tree serves every precision.  Whitespace is ignored.
 Syntax errors report the byte offset of the offending token.  Each node
-class declares its symbol, precedence, evaluation and derivative once
-(``Expression`` says how); the parser's tables, the printer, the tape and
-``differentiate`` read them there.
+class declares its symbol, precedence, text, evaluation and derivative
+once (``Expression`` says how); the parser's tables, the printer, the
+tape and ``differentiate`` read them there.
 ``parse`` reads it by operator precedence without recursion, so
-parentheses and minus signs nest to any depth; the printer and the tape
-builder recurse into every operand, one frame per tree level, and
-``differentiate`` is one loop over a tape's steps.
+parentheses and minus signs nest to any depth.  The tape builder is the
+one walk that recurses, one frame per tree level; the printer
+``to_text`` and ``differentiate`` are each one loop over a tape.
 
 Trees are immutable (frozen ``Record`` subclasses, whose structural
 ``==`` and hash walk any depth) and ``parse(to_text(e))``
@@ -100,8 +100,11 @@ class DomainError(ArithmeticError):
         super().__init__(" ".join(parts))
 
     def located(self, panel, panels=None):
-        """Copy of the error annotated with a composite panel."""
-        return DomainError(self.reason, self.node, self.x, panel, panels)
+        """Copy of an error without a panel, annotated with one; the copy
+        reuses its text, so its node and point are printed once."""
+        err = DomainError(str(self), None, None, panel, panels)
+        err.reason, err.node, err.x = self.reason, self.node, self.x
+        return err
 
 
 class DifferentiationError(ValueError):
@@ -299,18 +302,19 @@ class Expression(Record):
 
     Each node class declares once what the parser, printer, tape and
     ``differentiate`` read: its ``symbol`` (operator or name), precedence
-    ``prec``, tuple ``kernel``, ``native`` float step and ``derivative``
+    ``prec``, text ``form`` (one ``{}`` per operand) and operand levels
+    ``binds``, tuple ``kernel``, ``native`` float step and ``derivative``
     rule.  A kernel is called k(u, prec, rnd) or k(u, v, prec, rnd) on
     raw ``_mpf_`` tuples; a string names an ``mpmath.ctx_mp_python``
     function, looked up when a tape is built, as perfbench's tracer
     counts calls there.  Literals and x have no kernel and no rule.
     Every domain check is inside a kernel; mpf_div's ZeroDivisionError
     on a zero divisor is the only one that is not a ``DomainError``.  A
-    native step is a function on doubles with its source text, for the
-    interpreted and the compiled float run; truediv raises on a zero
-    denominator and math.sqrt on a negative value, so the tuple run
-    reports both.  The rule derivative(e, da, db) is d/dx of e, built from
-    its operands' derivatives da and db (None for one operand).
+    native step is a function on doubles, whose source text in the
+    compiled float run is the form; truediv raises on a zero denominator
+    and math.sqrt on a negative value, so the tuple run reports both.
+    The rule derivative(e, da, db) is d/dx of e, built from its operands'
+    derivatives da and db (None for one operand).
     """
     prec, kernel, native, derivative = _PREC_ATOM, None, None, None
 
@@ -322,14 +326,17 @@ class Num(Expression):
     # int for integer literals (exact), str for decimal literals (converted
     # at evaluation precision).  May be negative: unary minus folds in.
     value: object
+    # its own text; a negative literal prints its minus, binding as a Neg
+    form = property(lambda e: str(e.value))
+    prec = property(lambda e: _PREC_NEG if e.form[:1] == "-" else _PREC_ATOM)
 
 
 class PiConst(Expression):
-    symbol = "pi"
+    symbol = form = "pi"
 
 
 class Var(Expression):
-    symbol = "x"
+    symbol = form = "x"
 
 
 class _Infix(Expression):
@@ -340,25 +347,25 @@ class _Infix(Expression):
 
 class Add(_Infix):
     symbol, prec, kernel = "+", _PREC_ADD, "mpf_add"
-    native = operator.add, "{} + {}"
+    native, form, binds = operator.add, "{} + {}", (_PREC_ADD, _PREC_MUL)
     derivative = lambda e, da, db: _add(da, db)
 
 
 class Sub(_Infix):
     symbol, prec, kernel = "-", _PREC_ADD, "mpf_sub"
-    native = operator.sub, "{} - {}"
+    native, form, binds = operator.sub, "{} - {}", (_PREC_ADD, _PREC_MUL)
     derivative = lambda e, da, db: _sub(da, db)
 
 
 class Mul(_Infix):
     symbol, prec, kernel = "*", _PREC_MUL, "mpf_mul"
-    native = operator.mul, "{} * {}"
+    native, form, binds = operator.mul, "{} * {}", (_PREC_MUL, _PREC_NEG)
     derivative = lambda e, da, db: _add(_mul(da, e.right), _mul(e.left, db))
 
 
 class Div(_Infix):
     symbol, prec, kernel = "/", _PREC_MUL, "mpf_div"
-    native = operator.truediv, "{} / {}"
+    native, form, binds = operator.truediv, "{} / {}", (_PREC_MUL, _PREC_NEG)
     derivative = lambda e, da, db: _div(
         _sub(_mul(da, e.right), _mul(e.left, db)), _pow(e.right, Num(2)))
 
@@ -368,36 +375,38 @@ class Pow(Expression):
     base: Expression
     exponent: Expression
     symbol, prec, kernel = "^", _PREC_POW, _checked_power
+    form, binds = "{} ^ {}", (_PREC_ATOM, _PREC_NEG)
     # differentiate refuses x in the exponent
     derivative = lambda e, da, db: _mul(
         _mul(e.exponent, _pow(e.base, _sub(e.exponent, Num(1)))), da)
 
 
 class _Unary(Expression):
-    """A node of one argument: negation, or a function that binds like an
-    atom and whose ``symbol`` is its name."""
+    """A node of one argument: negation, or a function, which binds like
+    an atom, is named by its ``symbol`` and binds its argument at 0."""
     arg: Expression
+    binds = (0,)
 
 
 class Neg(_Unary):
     symbol, prec, kernel = "-", _PREC_NEG, "mpf_neg"
-    native = operator.neg, "-{}"
+    native, form, binds = operator.neg, "-{}", (_PREC_NEG,)
     derivative = lambda e, da, db: _negate(da)
 
 
 class Sin(_Unary):
-    symbol, kernel = "sin", _checked_sin
+    symbol, form, kernel = "sin", "sin({})", _checked_sin
     derivative = lambda e, da, db: _mul(Cos(e.arg), da)
 
 
 class Cos(_Unary):
-    symbol, kernel = "cos", _checked_cos
+    symbol, form, kernel = "cos", "cos({})", _checked_cos
     derivative = lambda e, da, db: _negate(_mul(Sin(e.arg), da))
 
 
 class Sqrt(_Unary):
-    symbol, kernel = "sqrt", _checked_sqrt
-    native = math.sqrt, "sqrt({})"
+    symbol, form, kernel = "sqrt", "sqrt({})", _checked_sqrt
+    native = math.sqrt
     derivative = lambda e, da, db: _div(da, _mul(Num(2), Sqrt(e.arg)))
 
 
@@ -516,44 +525,6 @@ def parse(text):
         elif kind != "eof":
             raise ParseError(f"unexpected trailing input {value!r}", off)
     return e
-
-
-# ---------------------------------------------------------------------------
-# printing: canonical parenthesized infix, inverse of parse()
-
-def _prec(e):
-    if isinstance(e, Num) and _num_is_negative(e.value):
-        return _PREC_NEG  # prints with a leading minus, parse like a Neg
-    return e.prec
-
-
-def _num_is_negative(value):
-    return value < 0 if isinstance(value, int) else value.startswith("-")
-
-
-def _fmt(e, ctx=0):
-    """The text of ``e``, parenthesized where it binds below ``ctx``."""
-    if isinstance(e, _Infix):
-        text = f"{_fmt(e.left, e.prec)} {e.symbol} {_fmt(e.right, e.prec + 1)}"
-    elif isinstance(e, Neg):
-        text = f"{e.symbol}{_fmt(e.arg, e.prec)}"
-    elif isinstance(e, _Unary):  # a function
-        text = f"{e.symbol}({_fmt(e.arg)})"
-    elif isinstance(e, Pow):
-        text = f"{_fmt(e.base, _PREC_ATOM)} {e.symbol} " \
-               f"{_fmt(e.exponent, _PREC_NEG)}"
-    elif isinstance(e, Num):
-        text = str(e.value)
-    elif isinstance(e, (PiConst, Var)):
-        text = e.symbol
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    return f"({text})" if _prec(e) < ctx else text
-
-
-def to_text(e):
-    """Canonical infix text; parse(to_text(e)) is structurally equal to e."""
-    return _fmt(e)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +667,7 @@ def _normal(regs, products):
 def _compile(program, var, result):
     """The float program of a tape as one generated function of an
     ``_mpf_`` tuple x, answering as ``Tape._run_floats`` does.  Registers
-    are locals, native steps their declared source text, and kernel steps
+    are locals, native steps their node class's ``form``, and kernel steps
     call the same ``_on_tuples`` closures, in the interpreted loop's order;
     x converts by ``_to_double``'s rule, and the same exponent scan and
     exact checks decide between the result and None."""
@@ -791,7 +762,7 @@ class Tape:
     of every run that returns a value; a compiled run that raises makes
     the calls before its failing step twice, once compiled and once
     interpreted.  All runs read their steps from the node classes'
-    ``kernel`` and ``native`` declarations.
+    ``kernel``, ``native`` and ``form`` declarations.
     """
 
     def __init__(self, e):
@@ -921,19 +892,19 @@ class Tape:
         steps, products, kernels = [], [], 0
         for out, kernel, a, b, e in self.steps:
             t = type(e)
-            native = t.native
+            native, text = t.native, t.form
             if t is Pow and template[b] is not None and \
                     regs[b] in (2, -1, 1, 0):
                 if regs[b] == 2:
-                    t, native, b = Mul, Mul.native, a
+                    t, native, text, b = Mul, Mul.native, Mul.form, a
                 else:
-                    native, b = _FLOAT_POWERS[regs[b]], None
+                    (native, text), b = _FLOAT_POWERS[regs[b]], None
             if native is None:
-                native = _on_tuples(kernel, b is None), None
+                native, text = _on_tuples(kernel, b is None), None
                 kernels += 1
             if t is Mul or t is Div:
                 products.append((out, a, b))
-            steps.append((out, native[0], a, b, native[1]))
+            steps.append((out, native, a, b, text))
         # each native step saves about one kernel call and each kernel step
         # costs about one more in conversions; converting x and the result
         # and scanning the registers cost about two per run
@@ -977,6 +948,27 @@ def eval_expr(e, x, precision=53):
         if isinstance(x, (int, float, str)):
             x = mpf(x)
         return +mp.make_mpf(Tape(e).run(None if x is None else x._mpf_))
+
+
+# ---------------------------------------------------------------------------
+# printing: canonical parenthesized infix, inverse of parse()
+
+def to_text(e):
+    """Canonical infix text of ``e``, an expression or its ``Tape``;
+    parse(to_text(e)) is structurally equal to e.
+
+    One forward pass over the tape's registers, operands first: each
+    register's text is its node's ``form`` with its operands' texts filled
+    in, an operand in parentheses where its ``prec`` is below the level
+    that the node ``binds`` it at.
+    """
+    tape = e if isinstance(e, Tape) else Tape(e)
+    texts = [node.form for node in tape.nodes]
+    for out, _, a, b, e in tape.steps:
+        texts[out] = e.form.format(*[
+            f"({texts[r]})" if tape.nodes[r].prec < level else texts[r]
+            for r, level in zip((a, b), e.binds)])
+    return texts[tape.result]
 
 
 # ---------------------------------------------------------------------------

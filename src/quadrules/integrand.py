@@ -88,7 +88,7 @@ class Integrand(Record):
 
     def label(self):
         name = f"{self.name}: " if self.name else ""
-        return f"{name}{to_text(self.expression)} on {self.interval}"
+        return f"{name}{to_text(self._tapes[0])} on {self.interval}"
 
 
 _BUILTIN_SOURCES = {

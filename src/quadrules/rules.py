@@ -38,7 +38,8 @@ import mpmath.ctx_mp_python
 from mpmath import mp
 from mpmath.libmp import mpf_lt
 
-from .expr import DomainError, Expression, Num, Record, Tape, parse
+from .expr import (DomainError, Expression, Num, Record, Tape, parse,
+                   to_text)
 from .precision import MAX_BITS, workprec
 
 # One entry per rule, in display order: a formula of the width w, of node
@@ -142,7 +143,7 @@ class Interval(Record):
         return mp.make_mpf(a), mp.make_mpf(b)
 
     def __str__(self):
-        return f"[{self.a}, {self.b}]"
+        return f"[{', '.join(map(to_text, self._tapes))}]"
 
 
 def _as_constant(value):

@@ -15,8 +15,8 @@ Tolerances are counted in ulps by ``ulp``.
 The rule kernel is also written out the long way, as the reference for
 the package's formula table, the parser as recursive descent, one
 method per grammar level, as the reference for the package's precedence
-loop, and differentiation as a recursive walk of the tree, as the
-reference for the package's pass over a tape's steps.
+loop, and differentiation and printing as recursive walks of the tree,
+as the references for the package's passes over a tape.
 The last section holds two one-rule shorthands over the package's own
 entry points; they are conveniences, not oracles.
 """
@@ -35,12 +35,12 @@ from quadrules.associate import (ALL_NEGATIVE, ALL_POSITIVE,
                                  IDENTICALLY_ZERO, SAMPLES, SIGN_CHANGE,
                                  UNKNOWN, AssumptionVerdict)
 from quadrules.composite import composite_values
-from quadrules.expr import (_FUNCTIONS, _NAMES, _PREC_ADD, _PREC_MUL,
-                            _PREC_NEG, Add, Cos, DifferentiationError, Div,
-                            DomainError, Expression, Mul, Neg, Num,
-                            ParseError, PiConst, Pow, Sin, Sqrt, Sub, Tape,
-                            Var, _add, _div, _mul, _negate, _pow, _sub,
-                            _tokenize, to_text)
+from quadrules.expr import (_FUNCTIONS, _NAMES, _PREC_ADD, _PREC_ATOM,
+                            _PREC_MUL, _PREC_NEG, Add, Cos,
+                            DifferentiationError, Div, DomainError,
+                            Expression, Mul, Neg, Num, ParseError, PiConst,
+                            Pow, Sin, Sqrt, Sub, Tape, Var, _add, _div, _mul,
+                            _negate, _pow, _sub, _tokenize, to_text)
 from quadrules.precision import as_mpf, workprec
 from quadrules.rules import rule_values, simple_rule_values
 
@@ -453,6 +453,42 @@ def _derivative(e, d):
     if isinstance(e, Sqrt):
         return _div(d(e.arg), _mul(Num(2), Sqrt(e.arg)))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# printing by a recursive walk of the tree
+
+def reference_to_text(e, ctx=0):
+    """``expr.to_text`` as a recursive walk: the text of ``e``,
+    parenthesized where it binds below ``ctx``."""
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        text = (f"{reference_to_text(e.left, e.prec)} {e.symbol} "
+                f"{reference_to_text(e.right, e.prec + 1)}")
+    elif isinstance(e, Neg):
+        text = f"{e.symbol}{reference_to_text(e.arg, e.prec)}"
+    elif isinstance(e, (Sin, Cos, Sqrt)):
+        text = f"{e.symbol}({reference_to_text(e.arg)})"
+    elif isinstance(e, Pow):
+        text = (f"{reference_to_text(e.base, _PREC_ATOM)} {e.symbol} "
+                f"{reference_to_text(e.exponent, _PREC_NEG)}")
+    elif isinstance(e, Num):
+        text = str(e.value)
+    elif isinstance(e, (PiConst, Var)):
+        text = e.symbol
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return f"({text})" if _binding(e) < ctx else text
+
+
+def _binding(e):
+    """The level ``e`` binds at; a negative literal prints with a leading
+    minus, and parses like a Neg."""
+    if isinstance(e, Num):
+        value = e.value
+        negative = value < 0 if isinstance(value, int) else \
+            value.startswith("-")
+        return _PREC_NEG if negative else _PREC_ATOM
+    return e.prec
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,24 @@ def test_a_domain_error_names_the_leftmost_failing_node(names, where):
     assert str(exc.value).endswith(f"at x = {where}")
 
 
+def test_a_domain_error_prints_its_node_once(monkeypatch):
+    # the composite adds the panel to the text the tape's error has; each
+    # print of a node builds that node's tape
+    calls, to_text = [], expr.to_text
+
+    def counted(e):
+        calls.append(e)
+        return to_text(e)
+
+    monkeypatch.setattr(expr, "to_text", counted)
+    f = Integrand.from_text("1/(x-0.5)", 0, 1)
+    with pytest.raises(DomainError) as exc:
+        composite_values(f, f.interval, ("T",), 2)
+    assert str(exc.value) == \
+        "division by zero in 1 / (x - 0.5) at x = 0.5 (panel 1 of 2)"
+    assert len(calls) == 1
+
+
 def test_extended_precision_uses_requested_bits():
     f = builtin_integrand("atan2")
     v128 = composite_value("S", f, 8, 128)

@@ -27,7 +27,8 @@ from quadrules.precision import workprec
 from quadrules.rules import Interval
 
 from oracles import (central_diff, central_second_diff, random_poly_tree,
-                     reference_differentiate, reference_parse, tree_eval, ulp)
+                     reference_differentiate, reference_parse,
+                     reference_to_text, tree_eval, ulp)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import random_expression  # noqa: E402
@@ -230,6 +231,20 @@ class TestPrintRoundTrip:
     @given(_expression_trees())
     def test_parse_print_identity(self, tree):
         assert parse(to_text(tree)) == tree
+
+    @settings(max_examples=300, deadline=None)
+    @given(_expression_trees())
+    @example(Add(Num(2), Mul(PiConst(), Num(-3))))   # a constant tree
+    @example(Num("-2.5"))                            # a bare literal
+    def test_equals_the_recursive_walk(self, tree):
+        # f' and f'' share subtrees by reference, and fold literals
+        # negative; a power with x in its exponent has none
+        trees = [tree]
+        with contextlib.suppress(DifferentiationError):
+            trees.append(differentiate(tree))
+            trees.append(differentiate(trees[-1]))
+        for e in trees:
+            assert to_text(e) == reference_to_text(e) == to_text(Tape(e))
 
     def test_canonical_examples(self):
         assert to_text(parse("2*sin(x)^2")) == "2 * sin(x) ^ 2"

@@ -209,11 +209,25 @@ def test_the_tracer_sees_every_derivative_a_table_reads():
     assert counts["expr.deriv_distinct_nodes"] == 117
 
 
+_OPERATORS = [c for c in vars(expr).values() if isinstance(c, type)
+              and issubclass(c, Expression) and c.kernel is not None]
+
+
 def test_every_operator_class_declares_its_derivative_rule():
-    operators = [c for c in vars(expr).values() if isinstance(c, type)
-                 and issubclass(c, Expression) and c.kernel is not None]
-    assert {c.__name__ for c in operators} == \
+    assert {c.__name__ for c in _OPERATORS} == \
         {"Add", "Sub", "Mul", "Div", "Pow", "Neg", "Sin", "Cos", "Sqrt"}
-    assert all(callable(vars(c).get("derivative")) for c in operators)
+    assert all(callable(vars(c).get("derivative")) for c in _OPERATORS)
     for leaf in (expr.Num, expr.PiConst, expr.Var):
         assert leaf.derivative is None and "derivative" not in vars(leaf)
+
+
+def test_every_operator_class_declares_its_text_once():
+    # the printer fills a form's {} with operand texts at the levels in
+    # binds; the compiled float run fills a native step's with registers
+    for c in _OPERATORS:
+        operands = len(c.__match_args__)
+        assert c.form.count("{}") == operands == len(c.binds), c
+        if c.native is not None:
+            compile(c.form.format("r0", "r1"), c.__name__, "eval")
+    assert {c.__name__ for c in _OPERATORS if c.native is not None} == \
+        {"Add", "Sub", "Mul", "Div", "Neg", "Sqrt"}
