@@ -11,13 +11,15 @@ The input language is one-variable infix arithmetic::
             | "(" expr ")"
 
 ``^`` binds tighter than unary minus, so ``-x^2`` is ``-(x^2)``.  NUMBER is
-an integer or decimal literal; integers stay exact, decimal literals are
-converted at whatever working precision is active when the tree is
-evaluated, so one tree serves every precision.  Whitespace is ignored.
-Syntax errors report the byte offset of the offending token.  Each node
-class declares its symbol, precedence, text, evaluation and derivative
-once (``Expression`` says how); the parser's tables, the printer, the
-tape and ``differentiate`` read them there.
+an integer or decimal literal; integers stay exact, decimal literals keep
+their text and are converted at whatever working precision is active when
+the tree is evaluated, so one tree serves every precision.  ``_decimal``
+splits a decimal literal's text into the integers man and e of its value
+man * 10^e, for the parser's check and for the tape's conversion.
+Whitespace is ignored.  Syntax errors report the byte offset of the
+offending token.  Each node class declares its symbol, precedence, text,
+evaluation and derivative once (``Expression`` says how); the parser's
+tables, the printer, the tape and ``differentiate`` read them there.
 ``parse`` reads it by operator precedence without recursion, so
 parentheses and minus signs nest to any depth.  The tape builder is the
 one walk that recurses, one frame per tree level; the printer
@@ -29,17 +31,19 @@ reproduces ``e`` exactly, so expressions can be shared between threads and
 serialized through their printed form.
 Evaluation has one path, ``Tape``: a tree compiled once into flat steps,
 one per operator node, with one register per structurally distinct node,
-literals materialized once per precision, and bit-identical to a
-recursive walk of the tree.  Its one run method, ``Tape.run``, takes x
-and returns the value as raw ``_mpf_`` tuples, on which the steps call
-``mpmath.libmp`` kernels; mpfs are made only where the package hands a
-value out (``eval_expr``, ``Integrand.eval_at`` and ``derivative_at``,
-and a ``DomainError``'s point).  At 53 bits a run first tries the steps
-on Python floats, and after 300 runs of one program a tape runs that
-program compiled to one Python function; ``Tape`` says when each run
-answers, and why every run gives the same value or error text.
-Sine and cosine refuse arguments of 2^(2^17) or more, whose reduction
-by pi would take seconds to minutes, and powers refuse integer
+literals materialized once per precision from their integer significand
+and decimal exponent, and bit-identical to a recursive walk of the tree
+in which ``mpf`` converts each literal's text.  Its one run method,
+``Tape.run``, takes x and returns the value as raw ``_mpf_`` tuples, on
+which the steps call ``mpmath.libmp`` kernels; mpfs are made only where
+the package hands a value out (``eval_expr``, ``Integrand.eval_at`` and
+``derivative_at``, and a ``DomainError``'s point).  At 53 bits a run
+first tries the steps on Python floats, and after 300 runs of one
+program a tape runs that program compiled to one Python function;
+``Tape`` says when each run answers, and why every run gives the same
+value or error text.  The sine and cosine of one register share one
+``mpf_cos_sin`` call.  They refuse arguments of 2^(2^17) or more, whose
+reduction by pi would take seconds to minutes, and powers refuse integer
 exponents of 2^128 or more unless the base is a power of two or zero
 (2^(2^20) then), each with a ``DomainError``.
 
@@ -60,8 +64,9 @@ from functools import partial
 
 import mpmath.ctx_mp_python
 from mpmath import mp, mpf
-from mpmath.libmp import (MPZ, fone, from_man_exp, fzero, mpf_add, mpf_cos,
-                          mpf_mul_int, mpf_pow, mpf_pow_int, mpf_sin,
+from mpmath.libmp import (MPZ, fone, from_int, from_man_exp, from_rational,
+                          ften, fzero, mpf_add, mpf_cos, mpf_cos_sin, mpf_mul,
+                          mpf_mul_int, mpf_pi, mpf_pow, mpf_pow_int, mpf_sin,
                           mpf_sqrt, round_nearest)
 
 from .precision import point_text, workprec
@@ -182,6 +187,24 @@ def _reducing(kernel, name):
 
 _checked_sin = _reducing(mpf_sin, "sine")
 _checked_cos = _reducing(mpf_cos, "cosine")
+
+
+def _trig_pair():
+    """Checked sin and cos kernels for the steps sin(u) and cos(u) of one
+    tape on one register, by node class.  They share one mpf_cos_sin
+    call per argument through a one-entry memo, keyed by the argument,
+    precision and rounding; mpf_sin and mpf_cos are that call, each
+    keeping one half, so the values are theirs."""
+    memo = [None]
+
+    def cos_sin(u, prec, rnd):
+        m = memo[0]
+        if m is None or m[0] != u or m[1] != prec or m[2] != rnd:
+            m = memo[0] = (u, prec, rnd, mpf_cos_sin(u, prec, rnd))
+        return m[3]
+
+    return {Sin: _reducing(lambda *a: cos_sin(*a)[1], "sine"),
+            Cos: _reducing(lambda *a: cos_sin(*a)[0], "cosine")}
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +451,33 @@ _FUNCTIONS = {c.symbol: c for c in (Sin, Cos, Sqrt)}
 _NAMES = {c.symbol: c for c in (PiConst, Var)}
 
 
-def _decimal(lexeme):
-    """A decimal literal's text, after the int() conversions of its
-    significand and exponent that mpmath makes of it once ``Tape`` puts a
-    0 in front (ValueError past the int-string limit)."""
-    significand, _, exponent = lexeme.lower().partition("e")
+def _decimal(text):
+    """The integers man and e of a decimal literal's text, optionally
+    after a "-", whose value is man * 10^e: mpmath's split, with the
+    fraction's trailing zeros dropped (ValueError past the int-string
+    limit).  The parser checks each literal with it, and ``_literal``
+    converts from it."""
+    significand, _, exponent = text.lower().partition("e")
     whole, _, fraction = significand.partition(".")
-    int(exponent or 0), int("0" + whole + fraction.rstrip("0"))
-    return lexeme
+    fraction = fraction.rstrip("0")
+    man = int("0" + whole.lstrip("-") + fraction)
+    return -man if whole[:1] == "-" else man, int(exponent or 0) - len(
+        fraction)
+
+
+def _literal(value, prec):
+    """The ``_mpf_`` tuple of a literal's ``value``, an int or a decimal
+    literal's text, rounded to nearest at ``prec`` bits as ``mpf`` did
+    through mpmath's ``from_str``; past 10^+-400 that rounds twice."""
+    if isinstance(value, int):
+        return from_int(value, prec, round_nearest)
+    man, e = _decimal(value)
+    if abs(e) > 400:
+        return mpf_mul(from_int(man, prec + 10),
+                       mpf_pow_int(ften, e, prec + 10), prec, round_nearest)
+    if e >= 0:
+        return from_int(man * 10 ** e, prec, round_nearest)
+    return from_rational(man, 10 ** -e, prec, round_nearest)
 
 
 def _tokenize(text):
@@ -446,7 +488,9 @@ def _tokenize(text):
         if kind == "num":
             integer = lexeme.isdecimal()
             try:
-                value = int(lexeme) if integer else _decimal(lexeme)
+                value = int(lexeme) if integer else lexeme
+                if not integer:
+                    _decimal(lexeme)
             except ValueError:  # past the interpreter's int-string limit
                 what = (f"integer literal of {len(lexeme)} digits" if integer
                         else f"decimal literal of {len(lexeme)} characters")
@@ -727,7 +771,12 @@ class Tape:
     so values are bit-identical to the walk's and the first domain error
     is the one it would raise.  ``has_x`` tells whether the variable x
     occurs; x and the literals hold registers and no step, and a run
-    without x on a tape with x raises before any step.  ``run`` is the
+    without x on a tape with x raises before any step.  ``_template``
+    fills the literals once per precision, each by ``_literal`` from the
+    integers of its text and pi by ``mpf_pi``, without an ``mpf``.  The
+    sin and cos steps of one register take the kernels of one
+    ``_trig_pair``, so one ``mpf_cos_sin`` call serves both; each checks
+    its argument first, as the unshared kernel does.  ``run`` is the
     one run method: it takes and returns raw ``_mpf_`` tuples, chooses
     among the float program, the compiled tuple program and the
     interpreted tuple loop, which it holds itself, and counts the runs
@@ -762,7 +811,8 @@ class Tape:
     of every run that returns a value; a compiled run that raises makes
     the calls before its failing step twice, once compiled and once
     interpreted.  All runs read their steps from the node classes'
-    ``kernel``, ``native`` and ``form`` declarations.
+    ``kernel``, ``native`` and ``form`` declarations, and call the same
+    kernel objects, the pairs' included.
     """
 
     def __init__(self, e):
@@ -806,6 +856,15 @@ class Tape:
             else:
                 if isinstance(kernel, str):
                     kernel = getattr(mpmath.ctx_mp_python, kernel)
+                elif t is Sin or t is Cos:  # a pair on a shares its kernels
+                    partner = Cos if t is Sin else Sin
+                    other = registers.get((partner, a, None))
+                    if other is not None:
+                        pair = _trig_pair()
+                        i = [step[0] for step in self.steps].index(other)
+                        self.steps[i] = (other, pair[partner],
+                                         *self.steps[i][2:])
+                        kernel = pair[t]
                 self.steps.append((r, kernel, a, b, e))
         seen[id(e)] = r
         return r
@@ -816,10 +875,8 @@ class Tape:
         if template is None:
             template = [None] * len(self.nodes)
             for r, e in self._literals:
-                value = +mp.pi if type(e) is PiConst else mpf(
-                    re.sub("^-?", r"\g<0>0", e.value)  # mpf() refuses ".0"
-                    if isinstance(e.value, str) else e.value)
-                template[r] = value._mpf_
+                template[r] = mpf_pi(prec, round_nearest) \
+                    if type(e) is PiConst else _literal(e.value, prec)
             self._by_prec[prec] = template
         return template
 
@@ -939,13 +996,20 @@ def eval_expr(e, x, precision=53):
     """Value of ``e`` at ``x``, every operation rounded at ``precision`` bits.
 
     ``x`` may be an mpmath float (used as given), an int, a Python float,
-    a decimal string (these three converted at the requested precision),
-    or None for a tree without x.
+    a string that ``parse`` reads as one number literal, such as "-.5"
+    (these three converted at the requested precision, a string as the
+    tape converts a literal, else ValueError), or None for a tree
+    without x.
     Raises DomainError, naming the evaluation point, when the value
     leaves the real domain.
     """
+    if isinstance(x, str):
+        x = parse(x)
+        if type(x) is not Num:
+            raise ValueError(f"not a number literal: {to_text(x)}")
+        x = mp.make_mpf(_literal(x.value, precision))
     with workprec(precision):
-        if isinstance(x, (int, float, str)):
+        if isinstance(x, (int, float)):
             x = mpf(x)
         return +mp.make_mpf(Tape(e).run(None if x is None else x._mpf_))
 

@@ -5,12 +5,12 @@ values come from the direct textbook formulas (Simpson through its
 endpoint form, not the weighted mean), sums are plain sequential loops,
 polynomial integrals are exact rational antiderivatives obtained by
 interpolation, derivatives are checked by central differences,
-expressions are evaluated by a recursive walk of the tree, correct digits
-are counted by trying every digit count from the cap down, and the sign
-check's sample points are built and classified by mpf operators.  Each
-rule's error law is proven from its Peano kernel, with exact rationals
-only; the kernel reads the package's rule formulas, which are what it
-certifies.
+expressions are evaluated by a recursive walk of the tree, literals
+converted by ``mpf`` of their text, correct digits are counted by trying
+every digit count from the cap down, and the sign check's sample points
+are built and classified by mpf operators.  Each rule's error law is
+proven from its Peano kernel, with exact rationals only; the kernel reads
+the package's rule formulas, which are what it certifies.
 Tolerances are counted in ulps by ``ulp``.
 The rule kernel is also written out the long way, as the reference for
 the package's formula table, the parser as recursive descent, one
@@ -23,6 +23,7 @@ entry points; they are conveniences, not oracles.
 
 from __future__ import annotations
 
+import re
 from decimal import ROUND_DOWN, ROUND_HALF_UP
 from fractions import Fraction
 from math import comb, factorial, floor, log10
@@ -125,9 +126,20 @@ def _contains_x(e):
     return False
 
 
+def reference_literal(value):
+    """A literal's ``value``, an int or a decimal literal's text, as an
+    mpf at the ambient precision: ``mpf`` of the int or of the text, with
+    a 0 put after any leading minus, since mpmath refuses ".0" and
+    "-.0", whose significands have no digit left once its split drops
+    trailing zeros of the fraction."""
+    if isinstance(value, str):
+        value = re.sub("^-?", r"\g<0>0", value)
+    return mpf(value)
+
+
 def _walk(e, x):
     if isinstance(e, Num):
-        return mpf(e.value)
+        return reference_literal(e.value)
     if isinstance(e, PiConst):
         return +mp.pi
     if isinstance(e, Var):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import (ComplexResult, finf, fnan, fninf, fone,
-                          from_float, from_man_exp, fzero, mpf_add,
-                          mpf_mul_int, mpf_pow, round_nearest)
+                          from_float, from_man_exp, from_rational, fzero,
+                          mpf_add, mpf_mul_int, mpf_pow, round_nearest)
 
 from quadrules import expr
 from quadrules.expr import (Add, Cos, DifferentiationError, Div, DomainError,
@@ -27,8 +27,8 @@ from quadrules.precision import workprec
 from quadrules.rules import Interval
 
 from oracles import (central_diff, central_second_diff, random_poly_tree,
-                     reference_differentiate, reference_parse,
-                     reference_to_text, tree_eval, ulp)
+                     reference_differentiate, reference_literal,
+                     reference_parse, reference_to_text, tree_eval, ulp)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import random_expression  # noqa: E402
@@ -853,6 +853,134 @@ class TestTupleProgram:
                 variant != self.VARIANTS[4] else set()
             assert {o[0] for o in interpreted[1:]} - {"value"} == failing
             assert interpreted[0][1] == "free variable x in a constant context"
+
+
+# decimal literals as the lexer reads them, a "." after or before the
+# digits or none at all, and their exponents, past +-400 too; a minus in
+# front is _negate's.  Runs of zeros and bare ".0" forms come often.
+_DIGITS = st.text("0123456789", max_size=30) | st.sampled_from(("", "0", "00"))
+_DECIMALS = st.builds(
+    lambda whole, dot, fraction, exponent, minus: (
+        ("-" if minus else "") + whole + dot + fraction + exponent),
+    _DIGITS, st.sampled_from((".", "")), _DIGITS,
+    st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"),
+                            st.sampled_from(("", "+", "-")),
+                            st.integers(0, 700)),
+    st.booleans()).filter(
+        lambda t: re.fullmatch(r"-?(\d+\.\d*|\.\d+|\d+e\S+)", t, re.I))
+
+
+class TestLiterals:
+    """Each literal converts from its integer significand and exponent,
+    bit for bit as ``mpf`` converted its text; ``eval_expr`` converts a
+    string x the same way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_DECIMALS, st.integers(-3 ** 300, 3 ** 300)),
+           st.integers(4, 4096))
+    @example(".0", 53)
+    @example("-.0", 4)
+    @example("-1.50e+401", 113)
+    @example("0e-500", 4096)
+    @example("505307e-406", 53)  # from_str's two roundings differ here
+    @example(-(3 ** 300), 4)  # an int wider than the precision
+    def test_equals_mpf_of_the_text(self, value, prec):
+        if isinstance(value, str):
+            node = parse(value.lstrip("-"))
+            if value[:1] == "-":
+                node = _negate(node)
+            assert node == Num(value)
+        with workprec(prec):
+            want = reference_literal(value)._mpf_
+        assert eval_expr(Num(value), None, prec)._mpf_ == want
+        assert Tape(Num(value))._template(prec)[0] == want
+
+    def test_past_10_to_the_400_mpmath_rounds_twice(self, capsys):
+        # from_str rounds 10^-406 and then the product; rounding once
+        # would give 5.0530700000000005e-401
+        assert main(["integrate", "--integrand", "505307e-406", "--a", "0",
+                     "--b", "1", "--rule", "M", "--panels", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "value = 5.0530699999999995e-401"
+        once = from_rational(505307, 10 ** 406, 53, round_nearest)
+        assert eval_expr(Num("505307e-406"), None)._mpf_ != once
+        assert mp.make_mpf(once) == mpf("5.0530700000000005e-401")
+
+    def test_eval_expr_takes_the_literals_parse_takes(self):
+        x = parse("x")
+        assert eval_expr(x, ".0") == 0 and eval_expr(x, "-.0") == 0
+        assert eval_expr(x, ".5") == mpf("0.5")
+        for prec in (53, 113):
+            with workprec(prec):
+                assert eval_expr(x, "1e-3", prec) == mpf("1e-3")
+        assert eval_expr(x, " -2.50 ") == mpf("-2.5")
+        for text in ("inf", "nan", "1/3", "+1.5", "1_000", "", "x"):
+            with pytest.raises(ValueError):
+                eval_expr(x, text)
+
+
+class TestTrigPairs:
+    """sin(u) and cos(u) on one register share one mpf_cos_sin call per
+    argument; each answers with the value or error of its own kernel."""
+
+    TEXTS = ("x*cos(2.5*x) + sin(2.5*x)", "cos(x) - sin(x)*x^2",
+             "sin(x)/cos(x) + sin(2*x)*cos(2*x) - x*cos(3*x)",
+             "(x - 1) / (x + 2) * sin(x) * cos(x) - x * x")
+
+    def test_only_a_pair_on_one_register_shares(self):
+        tape = Tape(parse(self.TEXTS[2]))
+        k = {to_text(e): kernel for _, kernel, _, _, e in tape.steps
+             if type(e) in (Sin, Cos)}
+        assert k.pop("cos(3 * x)") is expr._checked_cos
+        assert len({*k.values(), expr._checked_sin, expr._checked_cos}) == 6
+        assert len(tape.steps) == len(tape.nodes) - len(tape._literals) - 1
+
+    def test_one_mpf_cos_sin_call_per_run(self, monkeypatch):
+        import mpmath.libmp.libelefun as elefun
+        calls, cos_sin = [], elefun.mpf_cos_sin
+
+        def counted(*args):
+            calls.append(args[0])
+            return cos_sin(*args)
+
+        # mpf_sin and mpf_cos call it from their own module
+        monkeypatch.setattr(elefun, "mpf_cos_sin", counted)
+        monkeypatch.setattr(expr, "mpf_cos_sin", counted)
+        e = parse(self.TEXTS[0])
+        with workprec(113):
+            xs = [(mpf(k) / 7)._mpf_ for k in range(1, 4)] * 101
+            for tape, per_run in ((Tape(e), 1), (_unpaired(e), 2)):
+                counts = []
+                for x in xs:  # the last three runs are compiled
+                    del calls[:]
+                    tape.run(x)
+                    counts.append(len(calls))
+                assert counts == [per_run] * len(xs)
+                assert 113 in tape._tuple_programs
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_values_and_errors_are_the_unshared_kernels(self, text):
+        e = parse(text)
+        points = [mpf(k) / 3 for k in (-4, 1, 2)] + [mpf(2) ** -80]
+        big = -mpf(2) ** 131072  # refused, by the first step of its pair
+        for prec in (53, 113):
+            paired, unpaired = _compiled_tape(e), _unpaired(e)
+            with workprec(prec):
+                for x in points:
+                    want = _outcome(tree_eval, e, x)
+                    assert _outcome(_mpf_run, unpaired, x) == want
+                    assert _outcome(_mpf_run, paired, x) == want
+                want = _outcome(_mpf_run, unpaired, big)
+                assert "argument beyond 2^131072" in want
+                assert _outcome(_mpf_run, paired, big) == want
+
+
+def _unpaired(e):
+    """A tape of ``e`` whose sin and cos steps keep their own kernels."""
+    tape = Tape(e)
+    tape.steps = [(out, type(node).kernel if type(node) in (Sin, Cos)
+                   else k, a, b, node) for out, k, a, b, node in tape.steps]
+    return tape
 
 
 class TestGrid:

@@ -99,14 +99,16 @@ def test_small_table_makes_a_pinned_number_of_mpf_calls():
     # 2 counted calls; it is now materialized once per table.  243 while
     # precision.fits_double compared mpfs: the table prints 18 errors, and
     # each took a counted abs and two counted comparisons; it now reads
-    # the exponent from the value's _mpf_ tuple
+    # the exponent from the value's _mpf_ tuple.  189 while each tape
+    # filled its literals with mpf(text), mpf(n) and +mp.pi, each making
+    # one counted mpf_pos; it now converts them with mpmath.libmp kernels
     tracer = tracing.Tracer()
     with tracer, contextlib.redirect_stdout(io.StringIO()):
         assert main(["table", "--integrand", "asin6",
                      "--panels", "1,2,4"]) == 0
     tracer.end_op()
     counts = tracer.per_op(1)
-    assert counts["mpmath.mpf_calls"] == 189
+    assert counts["mpmath.mpf_calls"] == 170
     assert counts["associate.sign_check_samples"] == 3 * 257
 
 
@@ -138,8 +140,9 @@ def test_pi_256_makes_pinned_work_and_compiles_its_tuple_program_once(
     # Simpson on 2/(1+x^2) over 1,024 panels at 256 bits: 2,049 f
     # evaluations, each counted twice (its Add and its Div; x^2 calls
     # mpmath.libmp), whether the interpreted loop or, from the 300th run
-    # on, the compiled tuple program runs it, and 27 counted calls
-    # outside the tape
+    # on, the compiled tuple program runs it, and 19 counted calls
+    # outside the tape (27 while each literal and pi that a tape filled
+    # made one counted mpf_pos through mpf() and +mp.pi)
     compiled, generate = [], expr._compile_tuples
 
     def counted(tape, prec):
@@ -153,7 +156,7 @@ def test_pi_256_makes_pinned_work_and_compiles_its_tuple_program_once(
                      "--prec", "256"]) == 0
     tracer.end_op()
     counts = tracer.per_op(1)
-    assert counts["mpmath.mpf_calls"] == 4125
+    assert counts["mpmath.mpf_calls"] == 4117
     assert counts["integrand.f_evals"] == 2049
     assert compiled == [256]
 
