@@ -38,10 +38,11 @@ in which ``mpf`` converts each literal's text.  Its one run method,
 which the steps call ``mpmath.libmp`` kernels; mpfs are made only where
 the package hands a value out (``eval_expr``, ``Integrand.eval_at`` and
 ``derivative_at``, and a ``DomainError``'s point).  At 53 bits a run
-first tries the steps on Python floats, and after 300 runs of one
-program a tape runs that program compiled to one Python function;
-``Tape`` says when each run answers, and why every run gives the same
-value or error text.  The sine and cosine of one register share one
+first tries the steps on Python floats.  After 300 runs at one precision
+a tape compiles its one program there to a Python function: the float
+program at 53 bits where it has one, the tuple run otherwise.  ``Tape``
+says when each run answers, and why every run gives the same value or
+error text.  The sine and cosine of one register share one
 ``mpf_cos_sin`` call.  They refuse arguments of 2^(2^17) or more, whose
 reduction by pi would take seconds to minutes, and powers refuse integer
 exponents of 2^128 or more unless the base is a power of two or zero
@@ -63,13 +64,13 @@ import sys
 from functools import partial
 
 import mpmath.ctx_mp_python
-from mpmath import mp, mpf
+from mpmath import mp
 from mpmath.libmp import (MPZ, fone, from_int, from_man_exp, from_rational,
                           ften, fzero, mpf_add, mpf_cos, mpf_cos_sin, mpf_mul,
                           mpf_mul_int, mpf_pi, mpf_pow, mpf_pow_int, mpf_sin,
                           mpf_sqrt, round_nearest)
 
-from .precision import point_text, workprec
+from .precision import as_mpf, point_text, workprec
 
 
 class ParseError(ValueError):
@@ -676,23 +677,20 @@ def _on_tuples(kernel, unary):
 _FLOAT_POWERS = {-1: (partial(operator.truediv, 1.0), "1.0 / {}"),
                  1: (operator.pos, "+{}"), 0: (lambda u: 1.0, "1.0")}
 
-# A tape's float program is compiled to one Python function at its
-# _COMPILE_AFTER-th interpreted float run, and its tuple run at one
-# precision at its _COMPILE_AFTER-th interpreted run at that precision,
-# about when the time compiled runs would have saved equals the time
-# compiling takes (ski rental).  Timed with perf_counter on a 2-CPU host,
-# over 511 points for each of the built-in integrands' tapes f to f''''
-# (3 to 110 float steps): a float compile takes 0.36 to 2.2 ms, about
-# 0.3 ms plus 17 us a step, a compiled run is 0.7 to 8 us faster than an
-# interpreted one, and the compile repays itself after 250 to 530 runs,
-# near 300 whatever the tape's length.  At 113 and 256 bits (3 to 110
-# tuple steps, as many as the float programs) a tuple compile takes 0.06
-# to 0.1 ms on atan2's f (3 steps) and 1.4 to 2.4 ms on asin6's f''''
-# (110), about 0.07 ms plus 14 us a step, and saves about 0.5 to 0.8 us
-# and 11 to 13 us a run, where the kernels take 4 to 220 us a run; it
-# repays itself after 110 to 210 runs, so the one threshold serves both
-# programs.  A composite of a few hundred panels gets there; a 257-sample
-# sign check alone stays interpreted.
+# At each precision a tape compiles one program to one Python function at
+# its _COMPILE_AFTER-th run there: the float program at 53 bits where the
+# tape has one, the tuple run otherwise.  That is about when the time
+# compiled runs would have saved equals the time compiling takes (ski
+# rental).  Timed with perf_counter on a 2-CPU host, over 511 points for
+# each of the built-in integrands' tapes f to f'''' (3 to 110 float
+# steps): a float compile takes 0.36 to 2.2 ms, about 0.3 ms plus 17 us a
+# step, a compiled run is 0.7 to 8 us faster than an interpreted one, and
+# the compile repays itself after 250 to 530 runs.  At 113 and 256 bits a
+# tuple compile takes 0.06 to 0.1 ms on atan2's f (3 steps) and 1.4 to
+# 2.4 ms on asin6's f'''' (110) and saves 0.5 to 13 us a run, where the
+# kernels take 4 to 220 us; it repays itself after 110 to 210 runs.  A
+# composite of a few hundred panels gets there; a 257-sample sign check
+# alone stays interpreted.
 _COMPILE_AFTER = 300
 
 
@@ -714,11 +712,11 @@ def _compile(program, var, result):
     are locals, native steps their node class's ``form``, and kernel steps
     call the same ``_on_tuples`` closures, in the interpreted loop's order;
     x converts by ``_to_double``'s rule, and the same exponent scan and
-    exact checks decide between the result and None."""
+    exact checks decide between the result's tuple and None."""
     regs, steps, products, packer = program
     namespace = {"ldexp": math.ldexp, "fzero": fzero, "sqrt": math.sqrt,
                  "pack": packer.pack, "MIDDLE": _MIDDLE, "normal": _normal,
-                 "products": products}
+                 "products": products, "to_tuple": _to_tuple}
     written = {var} | {step[0] for step in steps}
     lines = [f" r{r} = {v!r}" for r, v in enumerate(regs) if r not in written]
     if var is not None:
@@ -737,28 +735,41 @@ def _compile(program, var, result):
     lines += [" except (ArithmeticError, ValueError):", "  return None",
               f" if not pack({every})[{_HIGH}::8].translate(None, MIDDLE)"
               f" or normal([{every}], products):",
-              f"  return r{result}"]
+              f"  return to_tuple(r{result})"]
     return _generated("def run(x):", lines, namespace)
 
 
 def _compile_tuples(tape, prec):
     """A tape's tuple run at ``prec`` as one generated function of an
     ``_mpf_`` tuple x, answering as ``Tape.run``'s interpreted loop does
-    except that a domain error carries no node or point.  Registers are
+    where that returns, and None where it raises, so that the loop runs
+    the point again to name the node and the point.  Registers are
     locals, and literal registers globals of the same names bound to their
     tuples at ``prec``.  Step i calls the same kernel object, the global
     k<i>, in the interpreted loop's order with the precision and the
-    rounding mode as constants, so a zero divisor raises mpf_div's
-    ZeroDivisionError."""
-    values, tail = tape._template(prec), f"{prec}, {round_nearest!r}"
+    rounding mode as constants."""
+    values, tail = tape._state(prec).regs, f"{prec}, {round_nearest!r}"
     namespace = {f"r{r}": values[r] for r, _ in tape._literals}
+    namespace["DomainError"] = DomainError
     lines = [] if tape._var is None else [f" r{tape._var} = x"]
+    lines.append(" try:")
     for i, (out, kernel, a, b, _) in enumerate(tape.steps):
         namespace[f"k{i}"] = kernel
         operands = f"r{a}" if b is None else f"r{a}, r{b}"
-        lines.append(f" r{out} = k{i}({operands}, {tail})")
-    lines.append(f" return r{tape.result}")
+        lines.append(f"  r{out} = k{i}({operands}, {tail})")
+    lines += [f"  return r{tape.result}",
+              " except (DomainError, ZeroDivisionError):", "  return None"]
     return _generated("def run(x):", lines, namespace)
+
+
+class _RunState:
+    """A tape's run state at one precision: its registers with the
+    literals filled, its float program at 53 bits (else None), its runs so
+    far and, from the ``_COMPILE_AFTER``-th, its one compiled program."""
+    __slots__ = "regs", "floats", "runs", "program"
+
+    def __init__(self, regs, floats):
+        self.regs, self.floats, self.runs, self.program = regs, floats, 0, None
 
 
 class Tape:
@@ -771,16 +782,14 @@ class Tape:
     so values are bit-identical to the walk's and the first domain error
     is the one it would raise.  ``has_x`` tells whether the variable x
     occurs; x and the literals hold registers and no step, and a run
-    without x on a tape with x raises before any step.  ``_template``
-    fills the literals once per precision, each by ``_literal`` from the
-    integers of its text and pi by ``mpf_pi``, without an ``mpf``.  The
-    sin and cos steps of one register take the kernels of one
-    ``_trig_pair``, so one ``mpf_cos_sin`` call serves both; each checks
-    its argument first, as the unshared kernel does.  ``run`` is the
-    one run method: it takes and returns raw ``_mpf_`` tuples, chooses
-    among the float program, the compiled tuple program and the
-    interpreted tuple loop, which it holds itself, and counts the runs
-    that decide when to compile.
+    without x on a tape with x raises before any step.  ``_state``
+    builds a precision's run state on its first run there, filling each
+    literal by ``_literal`` from the integers of its text and pi by
+    ``mpf_pi``.  The sin and cos steps of one register take the kernels
+    of one ``_trig_pair``, so one ``mpf_cos_sin`` call serves both; each
+    checks its argument first, as the unshared kernel does.  ``run`` is
+    the one run method: it takes and returns raw ``_mpf_`` tuples and
+    holds the interpreted tuple loop itself.
 
     At 53 bits ``run`` first tries the steps on doubles: add, sub, mul,
     div, neg, sqrt and the powers u^2, u^-1, u^1 and u^0 natively, every
@@ -796,35 +805,29 @@ class Tape:
     A tape with too few native steps to repay the conversions, such as
     ``2*sin(x)^2``, keeps the tuple run.
 
-    The float program runs interpreted, one step at a time, until the
-    tape has made ``_COMPILE_AFTER`` float runs, and the tuple run until
-    it has made ``_COMPILE_AFTER`` runs at one precision (53-bit
-    fallbacks count at 53); then ``_compile`` or ``_compile_tuples``
-    turns that program into one straight-line Python function.  The
-    float function performs the same float operations in the same order
-    and applies the same checks.  The tuple function, one per precision,
+    Each precision counts its runs in its ``_RunState`` and compiles one
+    program at the ``_COMPILE_AFTER``-th: ``_compile`` the float program,
+    at 53 bits where the tape has one, else ``_compile_tuples`` the tuple
+    run, each into one straight-line function that returns the run's
+    tuple or None.  The float function performs the same float operations
+    in the same order and applies the same checks; a float tape's 53-bit
+    fallbacks stay on the interpreted tuple loop.  The tuple function
     calls the same kernel objects, which a tracer that rebinds
-    ``mpmath.ctx_mp_python`` still counts; where it raises a
-    ``DomainError`` or ``ZeroDivisionError``, the interpreted loop runs
-    the point again and raises a ``DomainError`` with its node and point.
-    So the answers are the interpreted loop's, and so are the counted calls
-    of every run that returns a value; a compiled run that raises makes
-    the calls before its failing step twice, once compiled and once
-    interpreted.  All runs read their steps from the node classes'
-    ``kernel``, ``native`` and ``form`` declarations, and call the same
-    kernel objects, the pairs' included.
+    ``mpmath.ctx_mp_python`` still counts, and returns None where a
+    kernel raises, so that the interpreted loop runs the point again and
+    names its node and point.  So the answers are the interpreted loop's,
+    and so are the counted calls of every run that returns a value; a
+    compiled run that fails makes the calls before its failing step
+    twice.  All runs read their steps from the node classes' ``kernel``,
+    ``native`` and ``form`` declarations, and call the same kernel
+    objects, the pairs' included.
     """
 
     def __init__(self, e):
         self.nodes = []   # register -> the first node object holding it
         self.steps = []   # (out, kernel, a, b or None if unary, node)
         self._literals = []   # (register, Num or PiConst node)
-        self._by_prec = {}    # mp.prec -> registers with literals filled
-        self._floats = None   # the float program; False if there is none
-        self._runs = 0        # interpreted float runs so far
-        self._compiled = None  # the float program as a function, once built
-        self._tuple_runs = {}      # prec -> interpreted tuple runs so far
-        self._tuple_programs = {}  # prec -> the tuple run as a function
+        self._states = {}     # mp.prec -> its _RunState, from its first run
         self._var = None
         self.result = self._visit(e, {}, {})
         self.has_x = self._var is not None
@@ -869,50 +872,48 @@ class Tape:
         seen[id(e)] = r
         return r
 
-    def _template(self, prec):
-        """Registers with the literals filled at ``prec``, None elsewhere."""
-        template = self._by_prec.get(prec)
-        if template is None:
-            template = [None] * len(self.nodes)
+    def _state(self, prec):
+        """The run state at ``prec``, built on first use: the registers
+        with the literals filled, and at 53 bits the float program."""
+        state = self._states.get(prec)
+        if state is None:
+            regs = [None] * len(self.nodes)
             for r, e in self._literals:
-                template[r] = mpf_pi(prec, round_nearest) \
+                regs[r] = mpf_pi(prec, round_nearest) \
                     if type(e) is PiConst else _literal(e.value, prec)
-            self._by_prec[prec] = template
-        return template
+            floats = self._float_program(regs) \
+                if prec == 53 and _FLOAT53 else None
+            state = self._states[prec] = _RunState(regs, floats)
+        return state
 
     def run(self, x):
         """The value at the ``_mpf_`` tuple ``x`` (None for a constant) at
         the ambient precision, as an ``_mpf_`` tuple.  A tape with x
-        refuses None before any run.  At 53 bits the float program answers
-        where it can; then the compiled tuple program, and where there is
-        none or it raises, the interpreted loop, one step a turn."""
+        refuses None before any run.  The precision's compiled program
+        answers where it can, or before it is built, at 53 bits, the
+        interpreted float program; then the interpreted loop, one step a
+        turn."""
         if x is None and self._var is not None:
             raise DomainError("free variable x in a constant context",
                               self.nodes[self._var])
         prec = mp.prec
-        if prec == 53 and (self._floats if self._floats is not None
-                           else self._program()):
-            if self._compiled is None:
-                self._runs += 1
-                if self._runs == _COMPILE_AFTER:
-                    self._compiled = _compile(self._floats, self._var,
-                                              self.result)
-                value = self._run_floats(x)
-            else:
-                value = self._compiled(x)
-            if value is not None:
-                return _to_tuple(value)
-        program = self._tuple_programs.get(prec)
+        state = self._states.get(prec) or self._state(prec)
+        program = state.program
         if program is not None:
-            try:
-                return program(x)
-            except (DomainError, ZeroDivisionError):
-                pass
+            value = program(x)
+            if value is not None:
+                return value
         else:
-            runs = self._tuple_runs[prec] = self._tuple_runs.get(prec, 0) + 1
-            if runs == _COMPILE_AFTER:
-                self._tuple_programs[prec] = _compile_tuples(self, prec)
-        regs = self._template(prec).copy()
+            state.runs += 1
+            floats = state.floats
+            if state.runs == _COMPILE_AFTER:
+                state.program = _compile(floats, self._var, self.result) \
+                    if floats else _compile_tuples(self, prec)
+            if floats:
+                value = self._run_floats(floats, x)
+                if value is not None:
+                    return value
+        regs = state.regs.copy()
         if self._var is not None:
             regs[self._var] = x
         try:
@@ -929,23 +930,17 @@ class Tape:
             return regs[self.result]
         raise DomainError(reason, e, None if x is None else mp.make_mpf(x))
 
-    def _program(self):
-        """The float program, built on first use; False if there is none."""
-        if self._floats is None:
-            self._floats = _FLOAT53 and self._float_program()
-        return self._floats
-
-    def _float_program(self):
-        """(registers, steps, products, packer) of the float run, or False
-        when a literal has no double or the run would not pay.  Steps are
-        (out, fn, a, b or None, source text or None for a kernel step),
-        products lists the (out, a, b) of every Mul and Div, and packer
-        packs the registers as native doubles."""
-        template = self._template(53)
+    def _float_program(self, template):
+        """(registers, steps, products, packer) of the float run from the
+        53-bit registers ``template``, or None when a literal has no double
+        or the run would not pay.  Steps are (out, fn, a, b or None, source
+        text or None for a kernel step), products lists the (out, a, b) of
+        every Mul and Div, and packer packs the registers as native
+        doubles."""
         try:
             regs = [0.0 if t is None else _to_double(t) for t in template]
         except ValueError:
-            return False
+            return None
         steps, products, kernels = [], [], 0
         for out, kernel, a, b, e in self.steps:
             t = type(e)
@@ -966,14 +961,14 @@ class Tape:
         # costs about one more in conversions; converting x and the result
         # and scanning the registers cost about two per run
         if len(steps) - kernels <= kernels + 2:
-            return False
+            return None
         return regs, steps, products, struct.Struct(f"{len(regs)}d")
 
-    def _run_floats(self, x):
-        """The 53-bit value at the tuple ``x`` as a double from the
-        interpreted float program, or None where the tuple run must answer
-        instead."""
-        regs, steps, products, packer = self._floats
+    def _run_floats(self, program, x):
+        """The 53-bit value at the tuple ``x`` as a tuple from the
+        interpreted float ``program``, or None where the tuple run must
+        answer instead."""
+        regs, steps, products, packer = program
         regs = regs.copy()
         try:
             if self._var is not None:
@@ -988,7 +983,7 @@ class Tape:
         # a quick exponent scan: no register zero, tiny, huge or non-finite
         if not packer.pack(*regs)[_HIGH::8].translate(None, _MIDDLE) or \
                 _normal(regs, products):
-            return regs[self.result]
+            return _to_tuple(regs[self.result])
         return None
 
 
@@ -997,20 +992,15 @@ def eval_expr(e, x, precision=53):
 
     ``x`` may be an mpmath float (used as given), an int, a Python float,
     a string that ``parse`` reads as one number literal, such as "-.5"
-    (these three converted at the requested precision, a string as the
-    tape converts a literal, else ValueError), or None for a tree
-    without x.
+    (these three converted at the requested precision by ``as_mpf``, a
+    string as the tape converts a literal, else ValueError), or None for
+    a tree without x.
     Raises DomainError, naming the evaluation point, when the value
     leaves the real domain.
     """
-    if isinstance(x, str):
-        x = parse(x)
-        if type(x) is not Num:
-            raise ValueError(f"not a number literal: {to_text(x)}")
-        x = mp.make_mpf(_literal(x.value, precision))
     with workprec(precision):
-        if isinstance(x, (int, float)):
-            x = mpf(x)
+        if isinstance(x, (int, float, str)):
+            x = as_mpf(x)
         return +mp.make_mpf(Tape(e).run(None if x is None else x._mpf_))
 
 

@@ -39,8 +39,17 @@ def as_mpf(x):
 
     Converting an existing mpmath float with ``mpf(x)`` would re-round it
     at the ambient precision, silently truncating extended-precision
-    values; this helper never does that.
+    values; this helper never does that.  Other values convert at the
+    ambient precision, a string only when ``parse`` reads it as one
+    number literal, such as "-.5", and then as the tape converts a
+    literal (else ValueError).
     """
+    if isinstance(x, str):
+        from .expr import Num, _literal, parse, to_text  # expr imports this
+        e = parse(x)
+        if type(e) is not Num:
+            raise ValueError(f"not a number literal: {to_text(e)}")
+        return mp.make_mpf(_literal(e.value, mp.prec))
     return x if isinstance(x, mpf) else mpf(x)
 
 

@@ -48,6 +48,20 @@ class TestSignedError:
     def test_accepts_raw_reference_values(self):
         assert signed_error(mpf(2), mpf(3)) == 1
 
+    def test_a_string_reference_is_one_literal_parse_reads(self):
+        # converted as the tape converts a literal, at the guarded
+        # precision; mpf(text) failed on ".0" and took what parse refuses
+        assert signed_error(mpf(1), ".0") == -1
+        assert signed_error(mpf(1), "-2.50") == mpf("-3.5")
+        assert signed_error(mpf(0), "0.1", 200) == \
+            signed_error(mpf(0), Reference(parse("0.1")), 200)
+        assert digits_correct(mpf("0.5"), ".5") == 16
+        for text in ("inf", "1/3", "+1.5", "x"):
+            with pytest.raises(ValueError):
+                signed_error(mpf(1), text)
+            with pytest.raises(ValueError):
+                digits_correct(mpf(1), text)
+
 
 class TestOrderString:
     def test_two_rules(self):

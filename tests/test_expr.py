@@ -600,9 +600,10 @@ class TestTape:
         with workprec(113):
             for _ in range(expr._COMPILE_AFTER):
                 tape.run(mpf(-1)._mpf_)
-            program = tape._tuple_programs[113]
-            assert _tuple_outcome(program, mpf(1)._mpf_)[:2] == \
-                ("error", reason)
+            # the compiled program hands the failing point to the loop
+            program = tape._state(113).program
+            assert program(mpf(-1)._mpf_) == tape.run(mpf(-1)._mpf_)
+            assert program(mpf(1)._mpf_) is None
             assert _outcome(_mpf_run, tape, mpf(1)) == want
         # a constant context refuses x before any operand runs
         with pytest.raises(DomainError) as exc:
@@ -640,9 +641,10 @@ def _raw(x):
 def _tuple_tape(tape):
     """A fresh tape of ``tape``'s tree without a float program, so that
     its first ``_COMPILE_AFTER`` runs at each precision, 53 bits
-    included, are the interpreted tuple loop's."""
+    included, are the interpreted tuple loop's and then it compiles its
+    tuple run there."""
     fresh = Tape(tape.nodes[tape.result])
-    fresh._floats = False
+    fresh._state(53).floats = None
     return fresh
 
 
@@ -654,10 +656,9 @@ def _compiled_tape(tree):
     """A tape of ``tree`` whose float program, if it has one, runs
     compiled from its first float run on."""
     tape = Tape(tree)
-    with workprec(53):
-        if tape._program():
-            tape._compiled = expr._compile(tape._floats, tape._var,
-                                           tape.result)
+    state = tape._state(53)
+    if state.floats:
+        state.program = expr._compile(state.floats, tape._var, tape.result)
     return tape
 
 
@@ -667,9 +668,11 @@ def _which_run(tape, x):
     (no x for a tape with x: ``Tape.run`` raises before any run)."""
     if x is None and tape.has_x:
         return "refused"
-    if not tape._program():
+    floats = tape._state(53).floats
+    if floats is None:
         return "tuples"
-    return "fallback" if tape._run_floats(_raw(x)) is None else "floats"
+    return "fallback" if tape._run_floats(floats, _raw(x)) is None \
+        else "floats"
 
 
 # four native steps around a subexpression, so that its tape has a float
@@ -722,12 +725,10 @@ class TestFloatBackend:
             assert _outcome(_mpf_run, tape, x) == want
             assert _outcome(_mpf_run, compiled, x) == want
             if run in ("floats", "fallback"):
-                # the same double, -0.0 included, or the same hand-over
-                interpreted, generated = (
-                    v if v is None else v.hex()
-                    for v in (tape._run_floats(_raw(x)),
-                              compiled._compiled(_raw(x))))
-                assert interpreted == generated
+                # the same tuple, or the same hand-over
+                generated = compiled._state(53).program(_raw(x))
+                assert tape._run_floats(tape._state(53).floats,
+                                        _raw(x)) == generated
                 assert (generated is None) == (run == "fallback")
 
     def test_short_tapes_keep_the_tuple_run(self):
@@ -740,7 +741,7 @@ class TestFloatBackend:
             assert _which_run(f.tape(order), mpf("0.25")) == "floats"
 
     def test_other_precisions_never_run_on_doubles(self, monkeypatch):
-        def run_floats(tape, x):
+        def run_floats(tape, program, x):
             raise AssertionError("a float run below or above 53 bits")
 
         monkeypatch.setattr(Tape, "_run_floats", run_floats)
@@ -767,7 +768,7 @@ class TestFloatBackend:
         fallbacks, generate = [], expr._compile
 
         def counted(run):
-            def float_run(*args):  # (tape, x) or (x)
+            def float_run(*args):  # (tape, program, x) or (x)
                 value = run(*args)
                 if value is None:
                     fallbacks.append(args[-1])
@@ -796,22 +797,20 @@ class TestFloatBackend:
 
 
 def _tuple_outcome(run, *args):
-    """("value", tuple) or ("error", reason, node, point) of a run; a
-    compiled tuple program's zero divisor raises mpf_div's
-    ZeroDivisionError, which names neither."""
+    """("value", tuple) or ("error", reason, node, point) of a run."""
     try:
         return "value", run(*args)
     except DomainError as err:
         return "error", err.reason, err.node, err.x
-    except ZeroDivisionError:
-        return "error", "division by zero", None, None
 
 
 class TestTupleProgram:
     """After ``_COMPILE_AFTER`` tuple runs at one precision a tape runs its
     generated tuple program, which answers with the interpreted loop's
-    tuple, bit for bit; where the loop raises, the program raises with the
-    same reason and the loop runs again to name the node and the point."""
+    tuple, bit for bit; where the loop raises, the program returns None
+    and the loop runs again to name the node and the point.  At 53 bits
+    that is a tape without a float program; a float tape compiles its
+    float program there and hands its fallbacks to the loop."""
 
     # a random smooth expression, alone or with a term that fails at x = c:
     # a root crossing c, a quotient and a negative power hitting it
@@ -829,30 +828,43 @@ class TestTupleProgram:
     def test_compiled_runs_equal_interpreted_runs(self, seed, variant, c, n):
         text = variant.format(e=random_expression(random.Random(seed)), c=c,
                               n=n)
-        tape = Tape(parse(text))
-        # 53 bits last: its tuple runs are the float run's fallbacks
+        float_tape = Tape(parse(text))
         for prec in (113, 256, 53):
+            # a tape with a float program compiles that at 53 bits
+            tape = float_tape if prec != 53 else _tuple_tape(float_tape)
             with workprec(prec):
                 points = [None, mpf(c)._mpf_]  # x - c is exactly 0 at prec
             with workprec(300):  # no double holds these
                 points += [(mpf(c) + mpf(k) / 7)._mpf_ for k in (-2, -1, 1)]
             with workprec(prec):
                 interpreted = [_tuple_outcome(tape.run, x) for x in points]
-                while prec not in tape._tuple_programs:
+                while tape._state(prec).program is None:
                     for x in points:
                         _tuple_outcome(tape.run, x)
-                program = tape._tuple_programs[prec]
+                program = tape._state(prec).program
                 for x, want in zip(points, interpreted):
                     assert _tuple_outcome(tape.run, x) == want
                 # a fresh tape, far below _COMPILE_AFTER runs, runs the loop
                 loop = _tuple_tape(tape).run
                 for x in points[1:]:  # Tape.run refuses x = None itself
-                    assert _tuple_outcome(program, x)[:2] == \
-                        _tuple_outcome(loop, x)[:2]
+                    want = _tuple_outcome(loop, x)
+                    assert program(x) == (want[1] if want[0] == "value"
+                                          else None)
             failing = {"error"} if variant != self.VARIANTS[0] and \
                 variant != self.VARIANTS[4] else set()
             assert {o[0] for o in interpreted[1:]} - {"value"} == failing
             assert interpreted[0][1] == "free variable x in a constant context"
+        # a float tape's 53-bit fallbacks, here the 300-bit points, stay on
+        # the interpreted loop: its one program is the float program
+        state = float_tape._state(53)
+        if state.floats:
+            with workprec(53):
+                for _ in range(expr._COMPILE_AFTER):
+                    for x in points:
+                        _tuple_outcome(float_tape.run, x)
+                for x, want in zip(points[2:], interpreted[2:]):
+                    assert state.program(x) is None
+                    assert _tuple_outcome(float_tape.run, x) == want
 
 
 # decimal literals as the lexer reads them, a "." after or before the
@@ -893,7 +905,7 @@ class TestLiterals:
         with workprec(prec):
             want = reference_literal(value)._mpf_
         assert eval_expr(Num(value), None, prec)._mpf_ == want
-        assert Tape(Num(value))._template(prec)[0] == want
+        assert Tape(Num(value))._state(prec).regs[0] == want
 
     def test_past_10_to_the_400_mpmath_rounds_twice(self, capsys):
         # from_str rounds 10^-406 and then the product; rounding once
@@ -956,7 +968,7 @@ class TestTrigPairs:
                     tape.run(x)
                     counts.append(len(calls))
                 assert counts == [per_run] * len(xs)
-                assert 113 in tape._tuple_programs
+                assert tape._state(113).program is not None
 
     @pytest.mark.parametrize("text", TEXTS)
     def test_values_and_errors_are_the_unshared_kernels(self, text):

@@ -10,12 +10,14 @@ convergence table makes, counted by the benchmark's tracer
 import contextlib
 import dataclasses
 import io
+import itertools
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 from mpmath import mpf  # noqa: E402
 from quadrules import expr, integrand  # noqa: E402
 from quadrules.cli import main  # noqa: E402
@@ -159,6 +161,48 @@ def test_pi_256_makes_pinned_work_and_compiles_its_tuple_program_once(
     assert counts["mpmath.mpf_calls"] == 4117
     assert counts["integrand.f_evals"] == 2049
     assert compiled == [256]
+
+
+def test_each_tape_compiles_at_most_one_program_per_precision(monkeypatch):
+    # over the benchmark's asin6 table, pi-256 and the first 300 seed-1
+    # mixed requests: a float program compiles once, a tuple run once per
+    # tape and precision and never at 53 bits on a tape with a float
+    # program, whose fallbacks the interpreted loop answers, and no float
+    # run, interpreted or compiled, falls back
+    floats, tuples, fallbacks = [], [], []
+    compile_floats, compile_tuples = expr._compile, expr._compile_tuples
+
+    def counted(run):
+        def float_run(*args):  # (tape, program, x) or (x)
+            value = run(*args)
+            if value is None:
+                fallbacks.append(args[-1])
+            return value
+        return float_run
+
+    def compiled_floats(program, var, result):
+        floats.append(program)  # held, so that no two share an id
+        return counted(compile_floats(program, var, result))
+
+    def compiled_tuples(tape, prec):
+        tuples.append((tape, prec))
+        assert tape._states[prec].floats is None
+        return compile_tuples(tape, prec)
+
+    monkeypatch.setattr(expr, "_compile", compiled_floats)
+    monkeypatch.setattr(expr, "_compile_tuples", compiled_tuples)
+    monkeypatch.setattr(Tape, "_run_floats", counted(Tape._run_floats))
+    ops = [next(workloads.table_asin6_ops(1)), next(workloads.pi_256_ops(1)),
+           *itertools.islice(workloads.mixed_requests_ops(1), 300)]
+    for op in ops:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(list(op.argv))
+        assert op.check(rc, out.getvalue(), err.getvalue()) is None
+    assert fallbacks == []
+    assert len({id(program) for program in floats}) == len(floats) > 0
+    assert len({(id(tape), prec) for tape, prec in tuples}) == \
+        len(tuples) > 0
 
 
 def test_an_asin6_table_tapes_each_derivative_order_once(monkeypatch):
