@@ -10,15 +10,15 @@ Subcommands::
 
 integrate, bracket and table take ``--integrand``: a built-in name (sin2,
 asin6, atan2) or expression text; expression integrands and overridden
-intervals need both ``--a`` and ``--b`` (decimal literals), and these three
-take values that start with a minus (``--a -pi``).  ``--panels``
-accepts an integer, a comma list, and the doubling shorthand 2^k..2^m,
-each count from 1 to 2^20 (only the CLI caps it).
-Every subcommand takes ``--prec`` (bits, 4 to 65536, default 53; only
-the CLI caps it) and ``--format`` (text, csv or json, default text).
-Each value is formatted once, into a JSON payload and text lines, and
-``_emit`` prints one of them; only table has a CSV form, the others print
-text for csv.
+intervals need both ``--a`` and ``--b`` (decimal literals).  Any option's
+value may start with a minus (``--a -pi``), but not with ``--``, and
+``-h`` stays an option.  ``--panels`` accepts an integer, a comma list,
+and the doubling shorthand 2^k..2^m, each count from 1 to 2^20 (only the
+CLI caps it).  Every subcommand takes ``--prec`` (bits, 4 to 65536,
+default 53; only the CLI caps it) and ``--format`` (text, csv or json,
+default text).  Each value is formatted once, into a JSON payload and
+text lines, and ``_emit`` prints one of them; only table has a CSV form,
+the others print text for csv.
 
 Exit status: 0 on success, 1 on usage errors (unknown flag, rule or
 integrand, malformed input, an expression nested too deeply for the
@@ -34,11 +34,10 @@ for fixed inputs and precision.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from mpmath import mp
 
@@ -54,7 +53,6 @@ from .precision import MAX_BITS, fits_double, format_real, pi_at
 from .rules import (QUOTED_DEGREES, Interval, UnknownRuleError,
                     rule_names)
 
-_FORMATS = ("text", "csv", "json")
 # a 2^16-panel Simpson rule on sin2 takes 1.8 s at 53 bits on a 2-CPU
 # host, growing linearly in the panel count, while its peak RSS stays at
 # about 21 MB from 1 to 2^18 panels; the library itself takes any
@@ -66,91 +64,25 @@ class UsageError(Exception):
     pass
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
 def _precision(text):
     try:
-        bits = int(text)
+        if 4 <= int(text) <= MAX_BITS:
+            return int(text)
     except ValueError:
-        bits = None
-    if bits is None or not 4 <= bits <= MAX_BITS:
-        raise argparse.ArgumentTypeError(
-            f"precision must be an integer from 4 to {MAX_BITS} bits, "
-            f"got {text!r}")
-    return bits
+        pass
+    raise ValueError(f"precision must be an integer from 4 to {MAX_BITS} "
+                     f"bits, got {text!r}")
 
 
-# built at first use, not at import, and reused: it costs about a request
-@functools.cache
-def build_parser():
-    parser = _ArgumentParser(prog="quad",
-                             description="companion/associate quadrature")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    def command(func, help, integrand=True):
-        p = subs.add_parser(func.__name__[len("cmd_"):], help=help)
-        p.set_defaults(func=func)
-        if integrand:
-            p.add_argument("--integrand", required=True,
-                           help="built-in name or expression in x")
-            p.add_argument("--a")
-            p.add_argument("--b")
-        return p
-
-    p = command(cmd_integrate, "apply one composite rule")
-    p.add_argument("--rule", default="S")
-    p.add_argument("--panels", default="1")
-
-    p = command(cmd_bracket, "two-rule enclosure of the integral")
-    p.add_argument("--pair", default="L,R", help="two rule names, e.g. L,R")
-    p.add_argument("--panels", default="1")
-
-    p = command(cmd_table, "convergence table over panel counts")
-    p.add_argument("--rules", default="L,R,M,T,S,T2")
-    p.add_argument("--panels", default="2^0..2^10")
-
-    p = command(cmd_degree, "exact-rational degree probe", integrand=False)
-    p.add_argument("--rule", required=True)
-
-    p = command(cmd_pi, "the three built-in pi integrals", integrand=False)
-    p.add_argument("--example", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--rule", default="S")
-    p.add_argument("--panels", default=None)
-
-    # added last, so an ambiguous prefix --p lists --panels before --prec
-    for p in subs.choices.values():
-        p.add_argument("--prec", type=_precision, default=53,
-                       help=f"working precision in bits, 4 to "
-                            f"{MAX_BITS} (default 53)")
-        p.add_argument("--format", choices=_FORMATS, default="text",
-                       help="output format: text, csv or json "
-                            "(default text)")
-    return parser
-
-
-# the options whose values may start with "-": --a, --b, --integrand and
-# each prefix of it from --i on, which argparse takes for --integrand
-_DASH_OPTIONS = {"--a", "--b"} | {"--integrand"[:n] for n in range(3, 12)}
-
-
-def _join_dash_values(argv):
-    """``argv`` with each value that starts with "-" (-x, -pi, -(1)) after
-    --integrand (or a prefix of it, such as --int), --a or --b joined to
-    its option, as in --a=-pi.  argparse takes such a value only when it
-    is a plain negative number, and reads any other as an unknown option;
-    --options and -h stay options."""
-    out = []
-    for arg in argv:
-        if (out and out[-1] in _DASH_OPTIONS
-                and arg.startswith("-") and not arg.startswith("--")
-                and arg != "-h"):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+def _choice(text, choices, to=str):
+    try:
+        value = to(text)
+    except ValueError:
+        raise ValueError(f"invalid {to.__name__} value: {text!r}") from None
+    if value not in choices:
+        raise ValueError(f"invalid choice: {value!r} (choose from "
+                         f"{', '.join(map(repr, choices))})")
+    return value
 
 
 def parse_panels(text):
@@ -374,6 +306,75 @@ def cmd_pi(args):
     _emit(args, payload, lines)
 
 
+# each subcommand's options, in the order -h and ambiguous prefixes list
+# them (--p: --panels, --prec), mapped to their defaults or ... if required
+_INTEGRAND = {"--integrand": ..., "--a": None, "--b": None}
+_COMMON = {"--prec": 53, "--format": "text"}
+_COMMANDS = {f.__name__[4:]: (f, {**options, **_COMMON}) for f, options in [
+    (cmd_integrate, {**_INTEGRAND, "--rule": "S", "--panels": "1"}),
+    (cmd_bracket, {**_INTEGRAND, "--pair": "L,R", "--panels": "1"}),
+    (cmd_table, {**_INTEGRAND, "--rules": "L,R,M,T,S,T2",
+                 "--panels": "2^0..2^10"}),
+    (cmd_degree, {"--rule": ...}),
+    (cmd_pi, {"--example": ..., "--rule": "S", "--panels": None})]}
+_READERS = {"--prec": _precision,
+            "--example": lambda text: _choice(text, (1, 2, 3), int),
+            "--format": lambda text: _choice(text, ("text", "csv", "json"))}
+
+
+def _help(*commands):
+    """Print each command's usage, defaults in place of values; exit 0."""
+    for command in commands:
+        print(f"usage: quad {command} [-h]", *(
+            f"{o} {o[2:].upper()}" if d is ... else
+            f"[{o} {o[2:].upper() if d is None else d}]"
+            for o, d in _COMMANDS[command][1].items()))
+    raise SystemExit(0)
+
+
+def _parse_args(argv):
+    """The namespace of a command line: each option by name or unambiguous
+    prefix, its value after "=" or next, unless that is -h or starts with
+    "--", and its last value wins; nothing after "--" is read."""
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    if argv[0] == "-h" or len(argv[0]) > 2 and "--help".startswith(argv[0]):
+        _help(*_COMMANDS)
+    option, rest, extras = "command", iter(argv[1:]), []
+    try:
+        func, table = _COMMANDS[_choice(argv[0], _COMMANDS)]
+        values = dict(table)
+        for arg in rest:
+            name, equals, value = arg.partition("=")
+            found = [name] if name in table else \
+                [o for o in ("--help", *table) if o.startswith(name)]
+            if arg == "-h" or found == ["--help"]:
+                _help(argv[0])
+            elif arg == "--":
+                extras += [arg, *rest]
+            elif not arg.startswith("--") or not found:
+                extras.append(arg)
+            elif len(found) > 1:
+                raise UsageError(f"ambiguous option: {arg} could match "
+                                 f"{', '.join(found)}")
+            else:
+                option = found[0]
+                if not equals:
+                    value = next(rest, "--")  # none left: as if an option
+                    if value.startswith("--") or value == "-h":
+                        raise ValueError("expected one argument")
+                values[option] = _READERS.get(option, str)(value)
+    except ValueError as err:
+        raise UsageError(f"argument {option}: {err}") from None
+    missing = ", ".join(o for o, v in values.items() if v is ...)
+    if missing:
+        raise UsageError(f"the following arguments are required: {missing}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=argv[0], func=func,
+                           **{o[2:]: v for o, v in values.items()})
+
+
 def _report(kind, message, status):
     """Print ``quad: <kind>: <message>`` to stderr and return ``status``:
     one line, its first 200 and last 90 UTF-8 bytes (the reason and a
@@ -387,10 +388,8 @@ def _report(kind, message, status):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_dash_values(
-            sys.argv[1:] if argv is None else argv))
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit
         return 0

@@ -16,13 +16,15 @@ The rule kernel is also written out the long way, as the reference for
 the package's formula table, the parser as recursive descent, one
 method per grammar level, as the reference for the package's precedence
 loop, and differentiation and printing as recursive walks of the tree,
-as the references for the package's passes over a tape.
+as the references for the package's passes over a tape, and argparse,
+as the reference for the command line's option reader.
 The last section holds two one-rule shorthands over the package's own
 entry points; they are conveniences, not oracles.
 """
 
 from __future__ import annotations
 
+import argparse
 import re
 from decimal import ROUND_DOWN, ROUND_HALF_UP
 from fractions import Fraction
@@ -35,6 +37,8 @@ from quadrules.analysis import (_decimal_magnitude, _reference_value,
 from quadrules.associate import (ALL_NEGATIVE, ALL_POSITIVE,
                                  IDENTICALLY_ZERO, SAMPLES, SIGN_CHANGE,
                                  UNKNOWN, AssumptionVerdict)
+from quadrules.cli import (UsageError, cmd_bracket, cmd_degree,
+                           cmd_integrate, cmd_pi, cmd_table)
 from quadrules.composite import composite_values
 from quadrules.expr import (_FUNCTIONS, _NAMES, _PREC_ADD, _PREC_ATOM,
                             _PREC_MUL, _PREC_NEG, Add, Cos,
@@ -42,7 +46,7 @@ from quadrules.expr import (_FUNCTIONS, _NAMES, _PREC_ADD, _PREC_ATOM,
                             Expression, Mul, Neg, Num, ParseError, PiConst,
                             Pow, Sin, Sqrt, Sub, Tape, Var, _add, _div, _mul,
                             _negate, _pow, _sub, _tokenize, to_text)
-from quadrules.precision import as_mpf, workprec
+from quadrules.precision import MAX_BITS, as_mpf, workprec
 from quadrules.rules import rule_values, simple_rule_values
 
 
@@ -682,6 +686,78 @@ def ulp(x, bits):
         raise ValueError("ulp of a non-finite value")
     _, man, exp, bc = x._mpf_
     return mpf(2) ** (exp + bc - bits)
+
+
+# ---------------------------------------------------------------------------
+# the command line, read by argparse
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _precision(text):
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = None
+    if bits is None or not 4 <= bits <= MAX_BITS:
+        raise argparse.ArgumentTypeError(
+            f"precision must be an integer from 4 to {MAX_BITS} bits, "
+            f"got {text!r}")
+    return bits
+
+
+def reference_parser():
+    """The argparse parser that read ``quad``'s command line before its
+    option tables: the same namespace, or a UsageError with the same
+    text, for every command line whose values do not start with "-"
+    (argparse reads most of those as options, unless joined to their
+    option by "=")."""
+    parser = _ArgumentParser(prog="quad",
+                             description="companion/associate quadrature")
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    def command(func, help, integrand=True):
+        p = subs.add_parser(func.__name__[len("cmd_"):], help=help)
+        p.set_defaults(func=func)
+        if integrand:
+            p.add_argument("--integrand", required=True,
+                           help="built-in name or expression in x")
+            p.add_argument("--a")
+            p.add_argument("--b")
+        return p
+
+    p = command(cmd_integrate, "apply one composite rule")
+    p.add_argument("--rule", default="S")
+    p.add_argument("--panels", default="1")
+
+    p = command(cmd_bracket, "two-rule enclosure of the integral")
+    p.add_argument("--pair", default="L,R", help="two rule names, e.g. L,R")
+    p.add_argument("--panels", default="1")
+
+    p = command(cmd_table, "convergence table over panel counts")
+    p.add_argument("--rules", default="L,R,M,T,S,T2")
+    p.add_argument("--panels", default="2^0..2^10")
+
+    p = command(cmd_degree, "exact-rational degree probe", integrand=False)
+    p.add_argument("--rule", required=True)
+
+    p = command(cmd_pi, "the three built-in pi integrals", integrand=False)
+    p.add_argument("--example", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--rule", default="S")
+    p.add_argument("--panels", default=None)
+
+    # added last, so an ambiguous prefix --p lists --panels before --prec
+    for p in subs.choices.values():
+        p.add_argument("--prec", type=_precision, default=53,
+                       help=f"working precision in bits, 4 to "
+                            f"{MAX_BITS} (default 53)")
+        p.add_argument("--format", choices=("text", "csv", "json"),
+                       default="text",
+                       help="output format: text, csv or json "
+                            "(default text)")
+    return parser
 
 
 # ---------------------------------------------------------------------------

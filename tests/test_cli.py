@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -12,12 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
 from quadrules.analysis import convergence_table, table_to_csv
-from quadrules.cli import (UsageError, _sci, build_parser, main,
+from quadrules.cli import (UsageError, _parse_args, _sci, main,
                            parse_panels)
 from quadrules.integrand import builtin_integrand
 from quadrules.precision import pi_at
 
-from oracles import ulp
+from oracles import reference_parser, ulp
 
 
 def run(capsys, *argv):
@@ -417,34 +416,18 @@ def test_stdout_ignores_the_environment(capsys, monkeypatch):
     assert unset[0] == 0 and "53-bit precision" in unset[1]
 
 
-def test_parser_is_built_once(capsys, monkeypatch):
-    # argparse construction costs about as much as a short request, so
-    # main must not rebuild it per call; subcommand parsers are counted
-    # apart from the top-level one
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self.prog)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for _ in range(2):
-        assert run(capsys, "degree", "--rule", "S")[0] == 0
-    assert built.count("quad") <= 1
-
-
-def test_import_builds_no_parser():
-    # any ArgumentParser construction fails in this child, so the import
-    # succeeds only if the parser waits for its first use
+def test_the_cli_imports_neither_argparse_nor_gettext():
+    # the option tables replace argparse, which alone imported gettext
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    code = ("import argparse\n"
-            "argparse.ArgumentParser.__init__ = None\n"
-            "import quadrules.cli\n")
+    code = ("import contextlib, io, sys\n"
+            "import quadrules.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert quadrules.cli.main(['degree', '--rule', 'Q']) == 0\n"
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("argv, flags", [
@@ -461,7 +444,7 @@ def test_import_builds_no_parser():
 ], ids=["integrate", "bracket", "table", "degree", "pi"])
 def test_each_subcommand_keeps_its_flags(argv, flags):
     # every flag and default of each subcommand's minimal command line
-    namespace = vars(build_parser().parse_args(list(argv)))
+    namespace = vars(_parse_args(list(argv)))
     assert namespace.pop("func").__name__ == "cmd_" + argv[0]
     assert namespace == {"command": argv[0], **flags, "prec": 53,
                          "format": "text"}
@@ -505,12 +488,31 @@ def test_unknown_format_lists_the_choices(capsys):
     ("--in", "-x", ("--a", "0", "--b", "1")),
     ("--i", "-sin(x)", ("--a", "0", "--b", "1")),
     ("--integran", "-1/(2+x)", ("--a", "0", "--b", "1")),
+    # every other option too: the value is read, and refused by its reader
+    ("--rule", "-S", ("--integrand", "sin2")),
+    ("--panels", "-2", ("--integrand", "sin2")),
+    ("--prec", "-53", ("--integrand", "sin2")),
 ])
 def test_option_values_may_start_with_a_minus(capsys, option, value, rest):
-    # argparse alone takes only a plain negative number after an option
+    # a value that starts with "-" is read as the option's value, spaced
+    # or after "="
     spaced = run(capsys, "integrate", option, value, *rest)
     assert spaced == run(capsys, "integrate", f"{option}={value}", *rest)
-    assert spaced[0] == 0 and spaced[1]
+    refused = {"--rule": "unknown rule '-S'",
+               "--panels": "panel counts must be integers from 1 to 2^20",
+               "--prec": "must be an integer from 4 to 65536 bits, got '-53'"}
+    if option in refused:
+        assert spaced[:2] == (1, "") and refused[option] in spaced[2]
+    else:
+        assert spaced[0] == 0 and spaced[1]
+
+
+def test_a_rule_that_starts_with_a_minus_is_an_unknown_rule(capsys):
+    # argparse took -S for an option and printed "argument --rule:
+    # expected one argument"
+    assert run(capsys, "degree", "--rule", "-S") == (
+        1, "", "quad: error: unknown rule '-S' (known rules: L, R, M, T, S, "
+               "T2, Q)\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -531,11 +533,83 @@ def test_an_option_after_an_option_is_still_an_option(capsys, argv, message):
                                                f"quad: error: {message}\n")
 
 
+_CHOICES = "'integrate', 'bracket', 'table', 'degree', 'pi'"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: command"),
+    (("nope",), f"argument command: invalid choice: 'nope' (choose from "
+                f"{_CHOICES})"),
+    # a subcommand is never abbreviated
+    (("integ",), f"argument command: invalid choice: 'integ' (choose from "
+                 f"{_CHOICES})"),
+    (("integrate",), "the following arguments are required: --integrand"),
+    (("pi",), "the following arguments are required: --example"),
+    (("integrate", "--integrand"),
+     "argument --integrand: expected one argument"),
+    (("integrate", "--integrand", "x", "--p", "3"),
+     "ambiguous option: --p could match --panels, --prec"),
+    (("integrate", "--integrand", "x", "--p=3"),
+     "ambiguous option: --p=3 could match --panels, --prec"),
+    (("bracket", "--integrand", "x", "--pa", "3"),
+     "ambiguous option: --pa could match --pair, --panels"),
+    (("pi", "--example", "x"), "argument --example: invalid int value: 'x'"),
+    (("integrate", "--integrand", "sin2", "-x"), "unrecognized arguments: -x"),
+    (("integrate", "--integrand", "sin2", "--", "x"),
+     "unrecognized arguments: -- x"),
+    # options after "--" are not read, and a missing one is named first
+    (("integrate", "--", "--integrand", "sin2"),
+     "the following arguments are required: --integrand"),
+    (("degree", "--rule", "Q", "--wat", "1"),
+     "unrecognized arguments: --wat 1"),
+], ids=["no_command", "unknown_command", "command_prefix", "no_integrand",
+        "no_example", "no_value", "ambiguous_prefix", "ambiguous_prefix_eq",
+        "ambiguous_pair_prefix", "example_not_int", "single_dash",
+        "double_dash", "option_after_double_dash", "unknown_option"])
+def test_usage_diagnostics_are_pinned(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"quad: error: {message}\n")
+
+
+def test_a_repeated_option_keeps_its_last_value(capsys):
+    assert run(capsys, "degree", "--rule", "Q", "--rule", "S") == \
+        run(capsys, "degree", "--rule", "S")
+    code, out, _ = run(capsys, "integrate", "--integrand", "sin2",
+                       "--prec=113", "--pre", "99", "--prec", "113")
+    assert code == 0 and "113-bit precision" in out
+    assert (code, out) == run(capsys, "integrate", "--integrand", "sin2",
+                              "--prec=113")[:2]
+
+
 def test_minus_h_after_a_value_option_still_prints_help(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["integrate", "--integrand", "x", "-h"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out.startswith("usage: quad integrate")
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (("pi", "--he"), ["pi [-h] --example EXAMPLE [--rule S] [--panels PANELS] "
+                      "[--prec 53] [--format text]"]),
+    (("degree", "--format", "json", "-h", "--wat"),
+     ["degree [-h] --rule RULE [--prec 53] [--format text]"]),
+    (("-h",), ["integrate [-h] --integrand INTEGRAND [--a A] [--b B] "
+               "[--rule S] [--panels 1] [--prec 53] [--format text]",
+               "bracket [-h] --integrand INTEGRAND [--a A] [--b B] "
+               "[--pair L,R] [--panels 1] [--prec 53] [--format text]",
+               "table [-h] --integrand INTEGRAND [--a A] [--b B] "
+               "[--rules L,R,M,T,S,T2] [--panels 2^0..2^10] [--prec 53] "
+               "[--format text]",
+               "degree [-h] --rule RULE [--prec 53] [--format text]",
+               "pi [-h] --example EXAMPLE [--rule S] [--panels PANELS] "
+               "[--prec 53] [--format text]"]),
+], ids=["command_help_prefix", "command_help_before_unknown", "all"])
+def test_help_prints_usage_lines_with_the_defaults(capsys, argv, usage):
+    # -h is read where it stands: an unknown option after it is not reached
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == 0
+    assert capsys.readouterr() == (
+        "".join(f"usage: quad {line}\n" for line in usage), "")
 
 
 def test_output_bytes_are_deterministic(capsys):
@@ -875,3 +949,59 @@ def test_every_request_ends_in_a_status_and_at_most_one_bounded_line(argv):
     assert code == 0 or out.getvalue() == ""
     assert err.count("\n") <= 1 and err.endswith("\n") == (err != "")
     assert len(err.encode()) <= 300 and "Traceback" not in err
+
+
+_REFERENCE = reference_parser()
+# the extra arguments a command line may carry: an unknown option, with or
+# without a value, a stray word, a single-dash word and "--", after which
+# nothing is read
+_EXTRAS = st.sampled_from(["--wat", "--wat=1", "extra", "-x", "--", "7"])
+
+
+def _spellings(draw, argv):
+    """``argv`` with its options in any order, each spelled in full or by a
+    prefix that names it alone, its value spaced or after "=", a few left
+    out or given twice, extra arguments put between them, and maybe one
+    last option without a value.  A value that starts with "-" always
+    follows "=", where argparse takes it."""
+    command, pairs = argv[0], list(zip(argv[1::2], argv[2::2]))
+    options = ["--help", "--prec", "--format",
+               *(o for o, _ in pairs), *_OPTIONS[command]]
+    if command in ("integrate", "bracket", "table"):
+        options += ["--integrand", "--a", "--b"]
+    pairs = draw(st.permutations(pairs))
+    pairs = [p for p in pairs if draw(st.integers(0, 19))]  # 1 in 20 out
+    if pairs and draw(st.integers(0, 9)) == 0:
+        pairs.append(draw(st.sampled_from(pairs)))
+    words = []
+    for option, value in pairs:
+        shortest = next(n for n in range(3, len(option) + 1)
+                        if [o for o in set(options)
+                            if o.startswith(option[:n])] == [option])
+        option = option[:draw(st.integers(shortest, len(option)))]
+        if value.startswith("-") or draw(st.booleans()):
+            words.append(f"{option}={value}")
+        else:
+            words += [option, value]
+        if draw(st.integers(0, 9)) == 0:
+            words.append(draw(_EXTRAS))
+    if draw(st.integers(0, 19)) == 0:
+        words.append(draw(st.sampled_from(sorted(set(options) - {"--help"}))))
+    return [command, *words]
+
+
+def _read(parse, argv):
+    """The namespace that ``parse`` reads from ``argv``, or its message."""
+    try:
+        return vars(parse(list(argv)))
+    except UsageError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), argv=_argvs())
+@example(data=None, argv=["pi", "--example", "4", "--prec", "3"])
+def test_the_option_reader_reads_as_argparse_did(data, argv):
+    if data is not None:
+        argv = _spellings(data.draw, argv)
+    assert _read(_parse_args, argv) == _read(_REFERENCE.parse_args, argv)
