@@ -9,7 +9,8 @@ Subcommands::
     quad pi        --example 3 --panels 1024 --prec 256
 
 integrate, bracket and table take ``--integrand``: a built-in name (sin2,
-asin6, atan2) or expression text; expression integrands and overridden
+asin6, atan2) or expression text, nested as deep as memory allows (no
+walk over an expression recurses); expression integrands and overridden
 intervals need both ``--a`` and ``--b`` (decimal literals).  Any option's
 value may start with a minus (``--a -pi``), but not with ``--``, and
 ``-h`` stays an option.  ``--panels`` accepts an integer, a comma list,
@@ -21,8 +22,7 @@ text lines, and ``_emit`` prints one of them; only table has a CSV form,
 the others print text for csv.
 
 Exit status: 0 on success, 1 on usage errors (unknown flag, rule or
-integrand, malformed input, an expression nested too deeply for the
-tape builder, which recurses, an integrand whose derivative the rule
+integrand, malformed input, an integrand whose derivative the rule
 needs but cannot be taken) and on a closed stdout, 2 on numeric domain
 errors (the message names the offending node, and the point and panel
 where f fails; an undefined interval endpoint names its node only) and
@@ -397,8 +397,6 @@ def main(argv=None):
         return _report("error", err, 1)
     except DomainError as err:
         return _report("domain error", err, 2)
-    except RecursionError:
-        return _report("error", "expression nested too deeply", 1)
     except BrokenPipeError:
         # the reader closed stdout: send the exit-time flush to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)

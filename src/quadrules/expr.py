@@ -20,10 +20,10 @@ Whitespace is ignored.  Syntax errors report the byte offset of the
 offending token.  Each node class declares its symbol, precedence, text,
 evaluation and derivative once (``Expression`` says how); the parser's
 tables, the printer, the tape and ``differentiate`` read them there.
-``parse`` reads it by operator precedence without recursion, so
-parentheses and minus signs nest to any depth.  The tape builder is the
-one walk that recurses, one frame per tree level; the printer
-``to_text`` and ``differentiate`` are each one loop over a tape.
+``parse`` reads it by operator precedence without recursion, the tape
+builder walks the tree on an explicit stack, and the printer ``to_text``
+and ``differentiate`` are each one loop over a tape, so expressions nest
+as deep as memory allows.
 
 Trees are immutable (frozen ``Record`` subclasses, whose structural
 ``==`` and hash walk any depth) and ``parse(to_text(e))``
@@ -762,6 +762,11 @@ def _compile_tuples(tape, prec):
     return _generated("def run(x):", lines, namespace)
 
 
+# on the tape builder's stack, the mark above an operator node whose
+# operands are pushed above it
+_OPERANDS = object()
+
+
 class _RunState:
     """A tape's run state at one precision: its registers with the
     literals filled, its float program at 53 bits (else None), its runs so
@@ -777,10 +782,11 @@ class Tape:
     per structurally distinct node.  Each step calls an ``mpmath.libmp``
     kernel on raw ``_mpf_`` tuples, rounding to nearest at the ambient
     precision exactly as the matching ``mpf`` operation or ``mp``
-    function does.  Steps follow the first-visit post-order of a
-    recursive walk, operands left to right, one step per operator node,
-    so values are bit-identical to the walk's and the first domain error
-    is the one it would raise.  ``has_x`` tells whether the variable x
+    function does.  Steps follow the first-visit post-order of the tree,
+    operands left to right, one step per operator node, so values are
+    bit-identical to a recursive walk's and the first domain error is the
+    one it would raise; the builder walks on an explicit stack, so any
+    depth takes the one path.  ``has_x`` tells whether the variable x
     occurs; x and the literals hold registers and no step, and a run
     without x on a tape with x raises before any step.  ``_state``
     builds a precision's run state on its first run there, filling each
@@ -829,48 +835,65 @@ class Tape:
         self._literals = []   # (register, Num or PiConst node)
         self._states = {}     # mp.prec -> its _RunState, from its first run
         self._var = None
-        self.result = self._visit(e, {}, {})
-        self.has_x = self._var is not None
-
-    def _visit(self, e, seen, registers):
-        r = seen.get(id(e))
-        if r is not None:
-            return r
-        if not isinstance(e, Expression):
-            raise TypeError(f"not an expression node: {e!r}")
-        t = type(e)
-        kernel, names = t.kernel, t.__match_args__
-        a = b = None
-        if kernel is None:  # x, or a literal filled in per precision
-            key = (t, *[getattr(e, f) for f in names])
-        else:  # one or two operands; a comprehension doubles build time
-            a = self._visit(getattr(e, names[0]), seen, registers)
-            if len(names) == 2:
-                b = self._visit(getattr(e, names[1]), seen, registers)
-            key = (t, a, b)
-        r = registers.get(key)
-        if r is None:
-            r = registers[key] = len(self.nodes)
-            self.nodes.append(e)
-            if t is Var:  # the run puts x in its register
-                self._var = r
-            elif kernel is None:
-                self._literals.append((r, e))
+        nodes, steps = self.nodes, self.steps
+        seen, registers = {}, {}   # id(node), and node key -> register
+        trig = {}   # (Sin or Cos, operand register) -> index of its step
+        # nodes to visit, each operator node pushed back under _OPERANDS
+        # above its operands; done holds the registers of visited operands
+        todo, done = [e], []
+        pop = todo.pop
+        while todo:
+            e = pop()
+            if e is _OPERANDS:  # the node below has its operands in done
+                e = pop()
+                t = type(e)
+                b = done.pop() if len(t.__match_args__) == 2 else None
+                a = done.pop()
+                key = (t, a, b)
             else:
-                if isinstance(kernel, str):
-                    kernel = getattr(mpmath.ctx_mp_python, kernel)
-                elif t is Sin or t is Cos:  # a pair on a shares its kernels
-                    partner = Cos if t is Sin else Sin
-                    other = registers.get((partner, a, None))
-                    if other is not None:
-                        pair = _trig_pair()
-                        i = [step[0] for step in self.steps].index(other)
-                        self.steps[i] = (other, pair[partner],
-                                         *self.steps[i][2:])
-                        kernel = pair[t]
-                self.steps.append((r, kernel, a, b, e))
-        seen[id(e)] = r
-        return r
+                r = seen.get(id(e))
+                if r is not None:
+                    done.append(r)
+                    continue
+                if not isinstance(e, Expression):
+                    raise TypeError(f"not an expression node: {e!r}")
+                t = type(e)
+                names = t.__match_args__
+                if t.kernel is not None:  # one or two operands, left first
+                    if len(names) == 2:
+                        todo += (e, _OPERANDS, getattr(e, names[1]),
+                                 getattr(e, names[0]))
+                    else:
+                        todo += (e, _OPERANDS, getattr(e, names[0]))
+                    continue
+                # x, or a literal filled in per precision
+                key = (t, getattr(e, names[0])) if names else (t,)
+            r = registers.get(key)
+            if r is None:
+                r = registers[key] = len(nodes)
+                nodes.append(e)
+                kernel = t.kernel
+                if t is Var:  # the run puts x in its register
+                    self._var = r
+                elif kernel is None:
+                    self._literals.append((r, e))
+                else:
+                    if isinstance(kernel, str):
+                        kernel = getattr(mpmath.ctx_mp_python, kernel)
+                    elif t is Sin or t is Cos:  # a pair on a shares kernels
+                        partner = Cos if t is Sin else Sin
+                        i = trig.get((partner, a))
+                        if i is not None:
+                            pair = _trig_pair()
+                            other = steps[i]
+                            steps[i] = (other[0], pair[partner], *other[2:])
+                            kernel = pair[t]
+                        trig[t, a] = len(steps)
+                    steps.append((r, kernel, a, b, e))
+            seen[id(e)] = r
+            done.append(r)
+        self.result = done.pop()
+        self.has_x = self._var is not None
 
     def _state(self, prec):
         """The run state at ``prec``, built on first use: the registers
@@ -1014,14 +1037,26 @@ def to_text(e):
     One forward pass over the tape's registers, operands first: each
     register's text is its node's ``form`` with its operands' texts filled
     in, an operand in parentheses where its ``prec`` is below the level
-    that the node ``binds`` it at.
+    that the node ``binds`` it at.  A text is dropped after its last read,
+    so a long sum or a deep nest does not hold every prefix's text.
     """
     tape = e if isinstance(e, Tape) else Tape(e)
-    texts = [node.form for node in tape.nodes]
+    nodes = tape.nodes
+    texts = [node.form for node in nodes]
+    reads = [0] * len(nodes)
+    for _, _, a, b, _ in tape.steps:
+        reads[a] += 1
+        if b is not None:
+            reads[b] += 1
     for out, _, a, b, e in tape.steps:
-        texts[out] = e.form.format(*[
-            f"({texts[r]})" if tape.nodes[r].prec < level else texts[r]
-            for r, level in zip((a, b), e.binds)])
+        parts = []
+        for r, level in zip((a, b), e.binds):
+            text = texts[r]
+            reads[r] -= 1
+            if not reads[r]:
+                texts[r] = None
+            parts.append(f"({text})" if nodes[r].prec < level else text)
+        texts[out] = e.form.format(*parts)
     return texts[tape.result]
 
 

@@ -15,8 +15,8 @@ Tolerances are counted in ulps by ``ulp``.
 The rule kernel is also written out the long way, as the reference for
 the package's formula table, the parser as recursive descent, one
 method per grammar level, as the reference for the package's precedence
-loop, and differentiation and printing as recursive walks of the tree,
-as the references for the package's passes over a tape, and argparse,
+loop, the tape builder, differentiation and printing as recursive walks
+of the tree, as the references for the package's loops, and argparse,
 as the reference for the command line's option reader.
 The last section holds two one-rule shorthands over the package's own
 entry points; they are conveniences, not oracles.
@@ -30,6 +30,7 @@ from decimal import ROUND_DOWN, ROUND_HALF_UP
 from fractions import Fraction
 from math import comb, factorial, floor, log10
 
+import mpmath.ctx_mp_python
 from mpmath import mp, mpf
 
 from quadrules.analysis import (_decimal_magnitude, _reference_value,
@@ -45,7 +46,8 @@ from quadrules.expr import (_FUNCTIONS, _NAMES, _PREC_ADD, _PREC_ATOM,
                             DifferentiationError, Div, DomainError,
                             Expression, Mul, Neg, Num, ParseError, PiConst,
                             Pow, Sin, Sqrt, Sub, Tape, Var, _add, _div, _mul,
-                            _negate, _pow, _sub, _tokenize, to_text)
+                            _negate, _pow, _sub, _tokenize, _trig_pair,
+                            to_text)
 from quadrules.precision import MAX_BITS, as_mpf, workprec
 from quadrules.rules import rule_values, simple_rule_values
 
@@ -505,6 +507,63 @@ def _binding(e):
             value.startswith("-")
         return _PREC_NEG if negative else _PREC_ATOM
     return e.prec
+
+
+# ---------------------------------------------------------------------------
+# the tape builder as a recursive walk of the tree, one frame per level
+
+def reference_tape(e):
+    """``expr.Tape(e)`` built by a recursive walk: a tape with the same
+    node object in each register, the same steps, kernels and sin/cos
+    pairs, literals, x register and result, or the same TypeError."""
+    tape = Tape.__new__(Tape)
+    tape.nodes, tape.steps, tape._literals = [], [], []
+    tape._states, tape._var = {}, None
+    seen, registers = {}, {}
+
+    def visit(e):
+        r = seen.get(id(e))
+        if r is not None:
+            return r
+        if not isinstance(e, Expression):
+            raise TypeError(f"not an expression node: {e!r}")
+        t = type(e)
+        kernel, names = t.kernel, t.__match_args__
+        a = b = None
+        if kernel is None:  # x, or a literal filled in per precision
+            key = (t, *[getattr(e, f) for f in names])
+        else:
+            a = visit(getattr(e, names[0]))
+            if len(names) == 2:
+                b = visit(getattr(e, names[1]))
+            key = (t, a, b)
+        r = registers.get(key)
+        if r is None:
+            r = registers[key] = len(tape.nodes)
+            tape.nodes.append(e)
+            if t is Var:
+                tape._var = r
+            elif kernel is None:
+                tape._literals.append((r, e))
+            else:
+                if isinstance(kernel, str):
+                    kernel = getattr(mpmath.ctx_mp_python, kernel)
+                elif t is Sin or t is Cos:
+                    partner = Cos if t is Sin else Sin
+                    other = registers.get((partner, a, None))
+                    if other is not None:
+                        pair = _trig_pair()
+                        i = [step[0] for step in tape.steps].index(other)
+                        tape.steps[i] = (other, pair[partner],
+                                         *tape.steps[i][2:])
+                        kernel = pair[t]
+                tape.steps.append((r, kernel, a, b, e))
+        seen[id(e)] = r
+        return r
+
+    tape.result = visit(e)
+    tape.has_x = tape._var is not None
+    return tape
 
 
 # ---------------------------------------------------------------------------

@@ -650,30 +650,39 @@ def _run_cli(*argv):
                           env=env, capture_output=True, text=True, timeout=60)
 
 
-@pytest.mark.parametrize("text", [
-    # it parses, but the tape builder and the printer recurse, one frame a
-    # level; the tape builder, which the integrand calls first, gives out
-    "sin(" * 1000 + "x" + ")" * 1000,
-    # the tape builder recurses into every operand, so down the
-    # left-leaning sum too, one frame a term, and gives out first again
-    " + ".join(["sin(x)"] * 994),
-], ids=["1000_nested_sin", "994_term_sum"])
-def test_deep_nesting_is_one_line_usage_error(text):
-    # a quad process, at the interpreter's own recursion limit
-    proc = _run_cli("integrate", "--integrand", text, "--a", "0", "--b", "1")
-    assert (proc.returncode, proc.stdout, proc.stderr) == \
-        (1, "", "quad: error: expression nested too deeply\n")
+_SIN_20000 = "sin(" * 20000 + "x" + ")" * 20000   # 100,001 bytes
+
+
+@pytest.mark.parametrize("text, flags, value", [
+    # the parser, the tape builder and the printer each keep their own
+    # stack, so the depth is bounded by memory alone; T2 reads f'', which
+    # holds 20,000 sin/cos pairs
+    (_SIN_20000, (), "0.010202420034804418"),
+    (_SIN_20000, ("--rule", "T2"), "0.012238799504592557"),
+    # every operand of the left-leaning sum is a level too
+    (" + ".join(["x"] * 20000), (), "10000.0"),
+], ids=["20000_nested_sin", "20000_nested_sin_T2", "20000_term_sum"])
+def test_deep_nesting_integrates(text, flags, value):
+    # each argument stays under Linux's 131,072-byte limit on one argument
+    assert len(text.encode()) < 131072
+    proc = _run_cli("integrate", "--integrand", text, "--a", "0", "--b", "1",
+                    *flags)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"integrand {text} on [0, 1]\n")
+    assert proc.stdout.endswith(f"\nvalue = {value}\n")
 
 
 @pytest.mark.parametrize("text", [
     " + ".join(["sin(x)"] * 900),
     "x^(" * 900 + "x" + ")" * 900,
     "(" * 900 + "x" + "^1)" * 900,
-], ids=["900_term_sum", "900_nested_x_powers", "900_constant_powers"])
+    "sin(" * 1000 + "x" + ")" * 1000,
+], ids=["900_term_sum", "900_nested_x_powers", "900_constant_powers",
+        "1000_nested_sin"])
 def test_a_bracket_differentiates_as_deep_as_integrate_evaluates(text):
-    # the sign check reads f'', and differentiation steps through the
-    # tape, so the tape builder's one frame a level is the only limit; x
-    # in the exponents leaves the sign unknown, which still exits 0
+    # the sign check reads f'', twice as deep as f, and no walk over an
+    # expression recurses; x in the exponents leaves the sign unknown,
+    # which still exits 0
     proc = _run_cli("bracket", "--integrand", text, "--a", "0", "--b", "1",
                     "--pair", "M,T")
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -860,7 +869,7 @@ def test_endpoints_are_compared_at_the_working_precision(argv, code, stdout,
 
 
 # a grammar of command lines over every subcommand and format: built-in
-# and expression integrands, nested functions past the recursion limit,
+# and expression integrands, nested functions up to 2,000 deep,
 # long sums, long literals, extreme and undefined interval endpoints,
 # panel counts up to 64 and precisions up to 256 bits, valid or not
 _NESTED = st.builds(lambda name, n: f"{name}(" * n + "x" + ")" * n,
@@ -940,7 +949,8 @@ def _argvs(draw):
 @example(argv=["bracket", "--integrand", "x^(" * 6 + "x" + ")" * 6,
                "--a", "0", "--b", "2", "--panels", "1"])
 def test_every_request_ends_in_a_status_and_at_most_one_bounded_line(argv):
-    # in-process, so the limit on nesting is the test's own stack depth
+    # in-process, where no depth of nesting reaches the interpreter's
+    # recursion limit
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

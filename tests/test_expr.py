@@ -1,11 +1,14 @@
 import contextlib
+import inspect
 import io
 import random
 import re
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import mpmath.ctx_mp_python
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
@@ -28,7 +31,8 @@ from quadrules.rules import Interval
 
 from oracles import (central_diff, central_second_diff, random_poly_tree,
                      reference_differentiate, reference_literal,
-                     reference_parse, reference_to_text, tree_eval, ulp)
+                     reference_parse, reference_tape, reference_to_text,
+                     tree_eval, ulp)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import random_expression  # noqa: E402
@@ -245,6 +249,19 @@ class TestPrintRoundTrip:
             trees.append(differentiate(trees[-1]))
         for e in trees:
             assert to_text(e) == reference_to_text(e) == to_text(Tape(e))
+
+    def test_a_20000_term_sum_prints_in_linear_memory(self):
+        # each register's text is dropped after its last read; kept, the
+        # texts of the sum's 20,000 prefixes would grow quadratically
+        text = " + ".join(["x"] * 20000)
+        tape = Tape(parse(text))
+        tracemalloc.start()
+        try:
+            assert to_text(tape) == text
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_canonical_examples(self):
         assert to_text(parse("2*sin(x)^2")) == "2 * sin(x) ^ 2"
@@ -627,6 +644,62 @@ class TestTape:
             f = builtin_integrand(name)
             for order in range(5):
                 self.assert_matches_tree_walk(f.derivative_expr(order))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_expression_trees(), _derivative_trees()))
+    @example(parse("x*cos(2.5*x) + sin(2.5*x) - cos(x)*sin(x)"))
+    @example(Mul(Sin(Var()), Sin(Var())))   # equal operands, two objects
+    @example(Num("-2.5"))                    # a bare literal
+    def test_equals_the_recursive_builder(self, tree):
+        # f' and f'' share subtrees by reference and by value, and hold
+        # sin/cos pairs; a power with x in its exponent has none
+        trees = [tree]
+        with contextlib.suppress(DifferentiationError):
+            trees.append(differentiate(tree))
+            trees.append(differentiate(trees[-1]))
+        for e in trees:
+            got, want = Tape(e), reference_tape(e)
+            assert len(got.nodes) == len(want.nodes)
+            assert all(g is w for g, w in zip(got.nodes, want.nodes))
+            assert [(out, a, b, node) for out, _, a, b, node in got.steps] \
+                == [(out, a, b, node) for out, _, a, b, node in want.steps]
+            assert _kernels(got) == _kernels(want)
+            assert got._literals == want._literals
+            assert (got._var, got.result, got.has_x) == \
+                (want._var, want.result, want.has_x)
+
+    @pytest.mark.parametrize("tree, named", [
+        (Sin(5), "5"),
+        (Add(Var(), None), "None"),
+        # operands are visited left to right, depth first
+        (Add(Mul(Var(), "a"), Sin(2.5)), "'a'"),
+        (Add(Sin(Cos("b")), 2), "'b'"),
+        (Sub(Neg(Var()), Cos([1])), "[1]"),
+        (7, "7"),
+    ])
+    def test_a_non_node_operand_is_refused_as_the_recursive_builder_did(
+            self, tree, named):
+        for build in (Tape, reference_tape):
+            with pytest.raises(TypeError) as exc:
+                build(tree)
+            assert str(exc.value) == f"not an expression node: {named}"
+
+
+def _kernels(tape):
+    """Each step's kernel, where the kernels of one ``_trig_pair`` read as
+    the index of the pair's first step."""
+    pairs, kernels = {}, []
+    for i, (_, kernel, _, _, node) in enumerate(tape.steps):
+        plain = type(node).kernel
+        if isinstance(plain, str):
+            plain = getattr(mpmath.ctx_mp_python, plain)
+        if kernel is not plain:
+            # a pair's two kernels call one cos_sin closure
+            half = inspect.getclosurevars(kernel).nonlocals["kernel"]
+            kernel = pairs.setdefault(
+                inspect.getclosurevars(half).nonlocals["cos_sin"], i)
+        kernels.append(kernel)
+    return kernels
 
 
 def _mpf_run(tape, x):
