@@ -26,27 +26,27 @@ and ``differentiate`` are each one loop over a tape, so expressions nest
 as deep as memory allows.
 
 Trees are immutable (frozen ``Record`` subclasses, whose structural
-``==`` and hash walk any depth) and ``parse(to_text(e))``
+``==``, hash and repr walk any depth) and ``parse(to_text(e))``
 reproduces ``e`` exactly, so expressions can be shared between threads and
 serialized through their printed form.
 Evaluation has one path, ``Tape``: a tree compiled once into flat steps,
 one per operator node, with one register per structurally distinct node,
 literals materialized once per precision from their integer significand
-and decimal exponent, and bit-identical to a recursive walk of the tree
-in which ``mpf`` converts each literal's text.  Its one run method,
+and decimal exponent, and bit-identical to a recursive walk of the tree in
+which ``mpf`` converts each literal's text.  Its one run method,
 ``Tape.run``, takes x and returns the value as raw ``_mpf_`` tuples, on
 which the steps call ``mpmath.libmp`` kernels; mpfs are made only where
 the package hands a value out (``eval_expr``, ``Integrand.eval_at`` and
-``derivative_at``, and a ``DomainError``'s point).  At 53 bits a run
-first tries the steps on Python floats.  After 300 runs at one precision
-a tape compiles its one program there to a Python function: the float
-program at 53 bits where it has one, the tuple run otherwise.  ``Tape``
-says when each run answers, and why every run gives the same value or
-error text.  The sine and cosine of one register share one
-``mpf_cos_sin`` call.  They refuse arguments of 2^(2^17) or more, whose
-reduction by pi would take seconds to minutes, and powers refuse integer
-exponents of 2^128 or more unless the base is a power of two or zero
-(2^(2^20) then), each with a ``DomainError``.
+``derivative_at``, and a ``DomainError``'s point).  At 53 bits a tape with
+a step and exact doubles for its literals first runs on Python floats.
+After 300 runs at one precision a tape compiles its one program there to a
+Python function: the float program at 53 bits where it has one, the tuple
+run otherwise.  ``Tape`` says when each run answers, and why every run
+gives the same value or error text.  The sine and cosine of one register
+share one ``mpf_cos_sin`` call.  They refuse arguments of 2^(2^17) or
+more, whose reduction by pi would take seconds to minutes, and powers
+refuse integer exponents of 2^128 or more unless the base is a power of
+two or zero (2^(2^20) then), each with a ``DomainError``.
 
 ``grid`` computes equispaced evaluation points on doubles at 53 bits
 where they round as the tuple formula does; elsewhere in integers when
@@ -246,8 +246,8 @@ class Record:
     frozen and hash by their fields; ``__post_init__`` may check or coerce
     them, and store caches beside them, through ``object.__setattr__``.
     ``==`` and hash walk record fields on an explicit stack, each shared
-    record once, so any record that can be built compares without
-    recursion.
+    record once, and repr on another, each occurrence, so any record that
+    can be built compares, hashes and prints without recursion.
     """
     __match_args__ = ()
     __dataclass_fields__ = _DataclassFields()
@@ -306,9 +306,22 @@ class Record:
         return hashes[id(self)]
 
     def __repr__(self):
-        text = ", ".join(f"{name}={getattr(self, name)!r}"
-                         for name in self.__match_args__)
-        return f"{type(self).__qualname__}({text})"
+        # the dataclass text, from fragments on an explicit stack: a record
+        # on top is replaced by its text's fragments, its record fields
+        # still records, and each text fragment is joined once at the end
+        parts, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if not isinstance(item, Record):
+                parts.append(item)
+                continue
+            frags = [f"{type(item).__qualname__}("]
+            for i, name in enumerate(item.__match_args__):
+                v = getattr(item, name)
+                frags += (f"{', ' * bool(i)}{name}=",
+                          v if isinstance(v, Record) else repr(v))
+            todo += reversed([*frags, ")"])
+        return "".join(parts)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -672,11 +685,6 @@ def _on_tuples(kernel, unary):
                                           round_nearest))
 
 
-# native steps for u^n at the exponents where mpf_pow_int is one correctly
-# rounded operation (u*u, 1/u) or exact; u^2 runs as a Mul of u with itself
-_FLOAT_POWERS = {-1: (partial(operator.truediv, 1.0), "1.0 / {}"),
-                 1: (operator.pos, "+{}"), 0: (lambda u: 1.0, "1.0")}
-
 # At each precision a tape compiles one program to one Python function at
 # its _COMPILE_AFTER-th run there: the float program at 53 bits where the
 # tape has one, the tuple run otherwise.  That is about when the time
@@ -797,19 +805,18 @@ class Tape:
     the one run method: it takes and returns raw ``_mpf_`` tuples and
     holds the interpreted tuple loop itself.
 
-    At 53 bits ``run`` first tries the steps on doubles: add, sub, mul,
-    div, neg, sqrt and the powers u^2, u^-1, u^1 and u^0 natively, every
+    One rule puts a tape on doubles at 53 bits: it has a step, and every
+    literal has an exact double.  ``run`` then tries its float program
+    first: add, sub, mul, div, neg, sqrt and u^2 (u*u) natively, every
     other step through its kernel on exact tuples.  IEEE 754 rounds +, -,
     *, / and sqrt on binary64 correctly, ties to even, which inside the
     normal range [2^-1022, 2^1024) is ``round_nearest`` at 53 bits; so
     the double result is the tuple run's, bit for bit.  The float run
     returns None, and ``run`` goes on to the tuple run that every other
-    precision takes, whose value or ``DomainError`` answers, whenever a
-    literal or x has no exact double (more than 53 bits, or outside the
-    normal range), a register ends up subnormal, infinite or NaN, a
-    product or quotient of nonzero values is 0, or a float step raises.
-    A tape with too few native steps to repay the conversions, such as
-    ``2*sin(x)^2``, keeps the tuple run.
+    precision takes, whose value or ``DomainError`` answers, whenever x
+    has no exact double (more than 53 bits, or outside the normal range),
+    a register ends up subnormal, infinite or NaN, a product or quotient
+    of nonzero values is 0, or a float step raises.
 
     Each precision counts its runs in its ``_RunState`` and compiles one
     program at the ``_COMPILE_AFTER``-th: ``_compile`` the float program,
@@ -897,7 +904,8 @@ class Tape:
 
     def _state(self, prec):
         """The run state at ``prec``, built on first use: the registers
-        with the literals filled, and at 53 bits the float program."""
+        with the literals filled, and at 53 bits the float program of a
+        tape with steps."""
         state = self._states.get(prec)
         if state is None:
             regs = [None] * len(self.nodes)
@@ -905,7 +913,7 @@ class Tape:
                 regs[r] = mpf_pi(prec, round_nearest) \
                     if type(e) is PiConst else _literal(e.value, prec)
             floats = self._float_program(regs) \
-                if prec == 53 and _FLOAT53 else None
+                if prec == 53 and _FLOAT53 and self.steps else None
             state = self._states[prec] = _RunState(regs, floats)
         return state
 
@@ -955,36 +963,26 @@ class Tape:
 
     def _float_program(self, template):
         """(registers, steps, products, packer) of the float run from the
-        53-bit registers ``template``, or None when a literal has no double
-        or the run would not pay.  Steps are (out, fn, a, b or None, source
-        text or None for a kernel step), products lists the (out, a, b) of
-        every Mul and Div, and packer packs the registers as native
-        doubles."""
+        53-bit registers ``template``, or None when a literal has no exact
+        double.  Steps are (out, fn, a, b or None, source text or None for
+        a kernel step), products lists the (out, a, b) of every Mul and
+        Div, and packer packs the registers as native doubles."""
         try:
             regs = [0.0 if t is None else _to_double(t) for t in template]
         except ValueError:
             return None
-        steps, products, kernels = [], [], 0
+        steps, products = [], []
         for out, kernel, a, b, e in self.steps:
             t = type(e)
             native, text = t.native, t.form
-            if t is Pow and template[b] is not None and \
-                    regs[b] in (2, -1, 1, 0):
-                if regs[b] == 2:
-                    t, native, text, b = Mul, Mul.native, Mul.form, a
-                else:
-                    (native, text), b = _FLOAT_POWERS[regs[b]], None
+            # u^2 is mpf_pow_int's one correctly rounded product u*u
+            if t is Pow and template[b] is not None and regs[b] == 2:
+                t, native, text, b = Mul, Mul.native, Mul.form, a
             if native is None:
                 native, text = _on_tuples(kernel, b is None), None
-                kernels += 1
             if t is Mul or t is Div:
                 products.append((out, a, b))
             steps.append((out, native, a, b, text))
-        # each native step saves about one kernel call and each kernel step
-        # costs about one more in conversions; converting x and the result
-        # and scanning the registers cost about two per run
-        if len(steps) - kernels <= kernels + 2:
-            return None
         return regs, steps, products, struct.Struct(f"{len(regs)}d")
 
     def _run_floats(self, program, x):

@@ -15,9 +15,9 @@ Tolerances are counted in ulps by ``ulp``.
 The rule kernel is also written out the long way, as the reference for
 the package's formula table, the parser as recursive descent, one
 method per grammar level, as the reference for the package's precedence
-loop, the tape builder, differentiation and printing as recursive walks
-of the tree, as the references for the package's loops, and argparse,
-as the reference for the command line's option reader.
+loop, the tape builder, differentiation, printing and the record repr as
+recursive walks of the tree, as the references for the package's loops,
+and argparse, as the reference for the command line's option reader.
 The last section holds two one-rule shorthands over the package's own
 entry points; they are conveniences, not oracles.
 """
@@ -45,9 +45,9 @@ from quadrules.expr import (_FUNCTIONS, _NAMES, _PREC_ADD, _PREC_ATOM,
                             _PREC_MUL, _PREC_NEG, Add, Cos,
                             DifferentiationError, Div, DomainError,
                             Expression, Mul, Neg, Num, ParseError, PiConst,
-                            Pow, Sin, Sqrt, Sub, Tape, Var, _add, _div, _mul,
-                            _negate, _pow, _sub, _tokenize, _trig_pair,
-                            to_text)
+                            Pow, Record, Sin, Sqrt, Sub, Tape, Var, _add,
+                            _div, _mul, _negate, _pow, _sub, _tokenize,
+                            _trig_pair, to_text)
 from quadrules.precision import MAX_BITS, as_mpf, workprec
 from quadrules.rules import rule_values, simple_rule_values
 
@@ -507,6 +507,19 @@ def _binding(e):
             value.startswith("-")
         return _PREC_NEG if negative else _PREC_ATOM
     return e.prec
+
+
+# ---------------------------------------------------------------------------
+# the record repr as a recursive walk, one frame per level
+
+def reference_repr(record):
+    """``repr`` of a ``Record`` as the dataclass text, each record field
+    by a recursive call: ``Name(field=value, ...)``."""
+    fields = [getattr(record, name) for name in record.__match_args__]
+    text = ", ".join(
+        f"{name}={reference_repr(v) if isinstance(v, Record) else repr(v)}"
+        for name, v in zip(record.__match_args__, fields))
+    return f"{type(record).__qualname__}({text})"
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from quadrules.expr import _grid_tuples as grid_tuples
 from quadrules.analysis import Reference
 from quadrules.cli import main
 from quadrules.associate import check_assumption_A
-from quadrules.integrand import Integrand, builtin_integrand
+from quadrules.integrand import BUILTIN_NAMES, Integrand, builtin_integrand
 from quadrules.precision import workprec
 from quadrules.rules import Interval
 
@@ -748,8 +748,8 @@ def _which_run(tape, x):
         else "floats"
 
 
-# four native steps around a subexpression, so that its tape has a float
-# program even where the subexpression alone would not pay for one
+# native steps around a subexpression, whose outcome, a value or a domain
+# error, they carry to the tape's result unchanged
 _WRAP = "({}) * (x - 1) / (x + 2)"
 
 
@@ -773,10 +773,13 @@ class TestFloatBackend:
         (_WRAP.format("sqrt(-x)"), "0", "floats"),        # sqrt(-0.0)
         ("(x - 1) / sqrt(-x) + x * x", "0", "fallback"),  # division by 0
         (_WRAP.format("sqrt(-x)"), "1", "fallback"),      # root of x < 0
-        ("x^2 - x^-1 + x^1 + x^0", "0.3", "floats"),     # native powers
+        ("x^2 - x^-1 + x^1 + x^0", "0.3", "floats"),     # u^2 native
+        ("x^-1", "0", "fallback"),                       # powers by kernel
+        ("x^1", "0.3", "floats"),
+        ("x^0", "0", "floats"),
         (_WRAP.format("x^-1"), "0", "fallback"),
         (_WRAP.format("x^0"), "0", "floats"),
-        (_WRAP.format("x^3"), "1.1", "floats"),          # powers by kernel
+        (_WRAP.format("x^3"), "1.1", "floats"),
         (_WRAP.format("x^-2"), "0.3", "floats"),
         (_WRAP.format("x^-2"), "0", "fallback"),
         (_WRAP.format("x^0.5"), "3", "floats"),
@@ -804,14 +807,31 @@ class TestFloatBackend:
                                         _raw(x)) == generated
                 assert (generated is None) == (run == "fallback")
 
-    def test_short_tapes_keep_the_tuple_run(self):
-        # converting x and the result costs about two kernel calls, and
-        # each kernel step run from doubles one more
-        for text in ("x", "pi", "x^3", "2*sin(x)^2", "cos(2.1*x + 0.5)"):
-            assert _which_run(Tape(parse(text)), mpf("0.5")) == "tuples"
-        f = builtin_integrand("asin6")
-        for order in range(5):
-            assert _which_run(f.tape(order), mpf("0.25")) == "floats"
+    def test_every_tape_with_steps_runs_on_doubles(self):
+        # however few of its steps are native
+        for text in ("x^3", "2*sin(x)^2", "cos(2.1*x + 0.5)"):
+            assert _which_run(Tape(parse(text)), mpf("0.5")) == "floats"
+        for name in BUILTIN_NAMES:
+            f = builtin_integrand(name)
+            for order in range(5):
+                assert _which_run(f.tape(order), mpf("0.25")) == "floats"
+
+    def test_stepless_tapes_run_on_tuples_past_their_compile(self):
+        # x, a constant and f'' of a linear integrand, folded to 0, have
+        # no step, so no float program; at the _COMPILE_AFTER-th run they
+        # compile the tuple run of their empty step list
+        linear = differentiate(differentiate(parse("3*x + 1")))
+        with workprec(53):
+            for tree, x, want in ((parse("x"), mpf("0.5"), mpf("0.5")),
+                                  (parse("pi"), None, +mp.pi),
+                                  (parse("2.5"), None, mpf("2.5")),
+                                  (linear, mpf("0.5"), mpf(0))):
+                tape = Tape(tree)
+                assert tape.steps == []
+                assert _which_run(tape, x) == "tuples"
+                for _ in range(expr._COMPILE_AFTER + 1):
+                    assert _mpf_run(tape, x) == want
+                assert tape._state(53).program is not None
 
     def test_other_precisions_never_run_on_doubles(self, monkeypatch):
         def run_floats(tape, program, x):

@@ -17,16 +17,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 import quadrules
 from quadrules.analysis import Reference, TableRow
 from quadrules.associate import (COMPANION_PAIRS, AssociateWeights,
                                  AssumptionVerdict, Bracket, CompanionPair)
-from quadrules.expr import (Add, Cos, Div, Expression, Mul, Neg, Num, PiConst,
-                            Pow, Record, Sin, Sqrt, Sub, Var, _Infix, _Unary)
+from quadrules.expr import (Add, Cos, DifferentiationError, Div, Expression,
+                            Mul, Neg, Num, PiConst, Pow, Record, Sin, Sqrt,
+                            Sub, Var, _Infix, _Unary, differentiate, parse)
 from quadrules.integrand import Integrand, builtin_integrand
 from quadrules.rules import RULES, Interval, RuleSpec
+
+from oracles import reference_repr
 
 X = Var()
 
@@ -114,6 +118,42 @@ def test_dataclass_fields_of_a_node_are_its_match_args(node):
                          ids=[type(r).__name__ for r, _ in RECORDS])
 def test_repr_is_the_dataclass_text(record, text):
     assert repr(record) == text
+
+
+@pytest.mark.parametrize("depth", [2000, 20000])
+def test_repr_of_a_deep_tree_does_not_recurse(depth):
+    tree = parse("sin(" * depth + "x" + ")" * depth)
+    assert repr(tree) == "Sin(arg=" * depth + "Var()" + ")" * depth
+
+
+def _trees():
+    atoms = st.one_of(st.integers(-9, 9).map(Num),
+                      st.sampled_from(("2.5", "-0.5")).map(Num),
+                      st.just(X), st.just(PiConst()))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(lambda t, a, b: t(a, b),
+                      st.sampled_from((Add, Sub, Mul, Div, Pow)),
+                      children, children),
+            st.builds(lambda t, a: t(a), st.sampled_from((Neg, Sin, Cos,
+                                                          Sqrt)), children))
+
+    return st.recursive(atoms, extend, max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees())
+def test_repr_equals_the_recursive_text(tree):
+    # f' shares subtrees, which print once per occurrence; an integrand
+    # holds records beside plain fields
+    records = [tree, Integrand(tree, Interval(0, 1), PiConst(), "f")]
+    try:
+        records.append(differentiate(tree))
+    except DifferentiationError:
+        pass
+    for record in records:
+        assert repr(record) == reference_repr(record)
 
 
 def test_every_package_record_class_is_sampled_and_frozen():
