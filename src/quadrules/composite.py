@@ -14,7 +14,9 @@ f(a).
 Node k sits at a + k*h/2 (even k are panel boundaries, odd k midpoints),
 so h-rounding cannot alias two distinct nodes.  One pass evaluates each
 node once, in ascending k, in chunks of a fixed number of panels, so a
-call holds one chunk of node values whatever n is.  Each chunk's
+call holds one chunk of node values whatever n is.  A chunk's k are the
+slice of the range of boundaries the call evaluates, merged with its
+midpoints where a rule reads them (``_chunk_nodes``).  Each chunk's
 positions come from one call of ``quadrules.expr.grid``, each a single
 multiplication a + k*(h/2), never repeated addition: on doubles at 53
 bits where they round as the tuple formula ``mpf_add(a, mpf_mul_int(h/2,
@@ -89,6 +91,19 @@ def _exact_sum(terms):
                       "more than 2^22 apart")
 
 
+def _chunk_nodes(bounds, lo, hi, mids):
+    """The ascending k in [lo, hi), lo even, that the range ``bounds`` of
+    even k holds, and every odd k there when ``mids``: the slice of
+    ``bounds`` between lo and hi, merged with the odd k and sorted."""
+    start, step = bounds.start, bounds.step
+    ks = list(bounds[max(0, (lo - start + step - 1) // step):
+                     max(0, (hi - start + step - 1) // step)])
+    if mids:
+        ks += range(lo + 1, hi, 2)
+        ks.sort()
+    return ks
+
+
 def composite_values(f, interval, rules, panels, precision=53):
     """Composite values for several rules from one pass over shared nodes.
 
@@ -133,10 +148,13 @@ def composite_values(f, interval, rules, panels, precision=53):
                 bounds = range(2, 2 * panels, 4)
 
         eval_at, derivative_at, make = f.eval_at, f.derivative_at, mp.make_mpf
+        fa, inner, fb = (sums.get(kind) for kind in ("f(a)", "f(inner)",
+                                                     "f(b)"))
+        end = 2 * panels
         for start in range(0, panels, _CHUNK):
             stop = min(start + _CHUNK, panels)
-            ks = [k for k in range(2 * start, 2 * stop + (stop == panels))
-                  if k in bounds or k % 2 and mid_reads]
+            ks = _chunk_nodes(bounds, 2 * start, 2 * stop + (stop == panels),
+                              mid_reads)
             try:
                 for k, x in zip(ks, grid(a, half, ks, precision)):
                     x = make(x)
@@ -145,8 +163,8 @@ def composite_values(f, interval, rules, panels, precision=53):
                             column.append((derivative_at(x, order) if order
                                            else eval_at(x))._mpf_)
                     else:
-                        sums["f(a)" if k == 0 else "f(b)" if k == 2 * panels
-                             else "f(inner)"].append(eval_at(x)._mpf_)
+                        (inner if 0 < k < end else fa if k == 0
+                         else fb).append(eval_at(x)._mpf_)
             except DomainError as err:
                 # a midpoint is its panel's, and boundary m is first read
                 # as panel m's right end if right ends are read

@@ -56,6 +56,7 @@ and by the formula otherwise.
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
 import re
@@ -65,10 +66,10 @@ from functools import partial
 
 import mpmath.ctx_mp_python
 from mpmath import mp
-from mpmath.libmp import (MPZ, fone, from_int, from_man_exp, from_rational,
-                          ften, fzero, mpf_add, mpf_cos, mpf_cos_sin, mpf_mul,
-                          mpf_mul_int, mpf_pi, mpf_pow, mpf_pow_int, mpf_sin,
-                          mpf_sqrt, round_nearest)
+from mpmath.libmp import (MPZ, fone, from_int, from_rational, ften, fzero,
+                          mpf_add, mpf_cos, mpf_cos_sin, mpf_mul, mpf_mul_int,
+                          mpf_pi, mpf_pow, mpf_pow_int, mpf_sin, mpf_sqrt,
+                          round_nearest)
 
 from .precision import as_mpf, point_text, workprec
 
@@ -656,11 +657,12 @@ def grid(a, step, ks, prec):
 def _grid_tuples(a, step, ks, prec):
     """``grid`` on tuples, at any precision.  With a and step as integers
     A and S times 2^e, point k is exactly (A + k*S) * 2^e, built once in
-    integers, when the exponents bound A and the largest k*S within
-    ``prec`` bits (checked before any shift, so a step 2^(2^20) bits from
-    a is never shifted) and A + k*S fits at the largest k: it is linear
-    in k, so every point fits and the formula is exact.  Otherwise each
-    point takes the formula."""
+    integers and its tuple written straight from that integer, when the
+    exponents bound A and the largest k*S within ``prec`` bits (checked
+    before any shift, so a step 2^(2^20) bits from a is never shifted)
+    and A + k*S fits at the largest k: it is linear in k, so every point
+    fits and the formula is exact.  Otherwise each point takes the
+    formula."""
     sa, ma, ea, bca = a
     ss, ms, es, bcs = step
     if ms and ks and (ma or a == fzero):
@@ -671,7 +673,20 @@ def _grid_tuples(a, step, ks, prec):
             A = (-ma if sa else ma) << (ea - e) if ma else 0
             S = (-ms if ss else ms) << (es - e)
             if abs(A + kmax * S).bit_length() <= prec:
-                return [from_man_exp(A + k * S, e) for k in ks]
+                points = []
+                for k in ks:  # from_man_exp(A + k*S, e), built directly
+                    n = A + k * S
+                    if n > 0:
+                        sign = 0
+                    elif n:
+                        sign, n = 1, -n
+                    else:
+                        points.append(fzero)
+                        continue
+                    zeros = (n & -n).bit_length() - 1
+                    n >>= zeros
+                    points.append((sign, n, e + zeros, n.bit_length()))
+                return points
     return [mpf_add(a, mpf_mul_int(step, k, prec, round_nearest), prec,
                     round_nearest) for k in ks]
 
@@ -849,56 +864,65 @@ class Tape:
         # above its operands; done holds the registers of visited operands
         todo, done = [e], []
         pop = todo.pop
-        while todo:
-            e = pop()
-            if e is _OPERANDS:  # the node below has its operands in done
+        # the build makes no reference cycles, so the passes of the cyclic
+        # collector that its many new tuples set off are pure cost
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while todo:
                 e = pop()
-                t = type(e)
-                b = done.pop() if len(t.__match_args__) == 2 else None
-                a = done.pop()
-                key = (t, a, b)
-            else:
-                r = seen.get(id(e))
-                if r is not None:
-                    done.append(r)
-                    continue
-                if not isinstance(e, Expression):
-                    raise TypeError(f"not an expression node: {e!r}")
-                t = type(e)
-                names = t.__match_args__
-                if t.kernel is not None:  # one or two operands, left first
-                    if len(names) == 2:
-                        todo += (e, _OPERANDS, getattr(e, names[1]),
-                                 getattr(e, names[0]))
-                    else:
-                        todo += (e, _OPERANDS, getattr(e, names[0]))
-                    continue
-                # x, or a literal filled in per precision
-                key = (t, getattr(e, names[0])) if names else (t,)
-            r = registers.get(key)
-            if r is None:
-                r = registers[key] = len(nodes)
-                nodes.append(e)
-                kernel = t.kernel
-                if t is Var:  # the run puts x in its register
-                    self._var = r
-                elif kernel is None:
-                    self._literals.append((r, e))
+                if e is _OPERANDS:  # the node below's operands are in done
+                    e = pop()
+                    t = type(e)
+                    b = done.pop() if len(t.__match_args__) == 2 else None
+                    a = done.pop()
+                    key = (t, a, b)
                 else:
-                    if isinstance(kernel, str):
-                        kernel = getattr(mpmath.ctx_mp_python, kernel)
-                    elif t is Sin or t is Cos:  # a pair on a shares kernels
-                        partner = Cos if t is Sin else Sin
-                        i = trig.get((partner, a))
-                        if i is not None:
-                            pair = _trig_pair()
-                            other = steps[i]
-                            steps[i] = (other[0], pair[partner], *other[2:])
-                            kernel = pair[t]
-                        trig[t, a] = len(steps)
-                    steps.append((r, kernel, a, b, e))
-            seen[id(e)] = r
-            done.append(r)
+                    r = seen.get(id(e))
+                    if r is not None:
+                        done.append(r)
+                        continue
+                    if not isinstance(e, Expression):
+                        raise TypeError(f"not an expression node: {e!r}")
+                    t = type(e)
+                    names = t.__match_args__
+                    if t.kernel is not None:  # 1 or 2 operands, left first
+                        if len(names) == 2:
+                            todo += (e, _OPERANDS, getattr(e, names[1]),
+                                     getattr(e, names[0]))
+                        else:
+                            todo += (e, _OPERANDS, getattr(e, names[0]))
+                        continue
+                    # x, or a literal filled in per precision
+                    key = (t, getattr(e, names[0])) if names else (t,)
+                r = registers.get(key)
+                if r is None:
+                    r = registers[key] = len(nodes)
+                    nodes.append(e)
+                    kernel = t.kernel
+                    if t is Var:  # the run puts x in its register
+                        self._var = r
+                    elif kernel is None:
+                        self._literals.append((r, e))
+                    else:
+                        if isinstance(kernel, str):
+                            kernel = getattr(mpmath.ctx_mp_python, kernel)
+                        elif t is Sin or t is Cos:  # sin and cos of a share
+                            partner = Cos if t is Sin else Sin
+                            i = trig.get((partner, a))
+                            if i is not None:
+                                pair = _trig_pair()
+                                other = steps[i]
+                                steps[i] = (other[0], pair[partner],
+                                            *other[2:])
+                                kernel = pair[t]
+                            trig[t, a] = len(steps)
+                        steps.append((r, kernel, a, b, e))
+                seen[id(e)] = r
+                done.append(r)
+        finally:
+            if collecting:
+                gc.enable()
         self.result = done.pop()
         self.has_x = self._var is not None
 

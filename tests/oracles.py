@@ -17,7 +17,9 @@ the package's formula table, the parser as recursive descent, one
 method per grammar level, as the reference for the package's precedence
 loop, the tape builder, differentiation, printing and the record repr as
 recursive walks of the tree, as the references for the package's loops,
-and argparse, as the reference for the command line's option reader.
+argparse, as the reference for the command line's option reader, and a
+composite chunk's node list by one membership test per node, as the
+reference for its range arithmetic.
 The last section holds two one-rule shorthands over the package's own
 entry points; they are conveniences, not oracles.
 """
@@ -577,6 +579,18 @@ def reference_tape(e):
     tape.result = visit(e)
     tape.has_x = tape._var is not None
     return tape
+
+
+# ---------------------------------------------------------------------------
+# a composite chunk's node list, one membership test per node
+
+def reference_chunk_nodes(bounds, start, stop, panels, midpoints):
+    """The node indices k of panels ``start`` to ``stop - 1`` of
+    ``panels`` that the composite pass evaluates, ascending: each boundary
+    (even k) that the range ``bounds`` holds, and each midpoint (odd k)
+    when ``midpoints``; the last chunk reaches k = 2 * panels."""
+    return [k for k in range(2 * start, 2 * stop + (stop == panels))
+            if k in bounds or k % 2 and midpoints]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import tracemalloc
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from quadrules import analysis, associate, composite, expr, rules
@@ -13,7 +14,8 @@ from quadrules.integrand import BUILTIN_NAMES, Integrand, builtin_integrand
 from quadrules.precision import pi_at, workprec
 from quadrules.rules import RULE_ORDER, Interval, UnknownRuleError
 
-from oracles import brute_composite, composite_value, random_poly_tree, ulp
+from oracles import (brute_composite, composite_value, random_poly_tree,
+                     reference_chunk_nodes, ulp)
 
 
 @dataclass
@@ -474,6 +476,48 @@ class TestNodeMemo:
         assert got[4].endswith(f"at x = {pole} (panel {panel_of_8} of 8)")
         # the carry still holds the 2-panel level
         assert list(f.carry(53)) == [(mpf(0)._mpf_, mpf(1)._mpf_, 2)]
+
+
+class TestChunkNodes:
+    """Each chunk's node list, built from ranges, equals one membership
+    test per node (``reference_chunk_nodes``) on every range of
+    boundaries that ``composite_values`` makes."""
+
+    @staticmethod
+    def bounds(kind, panels):
+        n2 = 2 * panels
+        return {"none": range(0),
+                # with or without f(a) and f(b)
+                "all": range(0, n2 + 1, 2), "no b": range(0, n2 - 1, 2),
+                "no a": range(2, n2 + 1, 2), "inner": range(2, n2 - 1, 2),
+                # the midpoints of panels / 2, with a carry
+                "carried": range(2, n2, 4)}[kind]
+
+    @classmethod
+    def assert_equal_in_every_chunk(cls, kind, panels, midpoints):
+        bounds = cls.bounds(kind, panels)
+        for start in range(0, panels, composite._CHUNK):
+            stop = min(start + composite._CHUNK, panels)
+            assert composite._chunk_nodes(
+                bounds, 2 * start, 2 * stop + (stop == panels),
+                midpoints) == reference_chunk_nodes(bounds, start, stop,
+                                                    panels, midpoints)
+
+    KINDS = ("none", "all", "no b", "no a", "inner", "carried")
+
+    # the 512-panel chunk edges
+    @pytest.mark.parametrize("panels", [1, 2, 511, 512, 513, 1024, 1025])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("midpoints", [False, True])
+    def test_at_the_chunk_edges(self, panels, kind, midpoints):
+        self.assert_equal_in_every_chunk(kind, panels, midpoints)
+
+    @settings(max_examples=200, deadline=None)
+    @given(panels=st.integers(1, 3000), kind=st.sampled_from(KINDS),
+           midpoints=st.booleans())
+    def test_equals_a_membership_test_per_node(self, panels, kind,
+                                               midpoints):
+        self.assert_equal_in_every_chunk(kind, panels, midpoints)
 
 
 def test_table_positions_are_computed_once_each_on_doubles(monkeypatch,

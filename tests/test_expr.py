@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import inspect
 import io
 import random
@@ -684,6 +685,39 @@ class TestTape:
                 build(tree)
             assert str(exc.value) == f"not an expression node: {named}"
 
+    def test_a_large_build_runs_no_cyclic_collection(self):
+        # a 20,000-term sum of k*x makes 39,999 steps and tens of
+        # thousands of tuples, enough to set the collector off many times
+        e = parse(" + ".join(f"{k}*x" for k in range(20000)))
+        phases = []
+
+        def record(phase, info):
+            phases.append(phase)
+
+        assert gc.isenabled()
+        gc.callbacks.append(record)
+        try:
+            tape = Tape(e)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(tape.steps) == 39999
+        assert phases == []
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_a_build_restores_the_callers_collector_setting(self,
+                                                            collecting):
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            Tape(parse("sin(x) + 1"))
+            assert gc.isenabled() is collecting
+            with pytest.raises(TypeError):
+                Tape(Add(Mul(Var(), "a"), Sin(Var())))
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+
 
 def _kernels(tape):
     """Each step's kernel, where the kernels of one ``_trig_pair`` read as
@@ -1155,6 +1189,31 @@ class TestGrid:
                 mpf_add(fzero, mpf_mul_int(step, k, 113, round_nearest), 113,
                         round_nearest) for k in ks]
         assert fallbacks == [10]
+
+
+class TestToTuple:
+    """``_to_tuple`` converts a finite double exactly, as ``from_float``
+    does; every 53-bit grid point and float-lane result goes through it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-2 ** 64, 2 ** 64).map(float),
+        # the subnormals and the smallest normals
+        st.floats(-2.0 ** -1021, 2.0 ** -1021)))
+    @example(0.0)
+    @example(-0.0)
+    @example(1.0)
+    @example(-3.0)
+    @example(2.0 ** 53 + 2)
+    @example(5e-324)
+    @example(-2.0 ** -1030)
+    @example(sys.float_info.min)
+    @example(2.0 ** 1023)
+    @example(-2.0 ** 1023)
+    @example(sys.float_info.max)
+    def test_equals_from_float(self, v):
+        assert expr._to_tuple(v) == from_float(v)
 
 
 def _finite_tuples(nonzero=False):
